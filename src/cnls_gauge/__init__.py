@@ -30,6 +30,7 @@ from .fields import (
     density_gradient,
 )
 from .nonlinearity import (
+    CoefficientTables,
     LinearSpec,
     DriftCubicSpec,
     DerivativeSpec,
@@ -48,6 +49,7 @@ from .gauge import (
     phase_relation_residual,
     cole_hopf_G,
     curl_residual_2d,
+    transformed_spec,
     transformed_spec_drift,
     transformed_spec_derivative,
     transformed_spec_linear,
@@ -86,12 +88,14 @@ __all__ = [
     "to_hydro", "from_hydro", "norms", "phase_winding", "phase_gradient",
     "density_gradient",
     # nonlinearity
-    "LinearSpec", "DriftCubicSpec", "DerivativeSpec", "FamilySpec",
+    "CoefficientTables", "LinearSpec", "DriftCubicSpec", "DerivativeSpec",
+    "FamilySpec",
     "eval_W", "eval_Wim", "eval_F",
     # gauge
     "GaugeGenerator", "TransformedSpec", "Grid2D", "compute_generator",
     "apply_gauge", "invert_gauge", "phase_relation_residual", "cole_hopf_G",
-    "curl_residual_2d", "transformed_spec_drift", "transformed_spec_derivative",
+    "curl_residual_2d", "transformed_spec", "transformed_spec_drift",
+    "transformed_spec_derivative",
     "transformed_spec_linear", "eval_transformed", "eval_R_numeric",
     # classify
     "SpecialCase", "classify_q1", "case1_coeffs", "case2_coeffs", "case3_coeffs",

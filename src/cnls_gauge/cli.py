@@ -28,7 +28,7 @@ from .gauge import (
     compute_generator,
     phase_relation_residual,
 )
-from .solver import BlowUpError, SimState, evolve, step
+from .solver import BlowUpError, SimState, _norms_of, evolve, step
 from . import __version__
 
 __all__ = [
@@ -246,9 +246,7 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise ConfigError("dt", "t_end must be an integer multiple of dt")
-    norms0 = np.atleast_1d(
-        np.sum(np.abs(psi0.data) ** 2, axis=-1) * grid.dx
-    )
+    norms0 = _norms_of(psi0)
 
     times: list[float] = []
     dens_rows: list[np.ndarray] = []
@@ -271,10 +269,7 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
         if (i + 1) % cfg.sample_every == 0 or i + 1 == n_steps:
             sample(psi_state, phi_state)
 
-    norms_final = np.atleast_1d(
-        np.sum(np.abs(psi_state.fields.data) ** 2, axis=-1) * grid.dx
-    )
-    drift = (norms_final - norms0) / norms0
+    drift = (_norms_of(psi_state.fields) - norms0) / norms0
     return EquivalenceRun(
         times=times,
         density_diff=np.array(dens_rows),

@@ -10,7 +10,7 @@ The grammar (documented in the README) is a single JSON object:
                   {"modes": [{"mode": m, "re": a, "im": b}, ...]} or
                   {"gaussian": {"amplitude", "center", "width",
                                 "momentum"?, "offset"?}}
-    dt, t_end, sample_every, amplitude, system, output_dir, tolerance, seed
+    dt, t_end, sample_every, amplitude, system, output_dir, tolerance
     phi_coefficients  optional explicit transformed tables (verify only)
 
 Parsed configs are plain-value dataclasses so that a dumped config
@@ -20,18 +20,13 @@ reparses to an equal object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from .fields import ComplexFieldSet, DispersionMatrix
-from .gauge import (
-    TransformedSpec,
-    transformed_spec_derivative,
-    transformed_spec_drift,
-    transformed_spec_linear,
-)
+from .gauge import TransformedSpec, transformed_spec
 from .grid import Grid1D, make_grid
 from .nonlinearity import DerivativeSpec, DriftCubicSpec, FamilySpec, LinearSpec
 
@@ -103,7 +98,6 @@ class RunConfig:
     system: str = "psi"
     output_dir: str = "out"
     tolerance: float = 1e-6
-    seed: int = 0
     phi_coefficients: dict | None = None
 
     @classmethod
@@ -179,7 +173,6 @@ class RunConfig:
         tolerance = _number(raw.get("tolerance", 1e-6), "tolerance")
         if tolerance <= 0:
             raise ConfigError("tolerance", "must be > 0")
-        seed = _integer(raw.get("seed", 0), "seed")
 
         phi_coefficients = raw.get("phi_coefficients")
         if phi_coefficients is not None:
@@ -201,7 +194,6 @@ class RunConfig:
             system=system,
             output_dir=output_dir,
             tolerance=tolerance,
-            seed=seed,
             phi_coefficients=phi_coefficients,
         )
 
@@ -218,7 +210,6 @@ class RunConfig:
             "system": self.system,
             "output_dir": self.output_dir,
             "tolerance": self.tolerance,
-            "seed": self.seed,
         }
         if self.initial is not None:
             out["initial"] = self.initial
@@ -248,26 +239,12 @@ class RunConfig:
         )
 
     def build_transformed_spec(self) -> TransformedSpec:
-        spec = self.build_family_spec()
-        A = self.build_dispersion()
-        if isinstance(spec, LinearSpec):
-            base = transformed_spec_linear(spec)
-        elif isinstance(spec, DriftCubicSpec):
-            base = transformed_spec_drift(spec, A)
-        else:
-            base = transformed_spec_derivative(spec, A)
+        base = transformed_spec(self.build_family_spec(), self.build_dispersion())
         if not self.phi_coefficients:
             return base
-        tables = {
-            "drift_self": base.drift_self,
-            "drift_cross": base.drift_cross,
-            "cubic": base.cubic,
-            "quartic": base.quartic,
-            "const_shift": base.const_shift,
-        }
-        for name, value in self.phi_coefficients.items():
-            tables[name] = np.asarray(value)
-        return TransformedSpec(**tables)
+        return replace(
+            base, **{k: np.asarray(v) for k, v in self.phi_coefficients.items()}
+        )
 
     def build_initial(self, grid: Grid1D) -> ComplexFieldSet:
         if self.initial is None:

@@ -3,23 +3,25 @@
 The diagonal unitary map phi_k = exp(i sigma_k) psi_k removes the imaginary
 part of the nonlinearity when the real generator satisfies
 
-    dsigma_k/dx = F_k / (A_k rho_k),
+    dsigma_k/dx = F_k / (A_k rho_k) = u_k = (c_k + sum_i D_ki rho_i) / A_k,
 
-with F_k the closed-form flux of the imaginary part. The transformed system
+with F_k = rho_k (c_k + sum_i D_ki rho_i) the flux of the imaginary part in
+the coefficient-table form of ``nonlinearity``. The transformed system
 carries a purely real nonlinearity
 
     R_k = W_k - A_k (dsigma_k/dx)^2 + J_k dsigma_k/dx / rho_k + dsigma_k/dt,
 
-which for both supported families collapses to closed coefficient tables
-(``TransformedSpec``). This module builds generators, applies and inverts
-the map, evaluates R both ways, and checks the 2-D curl feasibility
-condition for vector fluxes.
+which, for every spec type, is again of the table form with a = c = D = 0
+(``TransformedSpec``); ``transformed_spec`` is the one formula for its
+tables. This module builds generators, applies and inverts the map,
+evaluates R both ways, and checks the 2-D curl feasibility condition for
+vector fluxes.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,16 +33,17 @@ from .fields import (
     VacuumError,
     phase_gradient,
     to_hydro,
+    _wrap_to_pi,
 )
 from .grid import Grid1D, antiderivative_parts, derivative
 from .nonlinearity import (
-    DerivativeSpec,
-    DriftCubicSpec,
+    CoefficientTables,
     FamilySpec,
     LinearSpec,
-    eval_F,
     eval_F_parts,
+    eval_flux_rate,
     eval_W_parts,
+    _as_array,
 )
 
 __all__ = [
@@ -53,11 +56,11 @@ __all__ = [
     "phase_relation_residual",
     "cole_hopf_G",
     "curl_residual_2d",
+    "transformed_spec",
     "transformed_spec_drift",
     "transformed_spec_derivative",
     "transformed_spec_linear",
     "eval_transformed",
-    "eval_transformed_parts",
     "eval_R_numeric",
     "RAMP_PERIOD_TOL",
 ]
@@ -108,7 +111,7 @@ class GaugeGenerator:
         return self.sigma + self.ramp[:, None] * (self.grid.x - self.x_anchor)
 
     def gradient(self) -> np.ndarray:
-        """dsigma/dx samples; equals F/(A rho) of the generating state."""
+        """dsigma/dx samples; equals (c + D rho)/A of the generating state."""
         return derivative(self.sigma, self.grid) + self.ramp[:, None]
 
     def ramp_windings(self) -> np.ndarray:
@@ -122,13 +125,9 @@ class GaugeGenerator:
 
 @dataclass(frozen=True)
 class TransformedSpec:
-    """Coefficient tables of the purely real transformed nonlinearity.
-
-    R_k = const_shift[k]
-          + sum_j cubic[k,j] rho_j
-          + sum_j drift_self[k,j] rho_j dS_k/dx
-          + sum_j drift_cross[k,j] rho_j dS_j/dx
-          + sum_{j,i} quartic[k,j,i] rho_j rho_i
+    """Coefficient tables of the purely real transformed nonlinearity: R_k
+    has the W_k form of ``CoefficientTables`` with const = const_shift,
+    the given cubic, drift_self, drift_cross and quartic, and a = c = D = 0.
     """
 
     drift_self: np.ndarray
@@ -136,23 +135,25 @@ class TransformedSpec:
     cubic: np.ndarray
     quartic: np.ndarray
     const_shift: np.ndarray
+    tables: CoefficientTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ds = np.atleast_2d(np.asarray(self.drift_self, dtype=float))
         q = ds.shape[0]
-        checks = {
-            "drift_self": (ds, (q, q)),
-            "drift_cross": (np.asarray(self.drift_cross, dtype=float), (q, q)),
-            "cubic": (np.asarray(self.cubic, dtype=float), (q, q)),
-            "quartic": (np.asarray(self.quartic, dtype=float), (q, q, q)),
-            "const_shift": (np.atleast_1d(np.asarray(self.const_shift, dtype=float)), (q,)),
-        }
-        for name, (arr, shape) in checks.items():
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must contain finite entries")
-            object.__setattr__(self, name, arr)
+        const = np.atleast_1d(np.asarray(self.const_shift, dtype=float))
+        for name, value, shape in (
+            ("drift_self", ds, (q, q)),
+            ("drift_cross", self.drift_cross, (q, q)),
+            ("cubic", self.cubic, (q, q)),
+            ("quartic", self.quartic, (q, q, q)),
+            ("const_shift", const, (q,)),
+        ):
+            object.__setattr__(self, name, _as_array(name, value, shape))
+        tables = CoefficientTables.of(
+            q, const=self.const_shift, cubic=self.cubic, drift_self=self.drift_self,
+            drift_cross=self.drift_cross, quartic=self.quartic,
+        )
+        object.__setattr__(self, "tables", tables)
 
     @property
     def q(self) -> int:
@@ -175,39 +176,40 @@ def compute_generator(
     A: DispersionMatrix,
     anchor: int = 0,
 ) -> GaugeGenerator:
-    """Integrate dsigma/dx = F/(A rho) from the anchor node.
+    """Integrate dsigma/dx = (c + D rho)/A from the anchor node.
 
     Drift-cubic specs yield a pure ramp -delta_k/(2 A_k); derivative specs
-    yield sigma_k = (1/A_k) sum_j delta_kj * antiderivative(rho_j).
+    yield sigma_k = (1/A_k) sum_j delta_kj * antiderivative(rho_j). The
+    integrand has no 1/rho, so density zeros need no special treatment.
     """
     if A.q != h.q:
         raise ValueError(f"dispersion size {A.q} does not match fields q={h.q}")
     if spec.q != h.q:
         raise ValueError(f"spec species count {spec.q} does not match fields q={h.q}")
-    if isinstance(spec, LinearSpec):
-        return GaugeGenerator(
-            sigma=np.zeros_like(h.rho),
-            ramp=np.zeros(h.q),
-            anchor=anchor,
-            grid=h.grid,
-            spec=spec,
-            A=A,
-        )
-    if h.vacuum.any():
-        raise VacuumError("cannot integrate F/(A rho) through vacuum nodes")
-    integrand = eval_F_parts(spec, h.rho) / (A.values[:, None] * h.rho)
+    integrand = np.broadcast_to(
+        eval_flux_rate(spec.tables, h.rho) / A.values[:, None], h.rho.shape
+    )
     sigma, ramp = antiderivative_parts(integrand, h.grid, anchor)
     return GaugeGenerator(
         sigma=sigma, ramp=ramp, anchor=anchor, grid=h.grid, spec=spec, A=A
     )
 
 
-def _check_gen_fields(fields: ComplexFieldSet, gen: GaugeGenerator) -> None:
+def _multiply_phase(
+    fields: ComplexFieldSet, gen: GaugeGenerator, sign: float
+) -> ComplexFieldSet:
+    """exp(sign i sigma) times the fields; a non-integer winding toggles the flag."""
     if fields.q != gen.q or fields.grid.n_points != gen.grid.n_points:
         raise ValueError(
             f"field shape ({fields.q}, {fields.grid.n_points}) does not match "
             f"generator shape ({gen.q}, {gen.grid.n_points})"
         )
+    flagged = not gen.ramp_is_periodic()
+    return ComplexFieldSet(
+        data=np.exp(sign * 1j * gen.values()) * fields.data,
+        grid=fields.grid,
+        non_periodic_ramp=flagged != fields.non_periodic_ramp,
+    )
 
 
 def apply_gauge(psi: ComplexFieldSet, gen: GaugeGenerator) -> ComplexFieldSet:
@@ -218,36 +220,19 @@ def apply_gauge(psi: ComplexFieldSet, gen: GaugeGenerator) -> ComplexFieldSet:
     exact but the underlying function is not grid-periodic, so spectral
     evolution of the result is refused downstream.
     """
-    _check_gen_fields(psi, gen)
-    phase = np.exp(1j * gen.values())
-    flagged = not gen.ramp_is_periodic()
-    if flagged:
+    phi = _multiply_phase(psi, gen, 1.0)
+    if not gen.ramp_is_periodic():
         warnings.warn(
             "gauge ramp winding is not an integer; transformed field is not "
             "grid-periodic",
             stacklevel=2,
         )
-    return ComplexFieldSet(
-        data=phase * psi.data,
-        grid=psi.grid,
-        non_periodic_ramp=flagged != psi.non_periodic_ramp,
-    )
+    return phi
 
 
 def invert_gauge(phi: ComplexFieldSet, gen: GaugeGenerator) -> ComplexFieldSet:
     """Inverse map psi_k = exp(-i sigma_k) phi_k (unitary inverse)."""
-    _check_gen_fields(phi, gen)
-    phase = np.exp(-1j * gen.values())
-    flagged = not gen.ramp_is_periodic()
-    return ComplexFieldSet(
-        data=phase * phi.data,
-        grid=phi.grid,
-        non_periodic_ramp=flagged != phi.non_periodic_ramp,
-    )
-
-
-def _wrap_to_pi(v: np.ndarray) -> np.ndarray:
-    return (v + np.pi) % (2.0 * np.pi) - np.pi
+    return _multiply_phase(phi, gen, -1.0)
 
 
 def phase_relation_residual(
@@ -267,7 +252,8 @@ def phase_relation_residual(
 def cole_hopf_G(
     psi: ComplexFieldSet, spec: FamilySpec, A: DispersionMatrix
 ) -> np.ndarray:
-    """Generalized Cole-Hopf functional G_k = dlog(psi_k)/dx + i F_k/(A_k rho_k).
+    """Generalized Cole-Hopf functional G_k = dlog(psi_k)/dx + i F_k/(A_k rho_k),
+    with F_k/(A_k rho_k) = (c_k + sum_j D_kj rho_j)/A_k.
 
     The gauge image phi satisfies dlog(phi_k)/dx = G_k, which reduces to the
     classical Cole-Hopf map when G is prescribed as the field itself.
@@ -276,8 +262,7 @@ def cole_hopf_G(
     if h.vacuum.any():
         raise VacuumError("G is undefined at vacuum nodes")
     dlog = derivative(psi.data, psi.grid) / psi.data
-    F = eval_F(spec, h)
-    return dlog + 1j * F / (A.values[:, None] * h.rho)
+    return dlog + 1j * eval_flux_rate(spec.tables, h.rho) / A.values[:, None]
 
 
 @dataclass(frozen=True)
@@ -330,53 +315,47 @@ def curl_residual_2d(
     return float(np.abs(dvy_dx - dvx_dy).max())
 
 
-def transformed_spec_drift(
-    spec: DriftCubicSpec, A: DispersionMatrix
-) -> TransformedSpec:
-    """Transformed coefficients for the drift-cubic family.
+def transformed_spec(spec: FamilySpec, A: DispersionMatrix) -> TransformedSpec:
+    """Transformed coefficient tables of any spec, from its lowered tables.
 
-    The drift is absorbed entirely into the constant potential shift
-    delta_k^2/(4 A_k) (completing the square of the drift term); the cubic
-    couplings pass through unchanged.
+    With u_k = (c_k + sum_i D_ki rho_i)/A_k, expanding
+    R = W(dS_phi - u) - A u^2 + J u/rho + dsigma/dt gives
+
+        const'_k      = const_k - (a_k c_k + c_k^2)/A_k
+        cubic'_kj     = cubic_kj - (a_k + 2 c_k) D_kj/A_k
+                        - drift_self_kj c_k/A_k - drift_cross_kj c_j/A_j
+        drift_self'   = drift_self + 2 D
+        drift_cross'_kj = drift_cross_kj - 2 D_kj A_j/A_k
+        quartic'_kji  = quartic_kji - D_kj (drift_self_ki + D_ki)/A_k
+                        - drift_cross_kj D_ji/A_j
+
+    and a linear drift a' = a + 2c, which vanishes for every spec type
+    (drift-cubic has a = delta, c = -delta/2; the others a = c = 0).
     """
-    q = spec.q
-    if A.q != q:
-        raise ValueError(f"dispersion size {A.q} does not match spec q={q}")
-    cubic = np.tile(-2.0 * spec.gamma, (q, 1))
-    cubic[np.arange(q), np.arange(q)] = -spec.gamma
-    return TransformedSpec(
-        drift_self=np.zeros((q, q)),
-        drift_cross=np.zeros((q, q)),
-        cubic=cubic,
-        quartic=np.zeros((q, q, q)),
-        const_shift=spec.delta**2 / (4.0 * A.values),
-    )
-
-
-def transformed_spec_derivative(
-    spec: DerivativeSpec, A: DispersionMatrix
-) -> TransformedSpec:
-    """Transformed coefficients for the derivative family."""
-    q = spec.q
-    if A.q != q:
-        raise ValueError(f"dispersion size {A.q} does not match spec q={q}")
+    t = spec.tables
+    if A.q != t.q:
+        raise ValueError(f"dispersion size {A.q} does not match spec q={t.q}")
     Ak = A.values
-    drift_self = spec.beta + 2.0 * spec.delta
-    drift_cross = spec.gamma - 2.0 * spec.delta * (Ak[None, :] / Ak[:, None])
-    quartic = -(
-        spec.delta[:, :, None]
-        * (spec.delta[:, None, :] + spec.beta[:, None, :])
-        / Ak[:, None, None]
-        + spec.gamma[:, :, None] * spec.delta[None, :, :] / Ak[None, :, None]
-        - spec.lam
-    )
+    c_over_A = t.c / Ak
     return TransformedSpec(
-        drift_self=drift_self,
-        drift_cross=drift_cross,
-        cubic=np.zeros((q, q)),
-        quartic=quartic,
-        const_shift=np.zeros(q),
+        drift_self=t.drift_self + 2.0 * t.D,
+        drift_cross=t.drift_cross - 2.0 * t.D * (Ak[None, :] / Ak[:, None]),
+        cubic=t.cubic
+        - ((t.a + 2.0 * t.c) / Ak)[:, None] * t.D
+        - t.drift_self * c_over_A[:, None]
+        - t.drift_cross * c_over_A[None, :],
+        quartic=t.quartic
+        - (
+            t.D[:, :, None] * (t.D[:, None, :] + t.drift_self[:, None, :])
+            / Ak[:, None, None]
+            + t.drift_cross[:, :, None] * t.D[None, :, :] / Ak[None, :, None]
+        ),
+        const_shift=t.const - (t.a * t.c + t.c**2) / Ak,
     )
+
+
+transformed_spec_drift = transformed_spec
+transformed_spec_derivative = transformed_spec
 
 
 def transformed_spec_linear(spec: LinearSpec) -> TransformedSpec:
@@ -384,23 +363,11 @@ def transformed_spec_linear(spec: LinearSpec) -> TransformedSpec:
     return TransformedSpec.zeros(spec.q)
 
 
-def eval_transformed_parts(
-    tspec: TransformedSpec, rho: np.ndarray, dS: np.ndarray
-) -> np.ndarray:
-    """Evaluate R_k from density and phase-gradient samples."""
-    R = np.broadcast_to(tspec.const_shift[:, None], rho.shape).copy()
-    R += tspec.cubic @ rho
-    R += (tspec.drift_self @ rho) * dS
-    R += tspec.drift_cross @ (rho * dS)
-    R += np.einsum("kji,jx,ix->kx", tspec.quartic, rho, rho)
-    return R
-
-
 def eval_transformed(tspec: TransformedSpec, h: HydroFields) -> np.ndarray:
     """Evaluate R_k on the transformed system's hydrodynamic fields."""
     if tspec.q != h.q:
         raise ValueError(f"spec species count {tspec.q} does not match fields q={h.q}")
-    return eval_transformed_parts(tspec, h.rho, phase_gradient(h))
+    return eval_W_parts(tspec.tables, h.rho, phase_gradient(h))
 
 
 def eval_R_numeric(
@@ -415,11 +382,11 @@ def eval_R_numeric(
     R_k = W_k - A_k (dsigma_k/dx)^2 + J_k dsigma_k/dx / rho_k + dsigma_k/dt,
 
     with W_k evaluated on the pre-transform phase gradient dS = dS_phi -
-    dsigma/dx and J the transformed-system currents. The generator of the
-    drift-cubic family is time-independent; for the derivative family
-    dsigma_k/dt follows from the continuity equations,
+    dsigma/dx and J the transformed-system currents. The c part of the
+    generator is time-independent; its D part follows from the continuity
+    equations,
 
-        dsigma_k/dt = -(1/A_k) sum_j delta_kj (j_j(x) - j_j(anchor)),
+        dsigma_k/dt = -(1/A_k) sum_j D_kj (j_j(x) - j_j(anchor)),
 
     whose anchor term is a spatially constant (time-dependent) global
     phase. Agreement with ``eval_transformed`` therefore holds up to a
@@ -433,13 +400,11 @@ def eval_R_numeric(
     if h_phi.vacuum.any():
         raise VacuumError("R is undefined at vacuum nodes")
     rho = h_phi.rho
+    Ak = A.values[:, None]
     dsigma = gen.gradient()
     dS_psi = phase_gradient(h_phi) - dsigma
-    W = eval_W_parts(spec, rho, dS_psi)
-    R = W - A.values[:, None] * dsigma**2 + J * dsigma / rho
-    if isinstance(spec, DerivativeSpec):
-        flux = eval_F_parts(spec, rho)
-        current = 2.0 * (A.values[:, None] * rho * dS_psi + flux)
-        rel = current - current[:, gen.anchor, None]
-        R -= (spec.delta @ rel) / A.values[:, None]
+    R = eval_W_parts(spec.tables, rho, dS_psi) - Ak * dsigma**2 + J * dsigma / rho
+    current = 2.0 * (Ak * rho * dS_psi + eval_F_parts(spec.tables, rho))
+    rel = current - current[:, gen.anchor, None]
+    R -= (spec.tables.D @ rel) / Ak
     return R

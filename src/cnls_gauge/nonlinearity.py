@@ -1,28 +1,26 @@
 """Coefficient families defining the complex nonlinearity W + i*Wim.
 
-Two families are supported besides the trivial linear case:
+Every spec type lowers, at construction, to one coefficient-table form
+(``CoefficientTables``):
 
-* ``DriftCubicSpec`` -- per-species drift delta_k and cubic couplings
-  gamma_k:
+    W_k   = const_k + a_k dS_k/dx + sum_j cubic_kj rho_j
+            + sum_j rho_j (drift_self_kj dS_k/dx + drift_cross_kj dS_j/dx)
+            + sum_{j,i} quartic_kji rho_j rho_i
+    Wim_k = (1/rho_k) dF_k/dx,   F_k = rho_k (c_k + sum_j D_kj rho_j)
 
-      W_k   = delta_k dS_k/dx - gamma_k rho_k - 2 sum_{j!=k} gamma_j rho_j
-      Wim_k = -(delta_k / 2) dlog(rho_k)/dx
-
-* ``DerivativeSpec`` -- matrix couplings to phase gradients and densities:
-
-      W_k   = sum_j rho_j (beta_kj dS_k/dx + gamma_kj dS_j/dx)
-              + sum_{j,i} lambda_kji rho_j rho_i
-      Wim_k = 2 delta_kk drho_k/dx
-              + sum_{j!=k} delta_kj (drho_j/dx + (rho_j/rho_k) drho_k/dx)
-
-Each imaginary part is a scaled divergence, Wim_k = (1/rho_k) dF_k/dx, for
-a closed-form flux F_k; this structure is what makes the species norms
-conserved and the gauge reduction possible.
+The divergence form of Wim conserves the species norms and makes the
+gauge reduction possible. Besides the linear case (all tables zero), two
+families are supported: ``DriftCubicSpec`` (per-species drift delta_k and
+cubic gamma_k) lowers to a = delta, c = -delta/2 and cubic_kj = -2 gamma_j
+off the diagonal, -gamma_k on it; ``DerivativeSpec`` (q x q beta, gamma,
+delta and q x q x q lambda) lowers to (drift_self, drift_cross, quartic,
+D) = (beta, gamma, lambda, delta). The evaluators read only the tables
+and skip every all-zero one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -36,6 +34,7 @@ from .fields import (
 )
 
 __all__ = [
+    "CoefficientTables",
     "LinearSpec",
     "DriftCubicSpec",
     "DerivativeSpec",
@@ -46,6 +45,7 @@ __all__ = [
     "eval_W_parts",
     "eval_Wim_parts",
     "eval_F_parts",
+    "eval_flux_rate",
 ]
 
 
@@ -58,16 +58,63 @@ def _as_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+_RANKS = {"const": 1, "a": 1, "cubic": 2, "drift_self": 2, "drift_cross": 2,
+          "quartic": 3, "c": 1, "D": 2}
+
+
+@dataclass(frozen=True)
+class CoefficientTables:
+    """The one coefficient form W_k, F_k that every spec type lowers to.
+
+    ``nonzero`` names the tables holding a nonzero entry, ``has_flux`` is
+    whether Wim can be nonzero (c or D nonzero), and ``uses_phase`` whether
+    W reads the phase gradients (a, drift_self or drift_cross nonzero).
+    All three are fixed at construction.
+    """
+
+    const: np.ndarray  # (q,)
+    a: np.ndarray  # (q,)
+    cubic: np.ndarray  # (q, q)
+    drift_self: np.ndarray  # (q, q)
+    drift_cross: np.ndarray  # (q, q)
+    quartic: np.ndarray  # (q, q, q)
+    c: np.ndarray  # (q,)
+    D: np.ndarray  # (q, q)
+    nonzero: frozenset = field(init=False, repr=False, compare=False)
+    has_flux: bool = field(init=False, repr=False, compare=False)
+    uses_phase: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nonzero = frozenset(n for n in _RANKS if np.count_nonzero(getattr(self, n)))
+        object.__setattr__(self, "nonzero", nonzero)
+        object.__setattr__(self, "has_flux", bool(nonzero & {"c", "D"}))
+        object.__setattr__(
+            self, "uses_phase", bool(nonzero & {"a", "drift_self", "drift_cross"})
+        )
+
+    @classmethod
+    def of(cls, q: int, **tables: np.ndarray) -> "CoefficientTables":
+        """Tables for q species; every table not given is zero."""
+        return cls(**{name: tables.get(name, np.zeros((q,) * rank))
+                      for name, rank in _RANKS.items()})
+
+    @property
+    def q(self) -> int:
+        return self.const.shape[0]
+
+
 @dataclass(frozen=True)
 class LinearSpec:
     """All-zero nonlinearity (free Schrodinger system)."""
 
     q: int = 1
+    tables: CoefficientTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if int(self.q) < 1:
             raise ValueError("q must be >= 1")
         object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "tables", CoefficientTables.of(self.q))
 
 
 @dataclass(frozen=True)
@@ -76,12 +123,18 @@ class DriftCubicSpec:
 
     delta: np.ndarray
     gamma: np.ndarray
+    tables: CoefficientTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
         q = delta.size
         object.__setattr__(self, "delta", _as_array("delta", delta, (q,)))
         object.__setattr__(self, "gamma", _as_array("gamma", self.gamma, (q,)))
+        cubic = np.diag(self.gamma) - 2.0 * self.gamma
+        object.__setattr__(
+            self, "tables",
+            CoefficientTables.of(q, a=self.delta, cubic=cubic, c=-0.5 * self.delta),
+        )
 
     @property
     def q(self) -> int:
@@ -96,6 +149,7 @@ class DerivativeSpec:
     gamma: np.ndarray
     delta: np.ndarray
     lam: np.ndarray
+    tables: CoefficientTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
@@ -104,6 +158,10 @@ class DerivativeSpec:
         object.__setattr__(self, "gamma", _as_array("gamma", self.gamma, (q, q)))
         object.__setattr__(self, "delta", _as_array("delta", self.delta, (q, q)))
         object.__setattr__(self, "lam", _as_array("lam", self.lam, (q, q, q)))
+        tables = CoefficientTables.of(
+            q, drift_self=self.beta, drift_cross=self.gamma, quartic=self.lam, D=self.delta
+        )
+        object.__setattr__(self, "tables", tables)
 
     @property
     def q(self) -> int:
@@ -118,61 +176,57 @@ def _check_spec_fields(spec: FamilySpec, q: int) -> None:
         raise ValueError(f"spec species count {spec.q} does not match fields q={q}")
 
 
-def eval_W_parts(spec: FamilySpec, rho: np.ndarray, dS: np.ndarray) -> np.ndarray:
-    """Real part of the nonlinearity from density and phase-gradient samples."""
-    if isinstance(spec, LinearSpec):
-        return np.zeros_like(rho)
-    if isinstance(spec, DriftCubicSpec):
-        total = spec.gamma @ rho  # sum_j gamma_j rho_j at every node
-        return spec.delta[:, None] * dS + spec.gamma[:, None] * rho - 2.0 * total
-    if isinstance(spec, DerivativeSpec):
-        W = (spec.beta @ rho) * dS + spec.gamma @ (rho * dS)
-        W += np.einsum("kji,jx,ix->kx", spec.lam, rho, rho)
-        return W
-    raise TypeError(f"unsupported nonlinearity spec: {type(spec).__name__}")
+def eval_W_parts(
+    tables: CoefficientTables, rho: np.ndarray, dS: np.ndarray | None
+) -> np.ndarray:
+    """Real part W_k (or R_k of transformed tables) from density and
+    phase-gradient samples; ``dS`` is read only when ``tables.uses_phase``."""
+    on = tables.nonzero
+    W = np.broadcast_to(tables.const[:, None], rho.shape).copy()
+    if "a" in on:
+        W += tables.a[:, None] * dS
+    if "cubic" in on:
+        W += tables.cubic @ rho
+    if "drift_self" in on:
+        W += (tables.drift_self @ rho) * dS
+    if "drift_cross" in on:
+        W += tables.drift_cross @ (rho * dS)
+    if "quartic" in on:
+        W += np.einsum("kji,jx,ix->kx", tables.quartic, rho, rho)
+    return W
+
+
+def eval_flux_rate(tables: CoefficientTables, rho: np.ndarray) -> np.ndarray:
+    """c_k + sum_j D_kj rho_j, broadcastable against rho; F_k = rho_k times it."""
+    if "D" not in tables.nonzero:
+        return tables.c[:, None]
+    return tables.c[:, None] + tables.D @ rho
 
 
 def eval_Wim_parts(
-    spec: FamilySpec, rho: np.ndarray, drho: np.ndarray
+    tables: CoefficientTables, rho: np.ndarray, drho: np.ndarray | None
 ) -> np.ndarray:
-    """Imaginary part of the nonlinearity from density samples and gradients."""
-    if isinstance(spec, LinearSpec):
+    """Imaginary part (1/rho_k) dF_k/dx from density samples and gradients;
+    ``drho`` is read only when ``tables.has_flux``. The diagonal of D enters
+    as 2 D_kk drho_k/dx, not via rho_k drho_k/dx / rho_k (one rounding less).
+    """
+    if not tables.has_flux:
         return np.zeros_like(rho)
-    if isinstance(spec, DriftCubicSpec):
-        return -0.5 * spec.delta[:, None] * drho / rho
-    if isinstance(spec, DerivativeSpec):
-        diag = np.diag(spec.delta)
-        off = spec.delta - np.diag(diag)
-        out = 2.0 * diag[:, None] * drho + off @ drho
-        out += (off @ rho) * drho / rho
-        return out
-    raise TypeError(f"unsupported nonlinearity spec: {type(spec).__name__}")
+    if "D" not in tables.nonzero:
+        return tables.c[:, None] * drho / rho
+    diag = np.diag(tables.D)
+    off = tables.D - np.diag(diag)
+    Wim = 2.0 * diag[:, None] * drho + off @ drho
+    rate = off @ rho
+    if "c" in tables.nonzero:
+        rate += tables.c[:, None]
+    Wim += rate * drho / rho
+    return Wim
 
 
-def eval_F_parts(spec: FamilySpec, rho: np.ndarray) -> np.ndarray:
-    """Closed-form flux F_k with Wim_k = (1/rho_k) dF_k/dx."""
-    if isinstance(spec, LinearSpec):
-        return np.zeros_like(rho)
-    if isinstance(spec, DriftCubicSpec):
-        return -0.5 * spec.delta[:, None] * rho
-    if isinstance(spec, DerivativeSpec):
-        return rho * (spec.delta @ rho)
-    raise TypeError(f"unsupported nonlinearity spec: {type(spec).__name__}")
-
-
-def _has_drift(spec: FamilySpec) -> bool:
-    if isinstance(spec, DriftCubicSpec):
-        return bool(np.any(spec.delta != 0.0))
-    if isinstance(spec, DerivativeSpec):
-        return bool(np.any(spec.delta != 0.0))
-    return False
-
-
-def _vacuum_guard(spec: FamilySpec, h: HydroFields) -> None:
-    if _has_drift(spec) and h.vacuum.any():
-        raise VacuumError(
-            "density below floor where the nonlinearity divides by rho"
-        )
+def eval_F_parts(tables: CoefficientTables, rho: np.ndarray) -> np.ndarray:
+    """Closed-form flux F_k = rho_k (c_k + sum_j D_kj rho_j)."""
+    return rho * eval_flux_rate(tables, rho)
 
 
 def eval_W(spec: FamilySpec, h: HydroFields, A: DispersionMatrix) -> np.ndarray:
@@ -180,21 +234,20 @@ def eval_W(spec: FamilySpec, h: HydroFields, A: DispersionMatrix) -> np.ndarray:
     _check_spec_fields(spec, h.q)
     if A.q != h.q:
         raise ValueError(f"dispersion size {A.q} does not match fields q={h.q}")
-    if isinstance(spec, LinearSpec):
-        return np.zeros_like(h.rho)
-    return eval_W_parts(spec, h.rho, phase_gradient(h))
+    return eval_W_parts(spec.tables, h.rho, phase_gradient(h))
 
 
 def eval_Wim(spec: FamilySpec, h: HydroFields) -> np.ndarray:
     """Imaginary nonlinearity Wim_k evaluated on hydrodynamic fields."""
     _check_spec_fields(spec, h.q)
-    if isinstance(spec, LinearSpec):
-        return np.zeros_like(h.rho)
-    _vacuum_guard(spec, h)
-    return eval_Wim_parts(spec, h.rho, density_gradient(h))
+    if spec.tables.has_flux and h.vacuum.any():
+        raise VacuumError(
+            "density below floor where the nonlinearity divides by rho"
+        )
+    return eval_Wim_parts(spec.tables, h.rho, density_gradient(h))
 
 
 def eval_F(spec: FamilySpec, h: HydroFields) -> np.ndarray:
     """Flux fields F_k; satisfies (1/rho_k) dF_k/dx == eval_Wim to resolution."""
     _check_spec_fields(spec, h.q)
-    return eval_F_parts(spec, h.rho)
+    return eval_F_parts(spec.tables, h.rho)

@@ -31,11 +31,10 @@ from .fields import (
     DEFAULT_FLOOR,
     _phase_gradient_samples,
 )
-from .gauge import TransformedSpec, eval_transformed_parts
+from .gauge import TransformedSpec
 from .grid import Grid1D, derivative, integrate, second_derivative
 from .nonlinearity import (
-    DerivativeSpec,
-    DriftCubicSpec,
+    CoefficientTables,
     FamilySpec,
     LinearSpec,
     eval_F,
@@ -58,7 +57,7 @@ __all__ = [
     "stability_bound",
 ]
 
-SystemSpec = Union[LinearSpec, DriftCubicSpec, DerivativeSpec, TransformedSpec]
+SystemSpec = Union[FamilySpec, TransformedSpec]
 
 # Field magnitudes beyond this multiple of the initial maximum abort a run.
 BLOWUP_FACTOR = 1e6
@@ -116,9 +115,10 @@ def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
 
 
 def _hydro_parts(
-    data: np.ndarray, grid: Grid1D, floor: float, need_drho: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Fast (rho, dS/dx, drho/dx) extraction with fresh unwrapping.
+    data: np.ndarray, grid: Grid1D, floor: float, tables: CoefficientTables
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Fast (rho, dS/dx, drho/dx) extraction with fresh unwrapping; dS/dx
+    only when the tables read it, drho/dx only when they have a flux.
 
     Raises VacuumError when any node falls below the relative floor: the
     nonlinear right-hand sides divide by rho and a spectral evaluation of
@@ -130,35 +130,36 @@ def _hydro_parts(
         raise VacuumError("species is identically zero (all-vacuum)")
     if np.any(rho < floor * peak[:, None]):
         raise VacuumError("density below floor during evolution")
-    S = np.unwrap(np.angle(data), axis=-1)
-    dS = _phase_gradient_samples(S, grid)
-    drho = derivative(rho, grid) if need_drho else None
+    dS = drho = None
+    if tables.uses_phase:
+        dS = _phase_gradient_samples(np.unwrap(np.angle(data), axis=-1), grid)
+    if tables.has_flux:
+        drho = derivative(rho, grid)
     return rho, dS, drho
 
 
 def _tendency(
     data: np.ndarray,
     grid: Grid1D,
-    spec: SystemSpec,
+    tables: CoefficientTables,
     A: DispersionMatrix,
-    tag: str,
+    t: float,
     floor: float = DEFAULT_FLOOR,
 ) -> np.ndarray:
     lap = second_derivative(data, grid)
     Ak = A.values[:, None]
-    if isinstance(spec, LinearSpec):
+    if not tables.nonzero:
         out = 1j * (Ak * lap)
-    elif tag == "psi":
-        rho, dS, drho = _hydro_parts(data, grid, floor, need_drho=True)
-        W = eval_W_parts(spec, rho, dS)
-        Wim = eval_Wim_parts(spec, rho, drho)
-        out = 1j * (Ak * lap) + (1j * W - Wim) * data
     else:
-        rho, dS, _ = _hydro_parts(data, grid, floor, need_drho=False)
-        R = eval_transformed_parts(spec, rho, dS)
-        out = 1j * (Ak * lap + R * data)
+        rho, dS, drho = _hydro_parts(data, grid, floor, tables)
+        W = eval_W_parts(tables, rho, dS)
+        if tables.has_flux:
+            Wim = eval_Wim_parts(tables, rho, drho)
+            out = 1j * (Ak * lap) + (1j * W - Wim) * data
+        else:
+            out = 1j * (Ak * lap + W * data)
     if not np.all(np.isfinite(out)):
-        raise BlowUpError("non-finite value in right-hand side", t=np.nan)
+        raise BlowUpError(f"non-finite value in right-hand side at t={t}", t=t)
     return out
 
 
@@ -169,7 +170,7 @@ def rhs(state: SimState) -> ComplexFieldSet:
             "refusing spectral evolution of a field with a non-periodic gauge ramp"
         )
     out = _tendency(
-        state.fields.data, state.fields.grid, state.spec, state.A, state.system_tag
+        state.fields.data, state.fields.grid, state.spec.tables, state.A, state.t
     )
     return ComplexFieldSet(data=out, grid=state.fields.grid)
 
@@ -189,11 +190,11 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
             f"dt={dt!r} exceeds the stability bound {bound:.6g}", stacklevel=2
         )
     y = state.fields.data
-    spec, A, tag = state.spec, state.A, state.system_tag
-    k1 = _tendency(y, grid, spec, A, tag)
-    k2 = _tendency(y + 0.5 * dt * k1, grid, spec, A, tag)
-    k3 = _tendency(y + 0.5 * dt * k2, grid, spec, A, tag)
-    k4 = _tendency(y + dt * k3, grid, spec, A, tag)
+    tables, A, t = state.spec.tables, state.A, state.t
+    k1 = _tendency(y, grid, tables, A, t)
+    k2 = _tendency(y + 0.5 * dt * k1, grid, tables, A, t)
+    k3 = _tendency(y + 0.5 * dt * k2, grid, tables, A, t)
+    k4 = _tendency(y + dt * k3, grid, tables, A, t)
     new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     t_new = state.t + dt
     if not np.all(np.isfinite(new)):
@@ -203,8 +204,8 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     return SimState(
         t=t_new,
         fields=ComplexFieldSet(data=new, grid=grid),
-        system_tag=tag,
-        spec=spec,
+        system_tag=state.system_tag,
+        spec=state.spec,
         A=A,
     )
 
@@ -224,15 +225,15 @@ def current_phi(h: HydroFields, A: DispersionMatrix) -> np.ndarray:
 
 
 def _current_from_fields(
-    spec: SystemSpec, fields: ComplexFieldSet, A: DispersionMatrix, tag: str
+    spec: SystemSpec, fields: ComplexFieldSet, A: DispersionMatrix
 ) -> np.ndarray:
     # Vacuum-safe current: rho * dS/dx == Im(conj(f) df/dx) needs no division.
     data = fields.data
     momentum = np.imag(np.conj(data) * derivative(data, fields.grid))
     current = 2.0 * A.values[:, None] * momentum
-    if tag == "psi" and not isinstance(spec, LinearSpec):
+    if spec.tables.has_flux:
         rho = data.real**2 + data.imag**2
-        current += 2.0 * eval_F_parts(spec, rho)
+        current += 2.0 * eval_F_parts(spec.tables, rho)
     return current
 
 
@@ -255,7 +256,7 @@ def continuity_residual(
     rho0 = np.abs(s0.fields.data) ** 2
     rho2 = np.abs(s2.fields.data) ** 2
     drho_dt = (rho2 - rho0) / (2.0 * dt1)
-    current = _current_from_fields(spec, s1.fields, A, s1.system_tag)
+    current = _current_from_fields(spec, s1.fields, A)
     residual = drho_dt + derivative(current, s1.fields.grid)
     return np.abs(residual).max(axis=-1)
 

@@ -398,3 +398,29 @@ def test_transformed_spec_eval_matches_manual(grid256):
             for i in range(q):
                 manual[k] += ts.quartic[k, j, i] * h.rho[j] * h.rho[i]
     assert np.abs(R - manual).max() < 1e-12
+
+
+def test_generator_through_exact_density_zeros(grid256):
+    # sin(x) vanishes exactly at grid nodes; the integrand (c + D rho)/A
+    # has no 1/rho, so the generator is defined there too.
+    x = grid256.x
+    psi = ComplexFieldSet(
+        np.vstack([np.sin(x), 0.5 + 0.3 * np.cos(2.0 * x)]).astype(complex), grid256
+    )
+    h = to_hydro(psi)
+    assert h.vacuum[0].any()
+    A = DispersionMatrix([1.0, 2.0])
+
+    delta = np.array([[0.7, -0.4], [0.3, 1.1]])
+    spec = DerivativeSpec(
+        beta=np.zeros((2, 2)), gamma=np.zeros((2, 2)), delta=delta,
+        lam=np.zeros((2, 2, 2)),
+    )
+    gen = compute_generator(spec, h, A)
+    expected = (delta @ h.rho) / A.values[:, None]
+    assert np.abs(gen.gradient() - expected).max() < 1e-12
+
+    drift = np.array([1.0, -0.6])
+    gen = compute_generator(DriftCubicSpec(delta=drift, gamma=[0.2, 0.1]), h, A)
+    assert np.abs(gen.ramp + drift / (2.0 * A.values)).max() < 1e-15
+    assert np.abs(gen.sigma).max() < 1e-15

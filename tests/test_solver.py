@@ -505,3 +505,15 @@ def test_phi_system_requires_transformed_spec(grid128):
                  DispersionMatrix([1.0]))
     with pytest.raises(ValueError, match="family"):
         SimState(0.0, fields, "psi", TransformedSpec.zeros(1), DispersionMatrix([1.0]))
+
+
+def test_step_blow_up_inside_stage_carries_step_time(grid256):
+    spec = DriftCubicSpec(delta=[0.5, -0.3], gamma=[0.2, 0.1])
+    data = np.ones((2, 256), dtype=complex)
+    data[0, 17] = np.nan
+    state = SimState(
+        0.3, ComplexFieldSet(data, grid256), "psi", spec, DispersionMatrix([1.0, 1.0])
+    )
+    with pytest.raises(BlowUpError) as excinfo:
+        step(state, 1e-4)
+    assert excinfo.value.t == 0.3
