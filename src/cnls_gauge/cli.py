@@ -1,9 +1,11 @@
-"""Command-line front-end.
+"""Command-line front-end: argument parsing, the ``cmd_*`` commands and
+snapshot IO. The experiment drivers and the exit-code map live in
+``report``; the names below are re-exported from there.
 
 Subcommands: ``simulate``, ``transform``, ``classify``, ``verify``,
 ``convergence``. Exit codes: 0 success, 1 configuration error, 2 runtime
-failure (blow-up, tolerance exceeded, order shortfall), 3 non-periodic
-gauge ramp where a periodic field is required.
+failure (blow-up, vacuum, tolerance exceeded, order shortfall), 3
+non-periodic gauge ramp where a periodic field is required.
 
 All CSV output uses ',' delimiters, '.' decimals, LF line endings, a
 mandatory header row, and full round-trip float precision.
@@ -12,7 +14,6 @@ mandatory header row, and full round-trip float precision.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 import warnings
@@ -23,40 +24,26 @@ import numpy as np
 from .classify import SpecialCase, classify_q1
 from .config import ConfigError, RunConfig, dumps_config, load_config
 from .fields import ComplexFieldSet, to_hydro
-from .gauge import (
-    apply_gauge,
-    compute_generator,
-    phase_relation_residual,
+from .gauge import apply_gauge, compute_generator
+from .report import (
+    EXIT_CODES,
+    EquivalenceRun,
+    RampPeriodicityError,
+    exit_code,
+    run_convergence,
+    run_equivalence,
+    run_sweep_command,
+    write_csv,
 )
-from .solver import BlowUpError, SimState, _norms_of, evolve, step
+from .solver import BlowUpError, SimState, evolve, stability_bound
 from . import __version__
 
 __all__ = [
-    "main",
-    "RampPeriodicityError",
-    "EquivalenceRun",
-    "run_equivalence",
-    "run_convergence",
+    "main", "write_snapshot", "read_snapshot",
+    # re-exported from report
+    "RampPeriodicityError", "EquivalenceRun", "run_equivalence", "run_convergence",
     "write_csv",
-    "write_snapshot",
-    "read_snapshot",
 ]
-
-
-class RampPeriodicityError(RuntimeError):
-    """A non-periodic gauge ramp blocked the requested artifact."""
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
 
 
 def write_snapshot(path_base: Path, fields: ComplexFieldSet, t: float) -> None:
@@ -69,7 +56,7 @@ def write_snapshot(path_base: Path, fields: ComplexFieldSet, t: float) -> None:
     path_base.with_suffix(".raw").write_bytes(interleaved.tobytes())
     sidecar = (
         f"shape={q},{n}\n"
-        f"time={_fmt(t)}\n"
+        f"time={float(t)!r}\n"
         "byte_order=little\n"
         "dtype=float64\n"
         "layout=interleaved_re_im_row_major\n"
@@ -155,7 +142,8 @@ def _coefficient_rows(tspec) -> list[list]:
 
 def cmd_transform(cfg: RunConfig, out_dir: Path) -> int:
     A = cfg.build_dispersion()
-    tspec = cfg.build_transformed_spec()
+    spec = cfg.build_family_spec()
+    tspec = cfg.build_transformed_spec(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(
         out_dir / "transformed_coefficients.csv",
@@ -166,7 +154,7 @@ def cmd_transform(cfg: RunConfig, out_dir: Path) -> int:
         return 0
     grid = cfg.build_grid()
     psi0 = cfg.build_initial(grid)
-    gen = compute_generator(cfg.build_family_spec(), to_hydro(psi0), A)
+    gen = compute_generator(spec, to_hydro(psi0), A)
     if not gen.ramp_is_periodic():
         windings = ", ".join(f"{w:.6g}" for w in gen.ramp_windings())
         print(
@@ -206,78 +194,6 @@ def cmd_classify(beta: str, gamma: str, delta: str, lam: str) -> int:
 # --- verify --------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class EquivalenceRun:
-    """Sampled gauge-equivalence metrics of a psi/phi pair evolution."""
-
-    times: list[float]
-    density_diff: np.ndarray  # (samples, q) sup |rho_phi - rho_psi|
-    phase_residual: np.ndarray  # (samples, q) phase-relation residual
-    final_norm_drift: np.ndarray  # (q,) relative drift of the psi system
-
-    @property
-    def final_density_diff(self) -> float:
-        return float(self.density_diff[-1].max())
-
-    @property
-    def final_phase_residual(self) -> float:
-        return float(self.phase_residual[-1].max())
-
-
-def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
-    """Evolve the original and the coefficient-form transformed system from
-    gauge-related initial data and sample their agreement."""
-    grid = cfg.build_grid()
-    A = cfg.build_dispersion()
-    spec = cfg.build_family_spec()
-    tspec = cfg.build_transformed_spec()
-    psi0 = cfg.build_initial(grid)
-    gen0 = compute_generator(spec, to_hydro(psi0), A)
-    if not gen0.ramp_is_periodic():
-        raise RampPeriodicityError(
-            "gauge ramp winding is not an integer; transformed field cannot be "
-            "evolved spectrally"
-        )
-    phi0 = apply_gauge(psi0, gen0)
-
-    psi_state = SimState(t=0.0, fields=psi0, system_tag="psi", spec=spec, A=A)
-    phi_state = SimState(t=0.0, fields=phi0, system_tag="phi", spec=tspec, A=A)
-
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise ConfigError("dt", "t_end must be an integer multiple of dt")
-    norms0 = _norms_of(psi0)
-
-    times: list[float] = []
-    dens_rows: list[np.ndarray] = []
-    phase_rows: list[np.ndarray] = []
-
-    def sample(ps: SimState, fs: SimState) -> None:
-        rho_psi = np.abs(ps.fields.data) ** 2
-        rho_phi = np.abs(fs.fields.data) ** 2
-        h_psi = to_hydro(ps.fields)
-        h_phi = to_hydro(fs.fields)
-        gen_t = compute_generator(spec, h_psi, A, anchor=gen0.anchor)
-        times.append(ps.t)
-        dens_rows.append(np.abs(rho_phi - rho_psi).max(axis=-1))
-        phase_rows.append(phase_relation_residual(h_psi, h_phi, gen_t))
-
-    sample(psi_state, phi_state)
-    for i in range(n_steps):
-        psi_state = step(psi_state, cfg.dt)
-        phi_state = step(phi_state, cfg.dt)
-        if (i + 1) % cfg.sample_every == 0 or i + 1 == n_steps:
-            sample(psi_state, phi_state)
-
-    drift = (_norms_of(psi_state.fields) - norms0) / norms0
-    return EquivalenceRun(
-        times=times,
-        density_diff=np.array(dens_rows),
-        phase_residual=np.array(phase_rows),
-        final_norm_drift=drift,
-    )
-
-
 def cmd_verify(cfg: RunConfig, out_dir: Path, tolerance: float) -> int:
     result = run_equivalence(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,40 +221,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, tolerance: float) -> int:
 # --- convergence ----------------------------------------------------------
 
 
-def run_convergence(cfg: RunConfig) -> tuple[list[float], list[float], float]:
-    """Self-convergence study at dt, dt/2, dt/4.
-
-    Returns (dts, [e1, e2], order) where e1 = sup|u(dt) - u(dt/2)|,
-    e2 = sup|u(dt/2) - u(dt/4)| at t_end and order = log2(e1/e2).
-    """
-    grid = cfg.build_grid()
-    A = cfg.build_dispersion()
-    if cfg.system == "psi":
-        spec = cfg.build_family_spec()
-    else:
-        spec = cfg.build_transformed_spec()
-    psi0 = cfg.build_initial(grid)
-
-    finals = []
-    dts = [cfg.dt, cfg.dt / 2.0, cfg.dt / 4.0]
-    for dt in dts:
-        state = SimState(
-            t=0.0, fields=psi0, system_tag=cfg.system, spec=spec, A=A
-        )
-        final, _ = evolve(state, dt, cfg.t_end, sample_every=10**9)
-        finals.append(final.fields.data)
-    e1 = float(np.abs(finals[0] - finals[1]).max())
-    e2 = float(np.abs(finals[1] - finals[2]).max())
-    if e2 == 0.0:
-        order = float("inf")
-    else:
-        order = float(np.log2(e1 / e2))
-    return dts, [e1, e2], order
-
-
 def cmd_convergence(cfg: RunConfig, out_dir: Path) -> int:
-    from .solver import stability_bound
-
     bound = stability_bound(cfg.build_grid(), cfg.build_dispersion())
     if cfg.dt > bound:
         print(
@@ -432,23 +315,14 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_transform(cfg, out_dir)
         if args.command == "verify":
             if args.sweep is not None:
-                from .report import run_sweep_command
-
                 return run_sweep_command(cfg, args.sweep, out_dir)
             return cmd_verify(cfg, out_dir, cfg.tolerance)
         if args.command == "convergence":
             return cmd_convergence(cfg, out_dir)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as err:
+    except tuple(EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except BlowUpError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RampPeriodicityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-
+        return exit_code(err)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -10,7 +10,8 @@ The grammar (documented in the README) is a single JSON object:
                   {"modes": [{"mode": m, "re": a, "im": b}, ...]} or
                   {"gaussian": {"amplitude", "center", "width",
                                 "momentum"?, "offset"?}}
-    dt, t_end, sample_every, amplitude, system, output_dir, tolerance
+    dt, t_end (an integer multiple of dt), sample_every, amplitude,
+    system, output_dir, tolerance
     phi_coefficients  optional explicit transformed tables (verify only)
 
 Parsed configs are plain-value dataclasses so that a dumped config
@@ -160,6 +161,9 @@ class RunConfig:
         t_end = _number(_require(raw, "t_end"), "t_end")
         if t_end <= 0:
             raise ConfigError("t_end", "must be > 0")
+        n_steps = round(t_end / dt)
+        if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+            raise ConfigError("t_end", f"must be an integer multiple of dt = {dt!r}")
         sample_every = _integer(raw.get("sample_every", 1), "sample_every")
         if sample_every < 1:
             raise ConfigError("sample_every", "must be >= 1")
@@ -238,8 +242,15 @@ class RunConfig:
             lam=np.asarray(c["lambda"]),
         )
 
-    def build_transformed_spec(self) -> TransformedSpec:
-        base = transformed_spec(self.build_family_spec(), self.build_dispersion())
+    @property
+    def n_steps(self) -> int:
+        """Steps of size dt to t_end (an integer multiple of dt, checked on parsing)."""
+        return round(self.t_end / self.dt)
+
+    def build_transformed_spec(self, spec: FamilySpec) -> TransformedSpec:
+        """Transformed tables of ``spec`` (this config's ``build_family_spec()``),
+        with any ``phi_coefficients`` overrides applied."""
+        base = transformed_spec(spec, self.build_dispersion())
         if not self.phi_coefficients:
             return base
         return replace(

@@ -1,28 +1,166 @@
-"""Parameter sweeps aggregating verification metrics into plot-ready tables.
+"""Experiment drivers on the solver's march loop: the gauge-equivalence
+run (psi and gauged phi systems side by side), the dt self-convergence
+study, and parameter sweeps over both; their CSV writer; and the one map
+from a failure to its exit code.
 
-Each sweep row reruns the gauge-equivalence experiment (and a dt
-self-convergence study) at one value of a numeric config key and records
-the final norm drift, the final equivalence gap and the observed order.
-Failed rows carry the mapped exit code and message inline; a sweep never
-aborts early.
+Each sweep row reruns both experiments at one value of a numeric config
+key and records the final norm drift, the final equivalence gap and the
+observed order. Failed rows carry the mapped exit code and message
+inline; a sweep never aborts early.
 """
 
 from __future__ import annotations
 
+import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cli import (
-    RampPeriodicityError,
-    run_convergence,
-    run_equivalence,
-    write_csv,
-)
-from .config import ConfigError, RunConfig
-from .solver import BlowUpError
+import numpy as np
 
-__all__ = ["SweepRow", "SweepResult", "sweep", "write_sweep_csv", "run_sweep_command"]
+from .config import ConfigError, RunConfig
+from .fields import VacuumError, to_hydro
+from .gauge import apply_gauge, compute_generator, phase_relation_residual
+from .solver import BlowUpError, SimState, _march, _norms_of
+
+__all__ = [
+    "RampPeriodicityError", "EXIT_CODES", "exit_code", "write_csv",
+    "EquivalenceRun", "run_equivalence", "run_convergence",
+    "SweepRow", "SweepResult", "sweep", "write_sweep_csv", "run_sweep_command",
+]
+
+
+class RampPeriodicityError(RuntimeError):
+    """A non-periodic gauge ramp blocked the requested artifact."""
+
+
+# The failures that end a command or a sweep row, and the exit code of each.
+EXIT_CODES: dict[type[Exception], int] = {
+    ConfigError: 1,
+    BlowUpError: 2,
+    VacuumError: 2,
+    RampPeriodicityError: 3,
+}
+
+
+def exit_code(err: Exception) -> int:
+    """Exit code of a failure of one of the EXIT_CODES types."""
+    return next(code for kind, code in EXIT_CODES.items() if isinstance(err, kind))
+
+
+def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Numbers are written as repr(float), which round-trips exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else repr(float(c)) for c in row])
+
+
+# --- gauge equivalence ------------------------------------------------------
+
+
+@dataclass
+class EquivalenceRun:
+    """Sampled gauge-equivalence metrics of a psi/phi pair evolution."""
+
+    times: list[float]
+    density_diff: np.ndarray  # (samples, q) sup |rho_phi - rho_psi|
+    phase_residual: np.ndarray  # (samples, q) phase-relation residual
+    final_norm_drift: np.ndarray  # (q,) relative drift of the psi system
+
+    @property
+    def final_density_diff(self) -> float:
+        return float(self.density_diff[-1].max())
+
+    @property
+    def final_phase_residual(self) -> float:
+        return float(self.phase_residual[-1].max())
+
+
+def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
+    """Evolve the original and the coefficient-form transformed system from
+    gauge-related initial data and sample their agreement."""
+    grid = cfg.build_grid()
+    A = cfg.build_dispersion()
+    spec = cfg.build_family_spec()
+    tspec = cfg.build_transformed_spec(spec)
+    psi0 = cfg.build_initial(grid)
+    gen0 = compute_generator(spec, to_hydro(psi0), A)
+    if not gen0.ramp_is_periodic():
+        raise RampPeriodicityError(
+            "gauge ramp winding is not an integer; transformed field cannot be "
+            "evolved spectrally"
+        )
+    phi0 = apply_gauge(psi0, gen0)
+
+    psi = SimState(t=0.0, fields=psi0, system_tag="psi", spec=spec, A=A)
+    phi = SimState(t=0.0, fields=phi0, system_tag="phi", spec=tspec, A=A)
+    norms0 = _norms_of(psi0)
+
+    times: list[float] = []
+    dens_rows: list[np.ndarray] = []
+    phase_rows: list[np.ndarray] = []
+
+    # a function, so that its temporaries are freed before the next step
+    def sample(ps: SimState, fs: SimState) -> None:
+        h_psi = to_hydro(ps.fields)
+        h_phi = to_hydro(fs.fields)
+        gen_t = compute_generator(spec, h_psi, A, anchor=gen0.anchor)
+        times.append(ps.t)
+        dens_rows.append(np.abs(h_phi.rho - h_psi.rho).max(axis=-1))
+        phase_rows.append(phase_relation_residual(h_psi, h_phi, gen_t))
+
+    marches = zip(
+        _march(psi, cfg.dt, cfg.n_steps, cfg.sample_every),
+        _march(phi, cfg.dt, cfg.n_steps, cfg.sample_every),
+    )
+    for (psi, sampled), (phi, _) in marches:
+        if sampled:
+            sample(psi, phi)
+
+    drift = (_norms_of(psi.fields) - norms0) / norms0
+    return EquivalenceRun(
+        times=times,
+        density_diff=np.array(dens_rows),
+        phase_residual=np.array(phase_rows),
+        final_norm_drift=drift,
+    )
+
+
+# --- dt self-convergence ----------------------------------------------------
+
+
+def run_convergence(cfg: RunConfig) -> tuple[list[float], list[float], float]:
+    """Self-convergence study at dt, dt/2, dt/4.
+
+    Returns (dts, [e1, e2], order) where e1 = sup|u(dt) - u(dt/2)|,
+    e2 = sup|u(dt/2) - u(dt/4)| at t_end and order = log2(e1/e2).
+    """
+    spec = cfg.build_family_spec()
+    if cfg.system == "phi":
+        spec = cfg.build_transformed_spec(spec)
+    initial = SimState(
+        t=0.0,
+        fields=cfg.build_initial(cfg.build_grid()),
+        system_tag=cfg.system,
+        spec=spec,
+        A=cfg.build_dispersion(),
+    )
+
+    dts = [cfg.dt, cfg.dt / 2.0, cfg.dt / 4.0]
+    finals = []
+    for refine, dt in zip((1, 2, 4), dts):
+        for final, _ in _march(initial, dt, cfg.n_steps * refine, cfg.sample_every):
+            pass
+        finals.append(final.fields.data)
+    e1 = float(np.abs(finals[0] - finals[1]).max())
+    e2 = float(np.abs(finals[1] - finals[2]).max())
+    order = float(np.log2(e1 / e2)) if e2 != 0.0 else float("inf")
+    return dts, [e1, e2], order
+
+
+# --- sweeps -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -31,9 +169,9 @@ class SweepRow:
     status: str  # "ok" or "failed"
     exit_code: int
     message: str
-    norm_drift: float | None
-    equivalence_gap: float | None
-    observed_order: float | None
+    norm_drift: float | None = None
+    equivalence_gap: float | None = None
+    observed_order: float | None = None
 
 
 @dataclass(frozen=True)
@@ -95,60 +233,22 @@ def sweep(base_config: RunConfig, axis: str, values: list[float]) -> SweepResult
             _set_key(raw, axis, float(value))
             cfg = RunConfig.from_dict(raw)
             drift, gap, order = _metrics(cfg)
-            rows.append(
-                SweepRow(
-                    value=float(value),
-                    status="ok",
-                    exit_code=0,
-                    message="",
-                    norm_drift=drift,
-                    equivalence_gap=gap,
-                    observed_order=order,
-                )
-            )
-        except (ConfigError, BlowUpError, RampPeriodicityError) as err:
-            code = (
-                1
-                if isinstance(err, ConfigError)
-                else 2 if isinstance(err, BlowUpError) else 3
-            )
-            rows.append(
-                SweepRow(
-                    value=float(value),
-                    status="failed",
-                    exit_code=code,
-                    message=str(err),
-                    norm_drift=None,
-                    equivalence_gap=None,
-                    observed_order=None,
-                )
-            )
+        except tuple(EXIT_CODES) as err:
+            rows.append(SweepRow(float(value), "failed", exit_code(err), str(err)))
+        else:
+            rows.append(SweepRow(float(value), "ok", 0, "", drift, gap, order))
     return SweepResult(axis=axis, rows=rows)
 
 
 def write_sweep_csv(result: SweepResult, path: Path) -> None:
-    header = [
-        result.axis,
-        "norm_drift",
-        "equivalence_gap",
-        "observed_order",
-        "status",
-        "exit_code",
-        "message",
+    metrics = ("norm_drift", "equivalence_gap", "observed_order")
+    header = [result.axis, *metrics, "status", "exit_code", "message"]
+    rows = [
+        [row.value]
+        + ["" if getattr(row, m) is None else getattr(row, m) for m in metrics]
+        + [row.status, str(row.exit_code), row.message]
+        for row in result.rows
     ]
-    rows = []
-    for row in result.rows:
-        rows.append(
-            [
-                row.value,
-                "" if row.norm_drift is None else row.norm_drift,
-                "" if row.equivalence_gap is None else row.equivalence_gap,
-                "" if row.observed_order is None else row.observed_order,
-                row.status,
-                str(row.exit_code),
-                row.message,
-            ]
-        )
     write_csv(path, header, rows)
 
 

@@ -430,3 +430,25 @@ def test_shipped_configs_parse():
     ):
         cfg = load_config(str(CONFIGS / name))
         assert cfg.q >= 1
+
+
+def test_t_end_not_multiple_of_dt_exits_1_without_traceback(tmp_path):
+    payload = small_linear_config(tmp_path)
+    payload["dt"] = 0.0005
+    payload["t_end"] = 0.0013
+    cfg = write_config(tmp_path, payload)
+    for command in ("simulate", "convergence"):
+        res = run_cli(command, str(cfg))
+        assert res.returncode == 1, (command, res.stderr)
+        assert "error: config key 't_end'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_verify_vacuum_initial_exits_2(tmp_path):
+    payload = small_family_a_config(tmp_path)
+    payload["amplitude"] = 0.0
+    cfg = write_config(tmp_path, payload)
+    res = run_cli("verify", str(cfg))
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -1,6 +1,10 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 
-from cnls_gauge import RunConfig
+from cnls_gauge import RunConfig, SimState, evolve
 from cnls_gauge.cli import run_convergence, run_equivalence
 from cnls_gauge.report import sweep, write_sweep_csv
 
@@ -125,3 +129,48 @@ def test_sweep_rejects_unknown_key():
     result = sweep(base, "not.a.key", [1.0])
     assert result.rows[0].status == "failed"
     assert result.rows[0].exit_code == 1
+
+
+def test_sweep_vacuum_row_fails_with_exit_2():
+    base = family_a_base()
+    result = sweep(base, "amplitude", [0.0, 0.05])
+    assert len(result.rows) == 2
+    assert result.rows[0].status == "failed"
+    assert result.rows[0].exit_code == 2
+    assert result.rows[1].status == "ok"
+
+
+def test_equivalence_samples_at_evolve_record_times():
+    cfg = dataclasses.replace(family_a_base(), sample_every=30)
+    assert cfg.n_steps % cfg.sample_every != 0
+    psi0 = SimState(
+        t=0.0,
+        fields=cfg.build_initial(cfg.build_grid()),
+        system_tag="psi",
+        spec=cfg.build_family_spec(),
+        A=cfg.build_dispersion(),
+    )
+    _, records = evolve(psi0, cfg.dt, cfg.t_end, cfg.sample_every)
+    assert run_equivalence(cfg).times == [r.t for r in records]
+
+
+def _imported_modules(path: Path):
+    """Absolute names of the modules (and package members) ``path`` imports."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "cnls_gauge" if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_entry_points_import_the_cli():
+    package = Path(__file__).resolve().parents[1] / "src" / "cnls_gauge"
+    importers = {
+        path.name
+        for path in package.glob("*.py")
+        if "cnls_gauge.cli" in set(_imported_modules(path))
+    }
+    assert importers <= {"cli.py", "__main__.py"}
