@@ -58,15 +58,14 @@ class DispersionMatrix:
 
 @dataclass(frozen=True)
 class ComplexFieldSet:
-    """q complex fields sampled on a shared periodic grid (rows are species).
-
-    ``non_periodic_ramp`` marks fields produced by a gauge transformation
-    whose phase ramp is not grid-periodic; spectral evolution refuses them.
+    """q complex fields phi_k = exp(i kappa_k (x - x_min)) data_k on a shared
+    periodic grid (rows are species), ``data`` grid-periodic. ``kappa``
+    (zeros by default) holds a gauge ramp's fractional wavenumber.
     """
 
     data: np.ndarray
     grid: Grid1D
-    non_periodic_ramp: bool = False
+    kappa: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=complex)
@@ -79,11 +78,22 @@ class ComplexFieldSet:
                 f"field width {data.shape[1]} does not match grid "
                 f"n_points {self.grid.n_points}"
             )
+        kappa = np.zeros(data.shape[0]) if self.kappa is None else self.kappa
+        kappa = np.asarray(kappa, dtype=float)
+        if kappa.shape != data.shape[:1]:
+            raise ValueError(f"kappa must hold one value per species, got {kappa.shape}")
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def q(self) -> int:
         return self.data.shape[0]
+
+    def samples(self) -> np.ndarray:
+        """Node values of phi_k = exp(i kappa_k (x - x_min)) data_k."""
+        if not self.kappa.any():
+            return self.data
+        return np.exp(1j * self.kappa[:, None] * (self.grid.x - self.grid.x_min)) * self.data
 
 
 @dataclass(frozen=True)
@@ -140,14 +150,14 @@ def _unwrap_species(theta: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def to_hydro(psi: ComplexFieldSet, floor: float = DEFAULT_FLOOR) -> HydroFields:
-    """Extract (rho, S) from psi; S unwrapped along the grid from node 0.
+    """Extract (rho, S) from psi's samples; S unwrapped along the grid from node 0.
 
     ``floor`` is relative: nodes with rho_k < floor * max(rho_k) are flagged
     as vacuum and their phase is linearly interpolated from neighbours.
     """
     if floor < 0:
         raise ValueError("floor must be >= 0")
-    data = psi.data
+    data = psi.samples()
     rho = np.abs(data) ** 2
     theta = np.angle(data)
     S = np.empty_like(rho)

@@ -20,7 +20,6 @@ vector fluxes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -198,36 +197,28 @@ def compute_generator(
 def _multiply_phase(
     fields: ComplexFieldSet, gen: GaugeGenerator, sign: float
 ) -> ComplexFieldSet:
-    """exp(sign i sigma) times the fields; a non-integer winding toggles the flag."""
+    """exp(sign i sigma) times the fields; a ramp winding w that is not an
+    integer leaves ramp - 2 pi rint(w)/L in kappa, so the data stays periodic.
+    """
     if fields.q != gen.q or fields.grid.n_points != gen.grid.n_points:
         raise ValueError(
             f"field shape ({fields.q}, {fields.grid.n_points}) does not match "
             f"generator shape ({gen.q}, {gen.grid.n_points})"
         )
-    flagged = not gen.ramp_is_periodic()
+    phase, kappa, w = gen.values(), fields.kappa, gen.ramp_windings()
+    shift = gen.ramp - 2.0 * np.pi * np.rint(w) / gen.grid.length
+    shift[np.abs(w - np.rint(w)) <= RAMP_PERIOD_TOL] = 0.0
+    if shift.any():
+        phase = phase - shift[:, None] * (gen.grid.x - gen.grid.x_min)
+        kappa = kappa + sign * shift
     return ComplexFieldSet(
-        data=np.exp(sign * 1j * gen.values()) * fields.data,
-        grid=fields.grid,
-        non_periodic_ramp=flagged != fields.non_periodic_ramp,
+        data=np.exp(sign * 1j * phase) * fields.data, grid=fields.grid, kappa=kappa
     )
 
 
 def apply_gauge(psi: ComplexFieldSet, gen: GaugeGenerator) -> ComplexFieldSet:
-    """phi_k = exp(i sigma_k) psi_k; densities are preserved pointwise.
-
-    When the ramp winding is not an integer the result is flagged
-    ``non_periodic_ramp`` (and a warning is issued): the samples remain
-    exact but the underlying function is not grid-periodic, so spectral
-    evolution of the result is refused downstream.
-    """
-    phi = _multiply_phase(psi, gen, 1.0)
-    if not gen.ramp_is_periodic():
-        warnings.warn(
-            "gauge ramp winding is not an integer; transformed field is not "
-            "grid-periodic",
-            stacklevel=2,
-        )
-    return phi
+    """phi_k = exp(i sigma_k) psi_k; densities are preserved pointwise."""
+    return _multiply_phase(psi, gen, 1.0)
 
 
 def invert_gauge(phi: ComplexFieldSet, gen: GaugeGenerator) -> ComplexFieldSet:
@@ -261,7 +252,7 @@ def cole_hopf_G(
     h = to_hydro(psi)
     if h.vacuum.any():
         raise VacuumError("G is undefined at vacuum nodes")
-    dlog = derivative(psi.data, psi.grid) / psi.data
+    dlog = derivative(psi.data, psi.grid) / psi.data + 1j * psi.kappa[:, None]
     return dlog + 1j * eval_flux_rate(spec.tables, h.rho) / A.values[:, None]
 
 

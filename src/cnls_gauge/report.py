@@ -24,14 +24,10 @@ from .gauge import apply_gauge, compute_generator, phase_relation_residual
 from .solver import BlowUpError, SimState, _march, _norms_of
 
 __all__ = [
-    "RampPeriodicityError", "EXIT_CODES", "exit_code", "write_csv",
+    "EXIT_CODES", "exit_code", "write_csv",
     "EquivalenceRun", "run_equivalence", "run_convergence",
     "SweepRow", "SweepResult", "sweep", "write_sweep_csv", "run_sweep_command",
 ]
-
-
-class RampPeriodicityError(RuntimeError):
-    """A non-periodic gauge ramp blocked the requested artifact."""
 
 
 # The failures that end a command or a sweep row, and the exit code of each.
@@ -39,7 +35,6 @@ EXIT_CODES: dict[type[Exception], int] = {
     ConfigError: 1,
     BlowUpError: 2,
     VacuumError: 2,
-    RampPeriodicityError: 3,
 }
 
 
@@ -87,11 +82,6 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
     tspec = cfg.build_transformed_spec(spec)
     psi0 = cfg.build_initial(grid)
     gen0 = compute_generator(spec, to_hydro(psi0), A)
-    if not gen0.ramp_is_periodic():
-        raise RampPeriodicityError(
-            "gauge ramp winding is not an integer; transformed field cannot be "
-            "evolved spectrally"
-        )
     phi0 = apply_gauge(psi0, gen0)
 
     psi = SimState(t=0.0, fields=psi0, system_tag="psi", spec=spec, A=A)
@@ -187,19 +177,25 @@ def _broadcast(value: float, template):
     return value
 
 
+def _list_index(node: list, part: str, axis: str) -> int:
+    if not part.isdecimal() or int(part) >= len(node):
+        raise ConfigError(axis, f"{part!r} is not an index of a {len(node)}-entry list")
+    return int(part)
+
+
 def _set_key(raw: dict, axis: str, value: float) -> None:
     parts = axis.split(".")
     node = raw
     for part in parts[:-1]:
         if isinstance(node, list):
-            node = node[int(part)]
+            node = node[_list_index(node, part, axis)]
         elif isinstance(node, dict) and part in node:
             node = node[part]
         else:
             raise ConfigError(axis, "not a valid config key path")
     leaf = parts[-1]
     if isinstance(node, list):
-        index = int(leaf)
+        index = _list_index(node, leaf, axis)
         node[index] = _broadcast(value, node[index])
     elif isinstance(node, dict) and leaf in node:
         current = node[leaf]

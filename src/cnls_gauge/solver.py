@@ -12,6 +12,10 @@ nonlinearity,
 
 Hydrodynamic quantities are re-extracted (with fresh phase unwrapping)
 at every stage so that branch-cut artifacts never accumulate in dS/dx.
+
+A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
+evolves its periodic u_k with the symbol -(k + kappa_k)^2 and dS_u/dx +
+kappa_k; at kappa = 0 that is exactly the unshifted stage.
 """
 
 from __future__ import annotations
@@ -110,8 +114,14 @@ class DiagnosticsRecord:
 
 
 def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
-    """Advisory RK4 step bound 0.5 dx^2 / max|A_k| (warning threshold)."""
-    return 0.5 * grid.dx**2 / float(np.abs(A.values).max())
+    """RK4 step bound 2 sqrt(2) / (max|A_k| k_max^2), k_max = pi/dx, of the
+    linear part (warning threshold); above it the top mode grows.
+
+    A gauge shift |kappa| <= pi/L raises the top wavenumber by at most half
+    a mode, which the bound does not include.
+    """
+    k_max = np.pi / grid.dx
+    return 2.0 * np.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
 
 
 def _hydro_parts(
@@ -144,14 +154,21 @@ def _tendency(
     tables: CoefficientTables,
     A: DispersionMatrix,
     t: float,
+    kappa: np.ndarray | None = None,
     floor: float = DEFAULT_FLOOR,
 ) -> np.ndarray:
-    lap = second_derivative(data, grid)
+    if kappa is None:
+        lap = second_derivative(data, grid)
+    else:
+        symbol = -((grid.k + kappa[:, None]) ** 2)
+        lap = np.fft.ifft(symbol * np.fft.fft(data, axis=-1), axis=-1)
     Ak = A.values[:, None]
     if not tables.nonzero:
         out = 1j * (Ak * lap)
     else:
         rho, dS, drho = _hydro_parts(data, grid, floor, tables)
+        if kappa is not None and dS is not None:
+            dS += kappa[:, None]
         W = eval_W_parts(tables, rho, dS)
         if tables.has_flux:
             Wim = eval_Wim_parts(tables, rho, drho)
@@ -163,26 +180,22 @@ def _tendency(
     return out
 
 
+def _shift(fields: ComplexFieldSet) -> np.ndarray | None:
+    # None keeps a kappa = 0 field on the unshifted arithmetic
+    return fields.kappa if fields.kappa.any() else None
+
+
 def rhs(state: SimState) -> ComplexFieldSet:
     """Instantaneous time derivative of the fields."""
-    if state.fields.non_periodic_ramp:
-        raise ValueError(
-            "refusing spectral evolution of a field with a non-periodic gauge ramp"
-        )
-    out = _tendency(
-        state.fields.data, state.fields.grid, state.spec.tables, state.A, state.t
-    )
-    return ComplexFieldSet(data=out, grid=state.fields.grid)
+    f = state.fields
+    out = _tendency(f.data, f.grid, state.spec.tables, state.A, state.t, _shift(f))
+    return ComplexFieldSet(data=out, grid=f.grid, kappa=f.kappa)
 
 
 def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     """One classical RK4 step; warns when |dt| exceeds the advisory bound."""
     if dt == 0:
         raise ValueError("dt must be nonzero")
-    if state.fields.non_periodic_ramp:
-        raise ValueError(
-            "refusing spectral evolution of a field with a non-periodic gauge ramp"
-        )
     grid = state.fields.grid
     bound = stability_bound(grid, state.A)
     if abs(dt) > bound:
@@ -190,11 +203,11 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
             f"dt={dt!r} exceeds the stability bound {bound:.6g}", stacklevel=2
         )
     y = state.fields.data
-    tables, A, t = state.spec.tables, state.A, state.t
-    k1 = _tendency(y, grid, tables, A, t)
-    k2 = _tendency(y + 0.5 * dt * k1, grid, tables, A, t)
-    k3 = _tendency(y + 0.5 * dt * k2, grid, tables, A, t)
-    k4 = _tendency(y + dt * k3, grid, tables, A, t)
+    tables, A, t, kappa = state.spec.tables, state.A, state.t, _shift(state.fields)
+    k1 = _tendency(y, grid, tables, A, t, kappa)
+    k2 = _tendency(y + 0.5 * dt * k1, grid, tables, A, t, kappa)
+    k3 = _tendency(y + 0.5 * dt * k2, grid, tables, A, t, kappa)
+    k4 = _tendency(y + dt * k3, grid, tables, A, t, kappa)
     new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     t_new = state.t + dt
     if not np.all(np.isfinite(new)):
@@ -203,7 +216,7 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
         raise BlowUpError(f"field magnitude exceeded blow-up threshold at t={t_new}", t=t_new)
     return SimState(
         t=t_new,
-        fields=ComplexFieldSet(data=new, grid=grid),
+        fields=ComplexFieldSet(data=new, grid=grid, kappa=state.fields.kappa),
         system_tag=state.system_tag,
         spec=state.spec,
         A=A,
@@ -230,6 +243,8 @@ def _current_from_fields(
     # Vacuum-safe current: rho * dS/dx == Im(conj(f) df/dx) needs no division.
     data = fields.data
     momentum = np.imag(np.conj(data) * derivative(data, fields.grid))
+    if fields.kappa.any():
+        momentum += fields.kappa[:, None] * (data.real**2 + data.imag**2)
     current = 2.0 * A.values[:, None] * momentum
     if spec.tables.has_flux:
         rho = data.real**2 + data.imag**2
@@ -271,6 +286,8 @@ def _record(
     n = _norms_of(mid.fields)
     drift = np.where(norms0 > 0.0, (n - norms0) / np.where(norms0 > 0, norms0, 1.0), 0.0)
     grad = derivative(mid.fields.data, mid.fields.grid)
+    if mid.fields.kappa.any():
+        grad += 1j * mid.fields.kappa[:, None] * mid.fields.data
     energy = np.atleast_1d(integrate(np.abs(grad) ** 2, mid.fields.grid))
     res = continuity_residual((left, mid, right), mid.spec, mid.A)
     return DiagnosticsRecord(
@@ -312,8 +329,9 @@ def evolve(
     final step. Each record's continuity residual uses the neighbouring
     steps (one extra step is taken past t_end, and one backwards from the
     initial state, purely for the centered differences). ``on_sample``,
-    when given, is called with each sampled state (snapshot hooks). On
-    blow-up the raised error carries the diagnostics collected so far.
+    when given, is called with each sampled state (snapshot hooks). A
+    BlowUpError or VacuumError raised on the way carries the diagnostics
+    collected so far as ``diagnostics``.
     """
     if not t_end > initial.t:
         raise ValueError("t_end must exceed the initial time")
@@ -345,6 +363,7 @@ def evolve(
                 if on_sample is not None:
                     on_sample(cur)
             prev, cur, cur_sampled = cur, nxt, sampled
-    except BlowUpError as err:
-        raise BlowUpError(str(err), t=err.t, diagnostics=records) from None
+    except (BlowUpError, VacuumError) as err:
+        err.diagnostics = records
+        raise
     return prev, records

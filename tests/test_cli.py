@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from cnls_gauge.cli import read_snapshot
+from cnls_gauge.cli import main, read_snapshot
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -160,6 +161,21 @@ def test_simulate_blow_up_exits_2_with_partial_csv(tmp_path):
     assert (tmp_path / "out" / "diagnostics.csv").exists()
 
 
+def test_simulate_vacuum_mid_march_exits_2_with_partial_csv(tmp_path):
+    # dt above the step bound: the density collapses before t_end
+    payload = json.loads((CONFIGS / "family_b_sample.json").read_text())
+    payload.update(dt=2e-4, t_end=0.4, sample_every=20, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, payload)
+    res = run_cli("simulate", str(cfg))
+    assert res.returncode == 2
+    assert "error: density below floor" in res.stderr
+    assert "Traceback" not in res.stderr
+    rows = read_csv(tmp_path / "out" / "diagnostics.csv")
+    snaps = list((tmp_path / "out").glob("snapshot_*.raw"))
+    assert len(rows) - 1 == len(snaps) >= 2
+    assert float(rows[-1][0]) < 0.4
+
+
 def test_simulate_snapshots_roundtrip(tmp_path):
     cfg = write_config(tmp_path, small_linear_config(tmp_path))
     res = run_cli("simulate", str(cfg))
@@ -287,16 +303,22 @@ def test_transform_writes_gauged_snapshot(tmp_path):
     assert np.abs(np.abs(phi) ** 2 - np.abs(psi0) ** 2).max() < 1e-14
 
 
-def test_transform_non_periodic_ramp_exits_3(tmp_path):
+def test_transform_fractional_ramp_writes_exact_phi_samples(tmp_path):
+    from cnls_gauge import compute_generator, load_config, to_hydro
+
     payload = small_family_a_config(tmp_path)
     payload["nonlinearity"]["delta"] = [1.0, 1.0]  # ramp -1/2 for species 1
-    cfg = write_config(tmp_path, payload)
-    res = run_cli("transform", str(cfg))
-    assert res.returncode == 3
-    assert "not grid-periodic" in res.stderr
-    # coefficients are still written
+    cfg_path = write_config(tmp_path, payload)
+    res = run_cli("transform", str(cfg_path))
+    assert res.returncode == 0, res.stderr
     assert (tmp_path / "out" / "transformed_coefficients.csv").exists()
-    assert not (tmp_path / "out" / "phi_initial.raw").exists()
+    phi, t0 = read_snapshot(tmp_path / "out" / "phi_initial")
+    assert t0 == 0.0
+    cfg = load_config(str(cfg_path))
+    psi0 = cfg.build_initial(cfg.build_grid())
+    gen = compute_generator(cfg.build_family_spec(), to_hydro(psi0), cfg.build_dispersion())
+    assert not gen.ramp_is_periodic()
+    assert np.abs(phi - np.exp(1j * gen.values()) * psi0.data).max() < 1e-14
 
 
 # --- verify ------------------------------------------------------------------
@@ -336,12 +358,22 @@ def test_verify_perturbed_coefficients_exit_2(tmp_path):
     assert "tolerance" in res.stderr
 
 
-def test_verify_non_periodic_ramp_exits_3(tmp_path):
+def test_verify_fractional_ramp_passes(tmp_path):
     payload = small_family_a_config(tmp_path)
-    payload["nonlinearity"]["delta"] = [1.0, 1.0]
+    payload["nonlinearity"]["delta"] = [1.0, 1.0]  # ramp -1/2 for species 1
     cfg = write_config(tmp_path, payload)
     res = run_cli("verify", str(cfg))
-    assert res.returncode == 3
+    assert res.returncode == 0, res.stderr
+    rows = read_csv(tmp_path / "out" / "equivalence.csv")
+    assert max(float(v) for v in rows[-1][1:3]) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "name", ["family_b_sample", "family_b_convergence", "linear_plane_wave"]
+)
+def test_verify_shipped_config_exits_0(tmp_path, name):
+    argv = ["verify", str(CONFIGS / f"{name}.json"), "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
 
 
 def test_verify_tolerance_flag_overrides(tmp_path):
@@ -390,12 +422,25 @@ def test_convergence_linear(tmp_path):
 
 def test_convergence_above_bound_exits_2(tmp_path):
     payload = small_linear_config(tmp_path)
-    payload["dt"] = 2e-3  # above the 0.5 dx^2 / A bound for n=128
+    payload["dt"] = 2e-3  # above the 2 sqrt(2) dx^2 / (pi^2 A) bound for n=128
     payload["t_end"] = 0.2
     cfg = write_config(tmp_path, payload)
     res = run_cli("convergence", str(cfg))
     assert res.returncode == 2
     assert "stability bound" in res.stderr
+
+
+def test_convergence_at_roundoff_reports_unmeasurable_order(tmp_path):
+    # the linear plane wave's dt and dt/2 runs agree to roundoff
+    res = run_cli(
+        "convergence", str(CONFIGS / "linear_plane_wave.json"), "--output-dir", str(tmp_path)
+    )
+    assert res.returncode == 2
+    e1 = float(read_csv(tmp_path / "convergence.csv")[1][1])
+    assert e1 < 1e-13
+    assert "order cannot be measured at this dt" in res.stderr
+    assert f"{e1:.3e}" in res.stderr
+    assert "below 3.5" not in res.stderr
 
 
 # --- shared flags -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,15 +155,22 @@ def test_gauge_roundtrip_and_density_invariance(grid256):
     assert np.abs(np.abs(back.data) ** 2 - np.abs(phi.data) ** 2).max() < 1e-14
 
 
-def test_apply_gauge_flags_non_periodic_ramp(grid256):
+def test_apply_gauge_moves_fractional_ramp_to_kappa(grid256):
     rng = np.random.default_rng(5)
     psi = band_limited_state(rng, grid256, q=1)
     spec = DriftCubicSpec(delta=[1.0], gamma=[0.0])  # ramp -1/2: not integer
     gen = compute_generator(spec, to_hydro(psi), DispersionMatrix([1.0]))
     assert not gen.ramp_is_periodic()
-    with pytest.warns(UserWarning, match="not an integer"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         phi = apply_gauge(psi, gen)
-    assert phi.non_periodic_ramp
+    assert phi.kappa.tolist() == [-0.5]
+    assert np.abs(phi.samples() - np.exp(1j * gen.values()) * psi.data).max() < 1e-14
+    # the data is the periodic part: sigma is a pure ramp, so it is psi
+    assert np.abs(phi.data - psi.data).max() < 1e-14
+    back = invert_gauge(phi, gen)
+    assert back.kappa.tolist() == [0.0]
+    assert np.abs(back.data - psi.data).max() < 1e-14
 
 
 def test_phase_relation_residual(grid256):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,13 +153,30 @@ def test_rhs_vacuum_error(grid256):
         rhs(state)
 
 
-def test_rhs_refuses_non_periodic_ramp(grid256):
-    fields = ComplexFieldSet(
-        np.ones((1, 256), dtype=complex), grid256, non_periodic_ramp=True
-    )
-    state = SimState(0.0, fields, "psi", LinearSpec(q=1), DispersionMatrix([1.0]))
-    with pytest.raises(ValueError, match="non-periodic"):
-        rhs(state)
+def test_rhs_of_shifted_plane_wave(grid128):
+    # u = exp(imx) with kappa = 1/2 is the field exp(i(m + 1/2)x)
+    for m in (0, 2, -3):
+        u = np.exp(1j * m * grid128.x)[None, :]
+        fields = ComplexFieldSet(u, grid128, kappa=[0.5])
+        state = SimState(0.0, fields, "phi", LinearSpec(q=1), DispersionMatrix([1.0]))
+        out = rhs(state)
+        assert out.kappa.tolist() == [0.5]
+        assert np.abs(out.data - (-1j * (m + 0.5) ** 2 * u)).max() < 1e-11
+
+
+def test_evolve_shifted_plane_wave_diagnostics(grid128):
+    # exp(i(m + kappa)x - i(m + kappa)^2 t): the energy proxy integrates
+    # |phi'|^2 = (m + kappa)^2 and the current 2 (m + kappa) is constant
+    wavenumber = 2.0 - 0.5
+    fields = ComplexFieldSet(np.exp(2j * grid128.x)[None, :], grid128, kappa=[-0.5])
+    state = SimState(0.0, fields, "phi", LinearSpec(q=1), DispersionMatrix([1.0]))
+    final, records = evolve(state, 2.5e-4, 0.25, sample_every=250)
+    assert final.fields.kappa.tolist() == [-0.5]
+    exact = np.exp(1j * (wavenumber * grid128.x - wavenumber**2 * 0.25))
+    assert np.abs(final.fields.samples()[0] - exact).max() < 1e-10
+    for r in records:
+        assert abs(r.energy_proxy[0] - wavenumber**2 * TWO_PI) < 1e-10
+        assert r.continuity_residual[0] < 1e-10
 
 
 def test_rhs_phi_case1_equals_linear(grid256):
@@ -232,6 +251,27 @@ def test_step_warns_above_stability_bound(grid128):
     bound = stability_bound(grid128, A)
     with pytest.warns(UserWarning, match="stability bound"):
         step(state, 2.0 * bound)
+
+
+def test_stability_bound_is_the_top_mode_limit(grid256):
+    # the Nyquist mode (-1)^j has the largest symbol k^2 = (pi/dx)^2; RK4
+    # keeps it bounded up to dt = 2 sqrt(2)/k^2 and amplifies it above
+    A = DispersionMatrix([1.3])
+    bound = stability_bound(grid256, A)
+    assert bound == pytest.approx(2.0 * np.sqrt(2.0) * grid256.dx**2 / (1.3 * np.pi**2))
+    top = plane_wave_state(grid256, 128, LinearSpec(q=1), A)
+
+    def growth(dt, n_steps=40):
+        state = top
+        for _ in range(n_steps):
+            state = step(state, dt)
+        return np.abs(state.fields.data).max()
+
+    with pytest.warns(UserWarning, match="stability bound"):
+        assert growth(1.01 * bound) > 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert growth(0.99 * bound) < 1.0
 
 
 def test_step_convergence_against_fine_reference(grid128):
@@ -370,7 +410,7 @@ def test_continuity_residual_spacing_mismatch(grid256):
     A = DispersionMatrix([1.0])
     s = plane_wave_state(grid256, 1, spec, A)
     s1 = step(s, 1e-4)
-    s2 = step(s1, 2e-4)
+    s2 = step(s1, 1.5e-4)
     with pytest.raises(ValueError, match="spaced"):
         continuity_residual((s, s1, s2), spec, A)
 
