@@ -56,6 +56,13 @@ class DispersionMatrix:
         return self.values.size
 
 
+def _kappa_values(kappa, q: int) -> np.ndarray:
+    kappa = np.zeros(q) if kappa is None else np.asarray(kappa, dtype=float)
+    if kappa.shape != (q,):
+        raise ValueError(f"kappa must hold one value per species, got {kappa.shape}")
+    return kappa
+
+
 @dataclass(frozen=True)
 class ComplexFieldSet:
     """q complex fields phi_k = exp(i kappa_k (x - x_min)) data_k on a shared
@@ -78,12 +85,8 @@ class ComplexFieldSet:
                 f"field width {data.shape[1]} does not match grid "
                 f"n_points {self.grid.n_points}"
             )
-        kappa = np.zeros(data.shape[0]) if self.kappa is None else self.kappa
-        kappa = np.asarray(kappa, dtype=float)
-        if kappa.shape != data.shape[:1]:
-            raise ValueError(f"kappa must hold one value per species, got {kappa.shape}")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", _kappa_values(self.kappa, data.shape[0]))
 
     @property
     def q(self) -> int:
@@ -102,12 +105,16 @@ class HydroFields:
 
     ``vacuum`` flags nodes whose density fell below the floor used at
     extraction time; the phase there is interpolated, not measured.
+    ``kappa`` (zeros by default) is the fractional wavenumber of the field
+    the phases were read from: S_k - kappa_k (x - x_min) has an integer
+    winding.
     """
 
     rho: np.ndarray
     S: np.ndarray
     grid: Grid1D
     vacuum: np.ndarray = field(default=None)  # type: ignore[assignment]
+    kappa: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=float)
@@ -133,20 +140,46 @@ class HydroFields:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "vacuum", vacuum)
+        object.__setattr__(self, "kappa", _kappa_values(self.kappa, rho.shape[0]))
 
     @property
     def q(self) -> int:
         return self.rho.shape[0]
 
 
-def _unwrap_species(theta: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Unwrap one species' phase, interpolating across flagged nodes."""
+def _unwrap_rows(p: np.ndarray) -> np.ndarray:
+    """np.unwrap(p, axis=-1), bit for bit, computing the 2 pi correction
+    only where a step is a jump: not below pi in magnitude, NaN included.
+    """
+    dd = p[:, 1:] - p[:, :-1]
+    jump = ~(np.abs(dd) < np.pi)
+    out = np.empty_like(p)
+    out[:, 0] = p[:, 0]
+    if not jump.any():
+        # numpy adds a zero cumsum, which turns -0.0 into +0.0
+        np.add(p[:, 1:], 0.0, out=out[:, 1:])
+        return out
+    d = dd[jump]
+    dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+    dmod[(dmod == -np.pi) & (d > 0)] = np.pi
+    correct = np.zeros_like(dd)
+    correct[jump] = dmod - d
+    np.add(p[:, 1:], correct.cumsum(axis=-1), out=out[:, 1:])
+    return out
+
+
+def _interp_vacuum(theta: np.ndarray, valid: np.ndarray, kappa_L: float) -> np.ndarray:
+    """One species' phase unwrapped over its valid nodes and linearly
+    interpolated across the flagged ones. Across the periodic seam it
+    follows the wrapped jump from the last valid node to the first, which
+    closes the period up to 2 pi m + kappa_L (kappa_L = kappa * L)."""
     n = theta.size
-    if valid.all():
-        return np.unwrap(theta)
     idx = np.nonzero(valid)[0]
-    s_valid = np.unwrap(theta[idx])
-    return np.interp(np.arange(n), idx, s_valid, period=float(n))
+    s_valid = _unwrap_rows(theta[None, idx])[0]
+    closing = _wrap_to_pi(s_valid[0] - s_valid[-1] + kappa_L)
+    nodes = np.concatenate(([idx[-1] - n], idx, [idx[0] + n]))
+    values = np.concatenate(([s_valid[0] - closing], s_valid, [s_valid[-1] + closing]))
+    return np.interp(np.arange(n), nodes, values)
 
 
 def to_hydro(psi: ComplexFieldSet, floor: float = DEFAULT_FLOOR) -> HydroFields:
@@ -154,24 +187,24 @@ def to_hydro(psi: ComplexFieldSet, floor: float = DEFAULT_FLOOR) -> HydroFields:
 
     ``floor`` is relative: nodes with rho_k < floor * max(rho_k) are flagged
     as vacuum and their phase is linearly interpolated from neighbours.
+    The result carries psi's kappa.
     """
     if floor < 0:
         raise ValueError("floor must be >= 0")
     data = psi.samples()
     rho = np.abs(data) ** 2
-    theta = np.angle(data)
-    S = np.empty_like(rho)
-    vacuum = np.zeros(rho.shape, dtype=bool)
+    peak = rho.max(axis=-1)
+    vacuum = rho < floor * peak[:, None]
     for k in range(psi.q):
-        peak = rho[k].max()
-        if peak <= 0.0:
+        if peak[k] <= 0.0:
             raise VacuumError(f"species {k} is identically zero (all-vacuum)")
-        mask = rho[k] < floor * peak
-        if mask.all():
+        if vacuum[k].all():
             raise VacuumError(f"species {k} lies entirely below the density floor")
-        vacuum[k] = mask
-        S[k] = _unwrap_species(theta[k], ~mask)
-    return HydroFields(rho=rho, S=S, grid=psi.grid, vacuum=vacuum)
+    theta = np.angle(data)
+    S = _unwrap_rows(theta)
+    for k in np.nonzero(vacuum.any(axis=-1))[0]:
+        S[k] = _interp_vacuum(theta[k], ~vacuum[k], psi.kappa[k] * psi.grid.length)
+    return HydroFields(rho=rho, S=S, grid=psi.grid, vacuum=vacuum, kappa=psi.kappa)
 
 
 def from_hydro(h: HydroFields) -> ComplexFieldSet:
@@ -204,9 +237,18 @@ def _phase_gradient_samples(S: np.ndarray, grid: Grid1D) -> np.ndarray:
     return derivative(periodic, grid) + slope[:, None]
 
 
+def _data_phase(h: HydroFields) -> np.ndarray:
+    # S - kappa (x - x_min): the phase of the periodic data, whose winding
+    # over the period is an integer
+    if not h.kappa.any():
+        return h.S
+    return h.S - h.kappa[:, None] * (h.grid.x - h.grid.x_min)
+
+
 def phase_winding(h: HydroFields) -> np.ndarray:
-    """Integer winding number of each species' phase around the period."""
-    return _winding_from_samples(h.S).astype(int)
+    """Integer winding number of each species' phase around the period,
+    the fractional wavenumber kappa split off."""
+    return _winding_from_samples(_data_phase(h)).astype(int)
 
 
 def phase_gradient(h: HydroFields) -> np.ndarray:
@@ -214,9 +256,13 @@ def phase_gradient(h: HydroFields) -> np.ndarray:
 
     An integer winding m adds a non-periodic ramp 2*pi*m*x/L to the
     unwrapped phase samples; the ramp is split off before differentiation
-    and its exact slope added back.
+    and its exact slope added back. A fractional wavenumber kappa is split
+    off (and added back) the same way, before the winding is read.
     """
-    return _phase_gradient_samples(h.S, h.grid)
+    dS = _phase_gradient_samples(_data_phase(h), h.grid)
+    if h.kappa.any():
+        dS += h.kappa[:, None]
+    return dS
 
 
 def density_gradient(h: HydroFields) -> np.ndarray:

@@ -74,8 +74,9 @@ class Grid1D:
         return inv
 
     @cached_property
-    def _k2(self) -> np.ndarray:
-        return self.k**2
+    def _neg_k2(self) -> np.ndarray:
+        # Second-derivative symbol -k^2.
+        return -(self.k**2)
 
 
 def make_grid(n_points: int, x_min: float, x_max: float) -> Grid1D:
@@ -95,14 +96,17 @@ def _check_field(f: np.ndarray, grid: Grid1D) -> np.ndarray:
 def derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Spectral first derivative; exact for band-limited periodic data."""
     f = _check_field(f, grid)
-    out = np.fft.ifft(grid._ik * np.fft.fft(f, axis=-1), axis=-1)
+    # one complex buffer, transformed in place
+    out = np.fft.fft(f, axis=-1)
+    out *= grid._ik
+    np.fft.ifft(out, axis=-1, out=out)
     return out.real if np.isrealobj(f) else out
 
 
 def second_derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Spectral second derivative (1-D Laplacian)."""
     f = _check_field(f, grid)
-    out = np.fft.ifft(-grid._k2 * np.fft.fft(f, axis=-1), axis=-1)
+    out = np.fft.ifft(grid._neg_k2 * np.fft.fft(f, axis=-1), axis=-1)
     return out.real if np.isrealobj(f) else out
 
 

@@ -68,8 +68,9 @@ class CoefficientTables:
 
     ``nonzero`` names the tables holding a nonzero entry, ``has_flux`` is
     whether Wim can be nonzero (c or D nonzero), and ``uses_phase`` whether
-    W reads the phase gradients (a, drift_self or drift_cross nonzero).
-    All three are fixed at construction.
+    W reads the phase gradients (a, drift_self or drift_cross nonzero);
+    ``D_diag`` and ``D_off`` split D into its diagonal and the rest. All
+    are fixed at construction.
     """
 
     const: np.ndarray  # (q,)
@@ -83,6 +84,8 @@ class CoefficientTables:
     nonzero: frozenset = field(init=False, repr=False, compare=False)
     has_flux: bool = field(init=False, repr=False, compare=False)
     uses_phase: bool = field(init=False, repr=False, compare=False)
+    D_diag: np.ndarray = field(init=False, repr=False, compare=False)  # (q,)
+    D_off: np.ndarray = field(init=False, repr=False, compare=False)  # (q, q)
 
     def __post_init__(self) -> None:
         nonzero = frozenset(n for n in _RANKS if np.count_nonzero(getattr(self, n)))
@@ -91,6 +94,9 @@ class CoefficientTables:
         object.__setattr__(
             self, "uses_phase", bool(nonzero & {"a", "drift_self", "drift_cross"})
         )
+        diag = np.diag(self.D)
+        object.__setattr__(self, "D_diag", diag)
+        object.__setattr__(self, "D_off", self.D - np.diag(diag))
 
     @classmethod
     def of(cls, q: int, **tables: np.ndarray) -> "CoefficientTables":
@@ -214,10 +220,8 @@ def eval_Wim_parts(
         return np.zeros_like(rho)
     if "D" not in tables.nonzero:
         return tables.c[:, None] * drho / rho
-    diag = np.diag(tables.D)
-    off = tables.D - np.diag(diag)
-    Wim = 2.0 * diag[:, None] * drho + off @ drho
-    rate = off @ rho
+    Wim = 2.0 * tables.D_diag[:, None] * drho + tables.D_off @ drho
+    rate = tables.D_off @ rho
     if "c" in tables.nonzero:
         rate += tables.c[:, None]
     Wim += rate * drho / rho

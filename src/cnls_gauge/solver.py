@@ -10,8 +10,10 @@ nonlinearity,
 
     dphi_k/dt = i A_k phi_k'' + i R_k phi_k.
 
-Hydrodynamic quantities are re-extracted (with fresh phase unwrapping)
-at every stage so that branch-cut artifacts never accumulate in dS/dx.
+Every stage reads rho, dS/dx and drho/dx afresh from the stage's fields,
+so branch-cut artifacts never accumulate in dS/dx: the Laplacian and
+drho/dx share one stacked FFT pair, and dS/dx comes from a jump-only
+unwrap of the phases (``fields._unwrap_rows``) and a pair of its own.
 
 A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
 evolves its periodic u_k with the symbol -(k + kappa_k)^2 and dS_u/dx +
@@ -34,9 +36,10 @@ from .fields import (
     phase_gradient,
     DEFAULT_FLOOR,
     _phase_gradient_samples,
+    _unwrap_rows,
 )
 from .gauge import TransformedSpec
-from .grid import Grid1D, derivative, integrate, second_derivative
+from .grid import Grid1D, derivative, integrate
 from .nonlinearity import (
     CoefficientTables,
     FamilySpec,
@@ -124,28 +127,15 @@ def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
     return 2.0 * np.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
 
 
-def _hydro_parts(
-    data: np.ndarray, grid: Grid1D, floor: float, tables: CoefficientTables
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Fast (rho, dS/dx, drho/dx) extraction with fresh unwrapping; dS/dx
-    only when the tables read it, drho/dx only when they have a flux.
-
-    Raises VacuumError when any node falls below the relative floor: the
-    nonlinear right-hand sides divide by rho and a spectral evaluation of
-    a near-vacuum phase would contaminate every node.
-    """
-    rho = data.real**2 + data.imag**2
-    peak = rho.max(axis=-1)
-    if np.any(peak <= 0.0):
-        raise VacuumError("species is identically zero (all-vacuum)")
-    if np.any(rho < floor * peak[:, None]):
-        raise VacuumError("density below floor during evolution")
-    dS = drho = None
-    if tables.uses_phase:
-        dS = _phase_gradient_samples(np.unwrap(np.angle(data), axis=-1), grid)
-    if tables.has_flux:
-        drho = derivative(rho, grid)
-    return rho, dS, drho
+def _transform_rows(rows: np.ndarray, *symbols: np.ndarray) -> np.ndarray:
+    """In place on complex ``rows``, split into equal blocks, one per
+    symbol: each block becomes ifft(symbol * fft(block)). Returns rows."""
+    np.fft.fft(rows, axis=-1, out=rows)
+    size = rows.shape[0] // len(symbols)
+    for b, symbol in enumerate(symbols):
+        rows[b * size:(b + 1) * size] *= symbol
+    np.fft.ifft(rows, axis=-1, out=rows)
+    return rows
 
 
 def _tendency(
@@ -157,25 +147,50 @@ def _tendency(
     kappa: np.ndarray | None = None,
     floor: float = DEFAULT_FLOOR,
 ) -> np.ndarray:
-    if kappa is None:
-        lap = second_derivative(data, grid)
-    else:
-        symbol = -((grid.k + kappa[:, None]) ** 2)
-        lap = np.fft.ifft(symbol * np.fft.fft(data, axis=-1), axis=-1)
+    """i A_k u_k'' + i (W_k + i Wim_k) u_k of one stage, u = ``data``.
+
+    The Laplacian of the q data rows and, when the tables have a flux, the
+    gradient of the q density rows come from one stacked FFT pair; dS/dx,
+    only when the tables read it, from a jump-only unwrap of the phases and
+    its own pair. Raises VacuumError when any node falls below the relative
+    floor: the nonlinear right-hand sides divide by rho and a spectral
+    evaluation of a near-vacuum phase would contaminate every node.
+    """
+    q = data.shape[0]
+    flux = tables.has_flux
+    if tables.nonzero:
+        rho = data.real**2 + data.imag**2
+        peak = rho.max(axis=-1)
+        if (peak <= 0.0).any():
+            raise VacuumError("species is identically zero (all-vacuum)")
+        if (rho.min(axis=-1) < floor * peak).any():
+            raise VacuumError("density below floor during evolution")
+        # dS/dx here and the shifted symbol below are freed as soon as they
+        # are read, so that no (q, n) temporary outlives its use
+        dS = None
+        if tables.uses_phase:
+            dS = _phase_gradient_samples(_unwrap_rows(np.angle(data)), grid)
+            if kappa is not None:
+                dS += kappa[:, None]
+        W = eval_W_parts(tables, rho, dS)
+        del dS
+    rows = np.empty((2 * q if flux else q, data.shape[1]), dtype=complex)
+    rows[:q] = data
+    symbols = [grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)]
+    if flux:
+        rows[q:] = rho
+        symbols.append(grid._ik)
+    lap = _transform_rows(rows, *symbols)[:q]
+    del symbols
     Ak = A.values[:, None]
     if not tables.nonzero:
         out = 1j * (Ak * lap)
+    elif flux:
+        Wim = eval_Wim_parts(tables, rho, rows[q:].real)
+        out = 1j * (Ak * lap) + (1j * W - Wim) * data
     else:
-        rho, dS, drho = _hydro_parts(data, grid, floor, tables)
-        if kappa is not None and dS is not None:
-            dS += kappa[:, None]
-        W = eval_W_parts(tables, rho, dS)
-        if tables.has_flux:
-            Wim = eval_Wim_parts(tables, rho, drho)
-            out = 1j * (Ak * lap) + (1j * W - Wim) * data
-        else:
-            out = 1j * (Ak * lap + W * data)
-    if not np.all(np.isfinite(out)):
+        out = 1j * (Ak * lap + W * data)
+    if not np.isfinite(out).all():
         raise BlowUpError(f"non-finite value in right-hand side at t={t}", t=t)
     return out
 

@@ -150,3 +150,38 @@ def test_phase_winding_and_gradient(grid256):
     assert list(phase_winding(h)) == [3, -2]
     dS = phase_gradient(h)
     assert np.abs(dS[0] - 3.0).max() < 1e-10
+
+
+def test_phase_gradient_adds_kappa(grid128):
+    # phi = exp(i 0.3 (x - x_min)): the samples' unwrapped phase does not
+    # close over the period; kappa is split off before the winding is read
+    h = to_hydro(ComplexFieldSet(np.ones((1, 128), dtype=complex), grid128, kappa=[0.3]))
+    assert h.kappa.tolist() == [0.3]
+    assert np.abs(phase_gradient(h) - 0.3).max() < 1e-12
+
+
+def test_hydro_fields_kappa_defaults_to_zero_and_checks_shape(grid128):
+    h = HydroFields(np.ones((2, 128)), np.zeros((2, 128)), grid128)
+    assert h.kappa.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="kappa"):
+        HydroFields(np.ones((2, 128)), np.zeros((2, 128)), grid128, kappa=[0.1])
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3, -0.45])
+def test_vacuum_interpolation_across_the_seam_keeps_the_winding(grid128, kappa):
+    # |sin(x/2)| e^{ix} vanishes only at node 0; its phase x winds once, and
+    # with kappa the samples' phase (1 + kappa) x closes to 2 pi + kappa L
+    x = grid128.x
+    data = (np.abs(np.sin(x / 2)) * np.exp(1j * x))[None, :]
+    h = to_hydro(ComplexFieldSet(data, grid128, kappa=[kappa]))
+    assert np.nonzero(h.vacuum[0])[0].tolist() == [0]
+    assert abs(h.S[0, 0]) < 1e-12
+    assert phase_winding(h).tolist() == [1]
+    assert np.abs(phase_gradient(h) - (1.0 + kappa)).max() < 1e-12
+
+
+def test_phase_winding_splits_off_kappa(grid128):
+    # exp(i (2 + 0.6) x): winding 2 of the periodic data, not rint(2.6)
+    data = np.exp(2j * grid128.x)[None, :]
+    h = to_hydro(ComplexFieldSet(data, grid128, kappa=[0.6]))
+    assert phase_winding(h).tolist() == [2]

@@ -334,6 +334,15 @@ def test_current_phi_forms(grid256):
     assert np.abs(J - 2.0 * kmode).max() < 1e-10
 
 
+@pytest.mark.parametrize("kmode, kappa", [(2, 0.3), (-3, -0.45), (0, 0.25)])
+def test_current_phi_of_shifted_plane_wave(grid128, kmode, kappa):
+    # 2 exp(i kmode x) with kappa is the field 2 exp(i (kmode + kappa) x)
+    data = 2.0 * np.exp(1j * kmode * grid128.x)[None, :]
+    h = to_hydro(ComplexFieldSet(data, grid128, kappa=[kappa]))
+    J = current_phi(h, DispersionMatrix([1.5]))
+    assert np.abs(J - 2.0 * 1.5 * 4.0 * (kmode + kappa)).max() < 1e-11
+
+
 def test_currents_agree_across_gauge(grid256):
     # J computed on the transformed state equals j on the original state,
     # because dS_phi = dS_psi + F/(A rho).
