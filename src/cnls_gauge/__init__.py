@@ -50,9 +50,6 @@ from .gauge import (
     cole_hopf_G,
     curl_residual_2d,
     transformed_spec,
-    transformed_spec_drift,
-    transformed_spec_derivative,
-    transformed_spec_linear,
     eval_transformed,
     eval_R_numeric,
 )
@@ -94,9 +91,7 @@ __all__ = [
     # gauge
     "GaugeGenerator", "TransformedSpec", "Grid2D", "compute_generator",
     "apply_gauge", "invert_gauge", "phase_relation_residual", "cole_hopf_G",
-    "curl_residual_2d", "transformed_spec", "transformed_spec_drift",
-    "transformed_spec_derivative",
-    "transformed_spec_linear", "eval_transformed", "eval_R_numeric",
+    "curl_residual_2d", "transformed_spec", "eval_transformed", "eval_R_numeric",
     # classify
     "SpecialCase", "classify_q1", "case1_coeffs", "case2_coeffs", "case3_coeffs",
     # solver

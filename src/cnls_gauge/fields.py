@@ -208,11 +208,12 @@ def to_hydro(psi: ComplexFieldSet, floor: float = DEFAULT_FLOOR) -> HydroFields:
 
 
 def from_hydro(h: HydroFields) -> ComplexFieldSet:
-    """Rebuild the complex fields rho^(1/2) exp(i S)."""
+    """Rebuild the complex fields rho^(1/2) exp(i S): periodic data
+    rho^(1/2) exp(i (S - kappa (x - x_min))) carrying h's kappa."""
     if np.any(h.rho < 0.0):
         raise ValueError("negative density")
-    data = np.sqrt(h.rho) * np.exp(1j * h.S)
-    return ComplexFieldSet(data=data, grid=h.grid)
+    data = np.sqrt(h.rho) * np.exp(1j * _data_phase(h))
+    return ComplexFieldSet(data=data, grid=h.grid, kappa=h.kappa)
 
 
 def norms(h: HydroFields) -> np.ndarray:

@@ -38,7 +38,6 @@ from .grid import Grid1D, antiderivative_parts, derivative
 from .nonlinearity import (
     CoefficientTables,
     FamilySpec,
-    LinearSpec,
     eval_F_parts,
     eval_flux_rate,
     eval_W_parts,
@@ -56,9 +55,6 @@ __all__ = [
     "cole_hopf_G",
     "curl_residual_2d",
     "transformed_spec",
-    "transformed_spec_drift",
-    "transformed_spec_derivative",
-    "transformed_spec_linear",
     "eval_transformed",
     "eval_R_numeric",
     "RAMP_PERIOD_TOL",
@@ -343,15 +339,6 @@ def transformed_spec(spec: FamilySpec, A: DispersionMatrix) -> TransformedSpec:
         ),
         const_shift=t.const - (t.a * t.c + t.c**2) / Ak,
     )
-
-
-transformed_spec_drift = transformed_spec
-transformed_spec_derivative = transformed_spec
-
-
-def transformed_spec_linear(spec: LinearSpec) -> TransformedSpec:
-    """Transformed coefficients of the trivial linear system (all zero)."""
-    return TransformedSpec.zeros(spec.q)
 
 
 def eval_transformed(tspec: TransformedSpec, h: HydroFields) -> np.ndarray:

@@ -18,6 +18,9 @@ unwrap of the phases (``fields._unwrap_rows``) and a pair of its own.
 A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
 evolves its periodic u_k with the symbol -(k + kappa_k)^2 and dS_u/dx +
 kappa_k; at kappa = 0 that is exactly the unshifted stage.
+
+``evolve`` checks the continuity law with d(rho_k)/dt = 2 Re(conj(u_k) u_t)
+from the stage tendency, so it never steps outside [t0, t_end].
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class SimState:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Sampled conservation diagnostics; norm_drift is relative to t = 0."""
+    """Sampled conservation diagnostics; norm_drift is relative to t = 0 and
+    continuity_residual is sup_x |2 Re(conj(u_k) du_k/dt) + dj_k/dx|."""
 
     t: float
     norms: np.ndarray
@@ -253,11 +257,14 @@ def current_phi(h: HydroFields, A: DispersionMatrix) -> np.ndarray:
 
 
 def _current_from_fields(
-    spec: SystemSpec, fields: ComplexFieldSet, A: DispersionMatrix
+    spec: SystemSpec, fields: ComplexFieldSet, A: DispersionMatrix, grad=None
 ) -> np.ndarray:
-    # Vacuum-safe current: rho * dS/dx == Im(conj(f) df/dx) needs no division.
+    # Vacuum-safe current: rho * dS/dx == Im(conj(f) df/dx) needs no division;
+    # grad, when the caller has it, is df/dx of the data.
     data = fields.data
-    momentum = np.imag(np.conj(data) * derivative(data, fields.grid))
+    if grad is None:
+        grad = derivative(data, fields.grid)
+    momentum = np.imag(np.conj(data) * grad)
     if fields.kappa.any():
         momentum += fields.kappa[:, None] * (data.real**2 + data.imag**2)
     current = 2.0 * A.values[:, None] * momentum
@@ -295,18 +302,20 @@ def _norms_of(fields: ComplexFieldSet) -> np.ndarray:
     return np.atleast_1d(integrate(np.abs(fields.data) ** 2, fields.grid))
 
 
-def _record(
-    left: SimState, mid: SimState, right: SimState, norms0: np.ndarray
-) -> DiagnosticsRecord:
-    n = _norms_of(mid.fields)
+def _record(state: SimState, norms0: np.ndarray) -> DiagnosticsRecord:
+    f = state.fields
+    n = _norms_of(f)
     drift = np.where(norms0 > 0.0, (n - norms0) / np.where(norms0 > 0, norms0, 1.0), 0.0)
-    grad = derivative(mid.fields.data, mid.fields.grid)
-    if mid.fields.kappa.any():
-        grad += 1j * mid.fields.kappa[:, None] * mid.fields.data
-    energy = np.atleast_1d(integrate(np.abs(grad) ** 2, mid.fields.grid))
-    res = continuity_residual((left, mid, right), mid.spec, mid.A)
+    grad = derivative(f.data, f.grid)
+    # d(rho)/dt = 2 Re(conj(u) u_t) with u_t the tendency the march steps on
+    drho_dt = 2.0 * np.real(np.conj(f.data) * rhs(state).data)
+    current = _current_from_fields(state.spec, f, state.A, grad)
+    res = np.abs(drho_dt + derivative(current, f.grid)).max(axis=-1)
+    if f.kappa.any():
+        grad += 1j * f.kappa[:, None] * f.data
+    energy = np.atleast_1d(integrate(np.abs(grad) ** 2, f.grid))
     return DiagnosticsRecord(
-        t=mid.t,
+        t=state.t,
         norms=n,
         norm_drift=drift,
         continuity_residual=res,
@@ -314,21 +323,21 @@ def _record(
     )
 
 
-def _march(initial: SimState, dt: float, n_steps: int, sample_every: int, extra: int = 0):
-    """Step ``initial`` n_steps + extra times, yielding (state, sampled) for
-    the initial state and after every step.
+def _march(initial: SimState, dt: float, n_steps: int, sample_every: int):
+    """Step ``initial`` n_steps times, yielding (state, sampled) for the
+    initial state and after every step.
 
     Sampled are step 0, every multiple of ``sample_every`` and step
-    ``n_steps``; the ``extra`` steps past it never are. Every step takes
-    the blow-up threshold BLOWUP_FACTOR times the initial peak magnitude.
+    ``n_steps``. Every step takes the blow-up threshold BLOWUP_FACTOR times
+    the initial peak magnitude.
     """
     peak0 = float(np.abs(initial.fields.data).max())
     max_abs = BLOWUP_FACTOR * peak0 if peak0 > 0 else None
     state = initial
-    for i in range(n_steps + extra + 1):
+    for i in range(n_steps + 1):
         if i:
             state = step(state, dt, max_abs=max_abs)
-        yield state, i <= n_steps and (i % sample_every == 0 or i == n_steps)
+        yield state, i % sample_every == 0 or i == n_steps
 
 
 def evolve(
@@ -338,15 +347,18 @@ def evolve(
     sample_every: int = 1,
     on_sample=None,
 ) -> tuple[SimState, list[DiagnosticsRecord]]:
-    """March to t_end with fixed steps, sampling diagnostics periodically.
+    """March to t_end in exactly n_steps = (t_end - t0)/dt fixed steps,
+    sampling diagnostics periodically.
 
     Samples are taken at step multiples of ``sample_every`` and at the
-    final step. Each record's continuity residual uses the neighbouring
-    steps (one extra step is taken past t_end, and one backwards from the
-    initial state, purely for the centered differences). ``on_sample``,
-    when given, is called with each sampled state (snapshot hooks). A
-    BlowUpError or VacuumError raised on the way carries the diagnostics
-    collected so far as ``diagnostics``.
+    final step. Each record reads its state alone: norms, drift, the
+    energy proxy and the instantaneous continuity residual
+    sup|2 Re(conj(u) u_t) + dj/dx| with u_t from ``rhs``. A sampled state
+    is recorded once the following step exists (the final state after the
+    last step), so a step is always the first work of a march.
+    ``on_sample``, when given, is called with each recorded state
+    (snapshot hooks). A BlowUpError or VacuumError raised on the way
+    carries the diagnostics collected so far as ``diagnostics``.
     """
     if not t_end > initial.t:
         raise ValueError("t_end must exceed the initial time")
@@ -364,21 +376,20 @@ def evolve(
     norms0 = _norms_of(initial.fields)
 
     records: list[DiagnosticsRecord] = []
+
+    def sample(state: SimState) -> None:
+        records.append(_record(state, norms0))
+        if on_sample is not None:
+            on_sample(state)
+
     try:
-        back = step(initial, -dt)
-        # A sampled state is recorded once the next state exists, so the
-        # march ends one step past t_end and the final state is `prev`.
-        # Keeping `back` and `left` referenced is measured: at n = 4096,
-        # freeing them sooner raised page faults per solve from 7k to 11k.
-        prev, cur, cur_sampled = None, None, False
-        for nxt, sampled in _march(initial, dt, n_steps, sample_every, extra=1):
-            if cur_sampled:
-                left = back if prev is None else prev
-                records.append(_record(left, cur, nxt, norms0))
-                if on_sample is not None:
-                    on_sample(cur)
-            prev, cur, cur_sampled = cur, nxt, sampled
+        pending = None
+        for state, sampled in _march(initial, dt, n_steps, sample_every):
+            if pending is not None:
+                sample(pending)
+            pending = state if sampled else None
+        sample(state)
     except (BlowUpError, VacuumError) as err:
         err.diagnostics = records
         raise
-    return prev, records
+    return state, records

@@ -7,8 +7,11 @@ from cnls_gauge import (
     DispersionMatrix,
     DriftCubicSpec,
     HydroFields,
+    apply_gauge,
+    compute_generator,
     from_hydro,
     make_grid,
+    to_hydro,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -71,3 +74,29 @@ def random_drift_cubic_spec(rng, q, scale=1.0) -> DriftCubicSpec:
 def random_dispersion(rng, q) -> DispersionMatrix:
     signs = rng.choice([-1.0, 1.0], q)
     return DispersionMatrix(values=signs * rng.uniform(0.5, 2.0, q))
+
+
+def fractional_winding_setup(grid):
+    """A gauged derivative-family state whose generator ramps wind a
+    fractional number of times, so phi carries kappa = (0.194, -0.44).
+
+    psi = (1 + 0.3 e^{ix} + 0.1 e^{-2ix}, 0.8 + 0.2 e^{3ix}) has mean
+    densities (1.1, 0.68); with A = (1, 0.5) and delta = [[0.3, -0.2],
+    [0.1, 0.25]] the ramp windings are (0.194, 0.56). Returns
+    (phi, spec, gen, A).
+    """
+    x = grid.x
+    psi = ComplexFieldSet(
+        np.array([1.0 + 0.3 * np.exp(1j * x) + 0.1 * np.exp(-2j * x),
+                  0.8 + 0.2 * np.exp(3j * x)]),
+        grid,
+    )
+    A = DispersionMatrix([1.0, 0.5])
+    spec = DerivativeSpec(
+        beta=[[0.2, -0.1], [0.15, 0.3]],
+        gamma=[[-0.1, 0.2], [0.25, -0.15]],
+        delta=[[0.3, -0.2], [0.1, 0.25]],
+        lam=[[[0.1, -0.05], [0.0, 0.08]], [[-0.06, 0.0], [0.04, 0.1]]],
+    )
+    gen = compute_generator(spec, to_hydro(psi), A)
+    return apply_gauge(psi, gen), spec, gen, A

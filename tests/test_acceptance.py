@@ -31,8 +31,7 @@ from cnls_gauge import (
     load_config,
     make_grid,
     step,
-    transformed_spec_derivative,
-    transformed_spec_drift,
+    transformed_spec,
     SpecialCase,
 )
 from cnls_gauge.cli import run_convergence, run_equivalence
@@ -140,10 +139,10 @@ def test_criterion_4_coefficient_form_consistency():
             A = random_dispersion(rng, q)
             if family == "drift_cubic":
                 spec = random_drift_cubic_spec(rng, q)
-                tspec = transformed_spec_drift(spec, A)
+                tspec = transformed_spec(spec, A)
             else:
                 spec = random_derivative_spec(rng, q)
-                tspec = transformed_spec_derivative(spec, A)
+                tspec = transformed_spec(spec, A)
             gen = compute_generator(spec, h_phi, A)
             J = current_phi(h_phi, A)
             R_num = eval_R_numeric(spec, h_phi, gen, A, J)
@@ -165,7 +164,7 @@ def test_criterion_5_case_reductions():
         for trial in range(10):
             A = DispersionMatrix(rng.choice([-1.0, 1.0], q) * rng.uniform(0.5, 2.0, q))
             delta = rng.uniform(-1.5, 1.5, (q, q))
-            ts1 = transformed_spec_derivative(case1_coeffs(delta, A), A)
+            ts1 = transformed_spec(case1_coeffs(delta, A), A)
             worst1 = max(
                 worst1,
                 float(max(np.abs(ts1.drift_self).max(), np.abs(ts1.drift_cross).max(),
@@ -173,7 +172,7 @@ def test_criterion_5_case_reductions():
             )
             beta_diag = rng.uniform(-1.5, 1.5, q)
             spec2, eta2 = case2_coeffs(delta, beta_diag, A)
-            ts2 = transformed_spec_derivative(spec2, A)
+            ts2 = transformed_spec(spec2, A)
             off = ts2.drift_self - np.diag(np.diag(ts2.drift_self))
             worst2 = max(
                 worst2,
@@ -186,7 +185,7 @@ def test_criterion_5_case_reductions():
             )
             gamma = rng.uniform(-1.5, 1.5, (q, q))
             spec3, eta3 = case3_coeffs(delta, gamma, A)
-            ts3 = transformed_spec_derivative(spec3, A)
+            ts3 = transformed_spec(spec3, A)
             worst3 = max(
                 worst3,
                 float(max(np.abs(ts3.drift_self).max(), np.abs(ts3.quartic).max())),
@@ -266,7 +265,7 @@ def test_criterion_8_gauge_equivalence_end_to_end():
 def test_criterion_9_linear_exactness():
     grid = make_grid(256, 0.0, TWO_PI)
     A = DispersionMatrix([1.0])
-    tspec = transformed_spec_derivative(case1_coeffs([[0.7]], A), A)
+    tspec = transformed_spec(case1_coeffs([[0.7]], A), A)
     dt = 1.25e-4
     worst = 0.0
     for kmode in (1, 2, 3):

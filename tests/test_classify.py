@@ -8,7 +8,7 @@ from cnls_gauge import (
     case2_coeffs,
     case3_coeffs,
     classify_q1,
-    transformed_spec_derivative,
+    transformed_spec,
 )
 
 
@@ -68,7 +68,7 @@ def test_case1_scalar_example():
     assert spec.beta[0, 0] == -2.0
     assert spec.gamma[0, 0] == 2.0
     assert spec.lam[0, 0, 0] == 1.0
-    ts = transformed_spec_derivative(spec, A)
+    ts = transformed_spec(spec, A)
     for table in (ts.drift_self, ts.drift_cross, ts.quartic, ts.const_shift):
         assert np.abs(table).max() < 1e-15
 
@@ -79,7 +79,7 @@ def test_case1_soundness_random(q):
     for trial in range(50):
         A = DispersionMatrix(rng.choice([-1, 1], q) * rng.uniform(0.5, 2.0, q))
         spec = case1_coeffs(rng.uniform(-2, 2, (q, q)), A)
-        ts = transformed_spec_derivative(spec, A)
+        ts = transformed_spec(spec, A)
         for table in (ts.drift_self, ts.drift_cross, ts.quartic):
             assert np.abs(table).max() < 1e-12
 
@@ -108,7 +108,7 @@ def test_case2_decoupling_random(q):
         delta = rng.uniform(-1, 1, (q, q))
         beta_diag = rng.uniform(-1, 1, q)
         spec, eta = case2_coeffs(delta, beta_diag, A)
-        ts = transformed_spec_derivative(spec, A)
+        ts = transformed_spec(spec, A)
         off_diag = ts.drift_self - np.diag(np.diag(ts.drift_self))
         assert np.abs(off_diag).max() < 1e-12
         assert np.abs(ts.drift_cross).max() < 1e-12
@@ -144,7 +144,7 @@ def test_case3_current_coupling_random(q):
         delta = rng.uniform(-1, 1, (q, q))
         gamma = rng.uniform(-1, 1, (q, q))
         spec, eta = case3_coeffs(delta, gamma, A)
-        ts = transformed_spec_derivative(spec, A)
+        ts = transformed_spec(spec, A)
         assert np.abs(ts.drift_self).max() < 1e-12
         assert np.abs(ts.quartic).max() < 1e-12
         # drift_cross expresses sum_j eta_kj J_j with J_j = 2 A_j rho_j dS_j

@@ -139,6 +139,34 @@ def test_simulate_family_b_sample_row_count(tmp_path):
     assert rows[0][:3] == ["t", "N_1", "N_2"]
 
 
+def test_simulate_family_b_sample_continuity_residual_is_roundoff(tmp_path):
+    # instantaneous residual; a centred time difference read 4e-10 here
+    out = tmp_path / "fb"
+    status = main(["simulate", str(CONFIGS / "family_b_sample.json"), "--output-dir", str(out)])
+    assert status == 0
+    rows = read_csv(out / "diagnostics.csv")
+    assert rows[0][-2:] == ["cont_res_1", "cont_res_2"]
+    assert max(float(v) for v in rows[-1][-2:]) <= 1e-11
+
+
+def test_simulate_steps_before_writing_any_snapshot(tmp_path, monkeypatch):
+    # a step is the first work of the march: sample 0 is recorded (and its
+    # snapshot written) only once the step after it exists
+    import cnls_gauge.solver as solver
+
+    class Sentinel(Exception):
+        pass
+
+    def first_step(*args, **kwargs):
+        raise Sentinel
+
+    monkeypatch.setattr(solver, "step", first_step)
+    out = tmp_path / "fb"
+    with pytest.raises(Sentinel):
+        main(["simulate", str(CONFIGS / "family_b_sample.json"), "--output-dir", str(out)])
+    assert not list(out.glob("snapshot_*.raw"))
+
+
 def test_simulate_mismatched_dispersion_exits_1(tmp_path):
     payload = small_linear_config(tmp_path)
     payload["q"] = 2

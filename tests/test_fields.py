@@ -180,6 +180,19 @@ def test_vacuum_interpolation_across_the_seam_keeps_the_winding(grid128, kappa):
     assert np.abs(phase_gradient(h) - (1.0 + kappa)).max() < 1e-12
 
 
+@pytest.mark.parametrize("kappa", [0.3, -0.45])
+def test_from_hydro_round_trip_keeps_kappa(grid128, kappa):
+    x = grid128.x
+    data = ((1.0 + 0.2 * np.cos(x)) * np.exp(2j * x + 0.1j * np.sin(x)))[None, :]
+    h = to_hydro(ComplexFieldSet(data, grid128, kappa=[kappa]))
+    back = from_hydro(h)
+    assert back.kappa.tolist() == [kappa]
+    assert np.abs(back.data - data).max() < 1e-14
+    dS = phase_gradient(to_hydro(back))
+    assert np.abs(dS - phase_gradient(h)).max() < 1e-12
+    assert np.abs(dS - (2.0 + kappa + 0.1 * np.cos(x))).max() < 1e-12
+
+
 def test_phase_winding_splits_off_kappa(grid128):
     # exp(i (2 + 0.6) x): winding 2 of the periodic data, not rint(2.6)
     data = np.exp(2j * grid128.x)[None, :]

@@ -28,11 +28,15 @@ from cnls_gauge import (
     invert_gauge,
     phase_relation_residual,
     to_hydro,
-    transformed_spec_derivative,
-    transformed_spec_drift,
+    transformed_spec,
 )
 
-from conftest import band_limited_hydro, band_limited_state, random_derivative_spec
+from conftest import (
+    band_limited_hydro,
+    band_limited_state,
+    fractional_winding_setup,
+    random_derivative_spec,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -267,7 +271,7 @@ def test_curl_residual_shape_mismatch():
 
 def test_transformed_drift_zero_delta_passthrough():
     spec = DriftCubicSpec(delta=[0.0, 0.0], gamma=[1.5, -0.5])
-    ts = transformed_spec_drift(spec, DispersionMatrix([1.0, 2.0]))
+    ts = transformed_spec(spec, DispersionMatrix([1.0, 2.0]))
     assert np.abs(ts.const_shift).max() == 0.0
     assert np.abs(ts.drift_self).max() == 0.0
     assert np.abs(ts.quartic).max() == 0.0
@@ -280,12 +284,12 @@ def test_transformed_drift_zero_delta_passthrough():
 def test_transformed_drift_constant_shift():
     # The drift is absorbed into the constant delta^2/(4A): completing the
     # square of the first-order term, verified against eval_R_numeric below.
-    ts = transformed_spec_drift(
+    ts = transformed_spec(
         DriftCubicSpec(delta=[2.0], gamma=[0.0]), DispersionMatrix([1.0])
     )
     assert abs(ts.const_shift[0] - 1.0) < 1e-15
 
-    ts2 = transformed_spec_drift(
+    ts2 = transformed_spec(
         DriftCubicSpec(delta=[1.0], gamma=[3.0]), DispersionMatrix([0.5])
     )
     assert abs(ts2.const_shift[0] - 0.5) < 1e-15
@@ -299,7 +303,7 @@ def test_transformed_derivative_zero_delta_passthrough():
     gamma = rng.uniform(-1, 1, (q, q))
     lam = rng.uniform(-1, 1, (q, q, q))
     spec = DerivativeSpec(beta=beta, gamma=gamma, delta=np.zeros((q, q)), lam=lam)
-    ts = transformed_spec_derivative(spec, DispersionMatrix([1.0, 2.0]))
+    ts = transformed_spec(spec, DispersionMatrix([1.0, 2.0]))
     assert np.abs(ts.drift_self - beta).max() < 1e-15
     assert np.abs(ts.drift_cross - gamma).max() < 1e-15
     assert np.abs(ts.quartic - lam).max() < 1e-15
@@ -314,7 +318,7 @@ def test_transformed_derivative_chen_lee_liu():
     spec = DerivativeSpec(
         beta=[[-2.0]], gamma=[[-2.0]], delta=[[1.0]], lam=[[[0.0]]]
     )
-    ts = transformed_spec_derivative(spec, DispersionMatrix([1.0]))
+    ts = transformed_spec(spec, DispersionMatrix([1.0]))
     assert abs(ts.drift_self[0, 0]) < 1e-15
     assert abs(ts.drift_cross[0, 0] + 4.0) < 1e-15
     assert abs(ts.quartic[0, 0, 0] - 3.0) < 1e-15
@@ -324,7 +328,7 @@ def test_transformed_derivative_case1_all_zero():
     rng = np.random.default_rng(10)
     A = DispersionMatrix([1.0, -1.5, 0.5])
     spec = case1_coeffs(rng.uniform(-1, 1, (3, 3)), A)
-    ts = transformed_spec_derivative(spec, A)
+    ts = transformed_spec(spec, A)
     for table in (ts.drift_self, ts.drift_cross, ts.cubic, ts.quartic, ts.const_shift):
         assert np.abs(table).max() < 1e-12
 
@@ -357,7 +361,7 @@ def test_eval_R_numeric_drift_cubic_matches_coefficients_exactly(grid256):
     h_phi = to_hydro(phi)
     J = current_phi(h_phi, A)
     R = eval_R_numeric(spec, h_phi, gen, A, J)
-    R_coeff = eval_transformed(transformed_spec_drift(spec, A), h_phi)
+    R_coeff = eval_transformed(transformed_spec(spec, A), h_phi)
     assert np.abs(R - R_coeff).max() < 1e-8
 
 
@@ -370,7 +374,7 @@ def test_eval_R_numeric_derivative_constant_offset(grid256):
     h_phi = to_hydro(phi)
     J = current_phi(h_phi, A)
     R = eval_R_numeric(spec, h_phi, gen, A, J)
-    R_coeff = eval_transformed(transformed_spec_derivative(spec, A), h_phi)
+    R_coeff = eval_transformed(transformed_spec(spec, A), h_phi)
     diff = R - R_coeff
     wobble = np.abs(diff - diff.mean(axis=-1, keepdims=True)).max()
     assert wobble < 1e-8
@@ -380,6 +384,16 @@ def test_eval_R_numeric_derivative_constant_offset(grid256):
     j = current_psi(spec, h_psi, A)
     predicted = (spec.delta @ j[:, gen.anchor]) / A.values
     assert np.abs(diff.mean(axis=-1) - predicted).max() < 1e-8
+
+
+def test_eval_R_numeric_on_fractional_windings_up_to_a_constant(grid256):
+    phi, spec, gen, A = fractional_winding_setup(grid256)
+    assert np.abs(phi.kappa - [0.194, -0.44]).max() < 1e-12
+    h_phi = to_hydro(phi)
+    R = eval_R_numeric(spec, h_phi, gen, A, current_phi(h_phi, A))
+    R_coeff = eval_transformed(transformed_spec(spec, A), h_phi)
+    diff = R - R_coeff
+    assert np.abs(diff - diff.mean(axis=-1, keepdims=True)).max() < 1e-13
 
 
 def test_transformed_spec_eval_matches_manual(grid256):

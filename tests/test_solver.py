@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cnls_gauge.solver as solver
 from cnls_gauge import (
     BlowUpError,
     ComplexFieldSet,
@@ -25,8 +26,10 @@ from cnls_gauge import (
     stability_bound,
     step,
     to_hydro,
-    transformed_spec_derivative,
+    transformed_spec,
 )
+
+from conftest import fractional_winding_setup
 
 TWO_PI = 2.0 * np.pi
 
@@ -181,7 +184,7 @@ def test_evolve_shifted_plane_wave_diagnostics(grid128):
 
 def test_rhs_phi_case1_equals_linear(grid256):
     A = DispersionMatrix([1.0])
-    tspec = transformed_spec_derivative(case1_coeffs([[0.8]], A), A)
+    tspec = transformed_spec(case1_coeffs([[0.8]], A), A)
     phi = plane_wave_state(grid256, 2, tspec, A, amplitude=0.5, tag="phi")
     linear = plane_wave_state(grid256, 2, LinearSpec(q=1), A, amplitude=0.5)
     assert np.array_equal(rhs(phi).data, rhs(linear).data)
@@ -468,6 +471,33 @@ def test_evolve_row_count_and_determinism(grid128):
         assert np.array_equal(a.continuity_residual, b.continuity_residual)
 
 
+def test_evolve_takes_exactly_n_steps(grid128, monkeypatch):
+    calls = []
+    real_step = solver.step
+
+    def counting_step(state, dt, max_abs=None):
+        calls.append(dt)
+        return real_step(state, dt, max_abs=max_abs)
+
+    monkeypatch.setattr(solver, "step", counting_step)
+    state = plane_wave_state(grid128, 1, LinearSpec(q=1), DispersionMatrix([1.0]))
+    final, records = evolve(state, 5e-4, 0.1, sample_every=20)
+    assert calls == [5e-4] * 200
+    assert final.t == pytest.approx(0.1)
+    assert len(records) == 200 // 20 + 1
+
+
+def test_evolve_continuity_residual_is_instantaneous_on_fractional_windings(grid256):
+    # a centred time difference would read about 4e-7 here at dt = 1e-4
+    phi, spec, _, A = fractional_winding_setup(grid256)
+    assert np.abs(phi.kappa - [0.194, -0.44]).max() < 1e-12
+    state = SimState(0.0, phi, "phi", transformed_spec(spec, A), A)
+    _, records = evolve(state, 1e-4, 0.05, sample_every=100)
+    assert len(records) == 6
+    for r in records:
+        assert r.continuity_residual.max() <= 1e-10
+
+
 def test_evolve_blow_up_carries_partial_diagnostics(grid256):
     # dt far above the stability bound excites runaway Nyquist-region modes
     A = DispersionMatrix([1.0])
@@ -525,7 +555,7 @@ def test_family_b_equivalence_up_to_global_phase(grid128):
     A = DispersionMatrix([1.0, 1.0])
     gen0 = compute_generator(spec, to_hydro(psi0), A)
     phi0 = apply_gauge(psi0, gen0)
-    tspec = transformed_spec_derivative(spec, A)
+    tspec = transformed_spec(spec, A)
 
     sp = SimState(0.0, psi0, "psi", spec, A)
     sf = SimState(0.0, phi0, "phi", tspec, A)
