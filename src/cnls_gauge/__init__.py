@@ -27,7 +27,6 @@ from .fields import (
     norms,
     phase_winding,
     phase_gradient,
-    density_gradient,
 )
 from .nonlinearity import (
     CoefficientTables,
@@ -50,7 +49,6 @@ from .gauge import (
     cole_hopf_G,
     curl_residual_2d,
     transformed_spec,
-    eval_transformed,
     eval_R_numeric,
 )
 from .classify import (
@@ -67,8 +65,7 @@ from .solver import (
     rhs,
     step,
     evolve,
-    current_psi,
-    current_phi,
+    current,
     continuity_residual,
     stability_bound,
 )
@@ -83,7 +80,6 @@ __all__ = [
     # fields
     "VacuumError", "DispersionMatrix", "ComplexFieldSet", "HydroFields",
     "to_hydro", "from_hydro", "norms", "phase_winding", "phase_gradient",
-    "density_gradient",
     # nonlinearity
     "CoefficientTables", "LinearSpec", "DriftCubicSpec", "DerivativeSpec",
     "FamilySpec",
@@ -91,12 +87,12 @@ __all__ = [
     # gauge
     "GaugeGenerator", "TransformedSpec", "Grid2D", "compute_generator",
     "apply_gauge", "invert_gauge", "phase_relation_residual", "cole_hopf_G",
-    "curl_residual_2d", "transformed_spec", "eval_transformed", "eval_R_numeric",
+    "curl_residual_2d", "transformed_spec", "eval_R_numeric",
     # classify
     "SpecialCase", "classify_q1", "case1_coeffs", "case2_coeffs", "case3_coeffs",
     # solver
     "SimState", "DiagnosticsRecord", "BlowUpError", "rhs", "step", "evolve",
-    "current_psi", "current_phi", "continuity_residual", "stability_bound",
+    "current", "continuity_residual", "stability_bound",
     # config
     "ConfigError", "RunConfig", "load_config", "dumps_config",
     # report

@@ -114,20 +114,16 @@ def case2_coeffs(
 
     Returns the spec together with eta_k = (beta_kk + 2 delta_kk)/(2 A_k).
     """
-    delta = _as_delta(delta, A)
+    base = case1_coeffs(delta, A)
+    delta = base.delta
     q = A.q
     Ak = A.values
     beta_diag = np.atleast_1d(np.asarray(beta_diag, dtype=float))
     if beta_diag.shape != (q,):
         raise ValueError(f"beta_diag must have shape {(q,)}, got {beta_diag.shape}")
-    beta = -2.0 * delta
+    beta = base.beta.copy()
     beta[np.arange(q), np.arange(q)] = beta_diag
-    gamma = 2.0 * delta * Ak[None, :] / Ak[:, None]
-    lam = (
-        delta[:, :, None]
-        * (2.0 * delta[None, :, :] - delta[:, None, :])
-        / Ak[:, None, None]
-    )
+    lam = base.lam.copy()
     dkk = delta[np.arange(q), np.arange(q)]
     for k in range(q):
         for j in range(q):
@@ -142,7 +138,7 @@ def case2_coeffs(
                     delta[k, j] * (beta_diag[k] + dkk[k] + 2.0 * delta[j, k]) / Ak[k]
                 )
     eta = (beta_diag + 2.0 * dkk) / (2.0 * Ak)
-    return DerivativeSpec(beta=beta, gamma=gamma, delta=delta, lam=lam), eta
+    return DerivativeSpec(beta=beta, gamma=base.gamma, delta=delta, lam=lam), eta
 
 
 def case3_coeffs(

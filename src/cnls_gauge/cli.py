@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -84,7 +85,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     A = cfg.build_dispersion()
     spec = cfg.build_family_spec()
     psi0 = cfg.build_initial(grid)
-    state = SimState(t=0.0, fields=psi0, system_tag="psi", spec=spec, A=A)
+    state = SimState(t=0.0, fields=psi0, spec=spec, A=A)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     snap_index = 0
@@ -175,7 +176,9 @@ def cmd_classify(beta: str, gamma: str, delta: str, lam: str) -> int:
         try:
             values[name] = float(text)
         except (TypeError, ValueError):
-            raise ConfigError(name, f"expected a number, got {text!r}") from None
+            values[name] = math.nan
+        if not math.isfinite(values[name]):
+            raise ConfigError(name, f"expected a finite number, got {text!r}")
     labels = classify_q1(values["beta"], values["gamma"], values["delta"], values["lambda"])
     for label in _LABEL_ORDER:
         if label in labels:
@@ -305,8 +308,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.output_dir is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
         if args.tolerance is not None:
-            if args.tolerance <= 0:
-                raise ConfigError("tolerance", "must be > 0")
+            if not 0 < args.tolerance < math.inf:
+                raise ConfigError("tolerance", "must be finite and > 0")
             cfg = dataclasses.replace(cfg, tolerance=args.tolerance)
         if args.dump_config:
             print(dumps_config(cfg))

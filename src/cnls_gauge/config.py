@@ -14,13 +14,14 @@ The grammar (documented in the README) is a single JSON object:
     system, output_dir, tolerance
     phi_coefficients  optional explicit transformed tables (verify only)
 
-Parsed configs are plain-value dataclasses so that a dumped config
-reparses to an equal object.
+Every number must be finite. Parsed configs are plain-value dataclasses
+so that a dumped config reparses to an equal object.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -55,7 +56,13 @@ def _require(mapping: dict, key: str, context: str = "") -> Any:
 def _number(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(key, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(key, f"expected a finite number, got {number!r}")
+    return number
 
 
 def _integer(value: Any, key: str) -> int:

@@ -23,7 +23,6 @@ __all__ = [
     "norms",
     "phase_winding",
     "phase_gradient",
-    "density_gradient",
     "DEFAULT_FLOOR",
 ]
 
@@ -265,7 +264,3 @@ def phase_gradient(h: HydroFields) -> np.ndarray:
         dS += h.kappa[:, None]
     return dS
 
-
-def density_gradient(h: HydroFields) -> np.ndarray:
-    """Spectral drho/dx per species."""
-    return derivative(h.rho, h.grid)

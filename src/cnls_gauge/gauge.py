@@ -55,7 +55,6 @@ __all__ = [
     "cole_hopf_G",
     "curl_residual_2d",
     "transformed_spec",
-    "eval_transformed",
     "eval_R_numeric",
     "RAMP_PERIOD_TOL",
 ]
@@ -77,8 +76,6 @@ class GaugeGenerator:
     ramp: np.ndarray
     anchor: int
     grid: Grid1D
-    spec: FamilySpec
-    A: DispersionMatrix
 
     def __post_init__(self) -> None:
         sigma = np.asarray(self.sigma, dtype=float)
@@ -185,9 +182,7 @@ def compute_generator(
         eval_flux_rate(spec.tables, h.rho) / A.values[:, None], h.rho.shape
     )
     sigma, ramp = antiderivative_parts(integrand, h.grid, anchor)
-    return GaugeGenerator(
-        sigma=sigma, ramp=ramp, anchor=anchor, grid=h.grid, spec=spec, A=A
-    )
+    return GaugeGenerator(sigma=sigma, ramp=ramp, anchor=anchor, grid=h.grid)
 
 
 def _multiply_phase(
@@ -341,46 +336,37 @@ def transformed_spec(spec: FamilySpec, A: DispersionMatrix) -> TransformedSpec:
     )
 
 
-def eval_transformed(tspec: TransformedSpec, h: HydroFields) -> np.ndarray:
-    """Evaluate R_k on the transformed system's hydrodynamic fields."""
-    if tspec.q != h.q:
-        raise ValueError(f"spec species count {tspec.q} does not match fields q={h.q}")
-    return eval_W_parts(tspec.tables, h.rho, phase_gradient(h))
-
-
 def eval_R_numeric(
     spec: FamilySpec,
     h_phi: HydroFields,
     gen: GaugeGenerator,
     A: DispersionMatrix,
-    J: np.ndarray,
 ) -> np.ndarray:
     """Direct evaluation of the transformed nonlinearity.
 
     R_k = W_k - A_k (dsigma_k/dx)^2 + J_k dsigma_k/dx / rho_k + dsigma_k/dt,
 
     with W_k evaluated on the pre-transform phase gradient dS = dS_phi -
-    dsigma/dx and J the transformed-system currents. The c part of the
-    generator is time-independent; its D part follows from the continuity
-    equations,
+    dsigma/dx and J_k = 2 A_k rho_k dS_phi_k/dx the transformed-system
+    currents. The c part of the generator is time-independent; its D part
+    follows from the continuity equations,
 
         dsigma_k/dt = -(1/A_k) sum_j D_kj (j_j(x) - j_j(anchor)),
 
     whose anchor term is a spatially constant (time-dependent) global
-    phase. Agreement with ``eval_transformed`` therefore holds up to a
-    spatial constant per species.
+    phase. Agreement with ``eval_W`` of the ``TransformedSpec`` therefore
+    holds up to a spatial constant per species.
     """
     if not (spec.q == h_phi.q == gen.q == A.q):
         raise ValueError("species counts of spec, fields, generator and A differ")
-    J = np.asarray(J, dtype=float)
-    if J.shape != h_phi.rho.shape:
-        raise ValueError(f"J must have shape {h_phi.rho.shape}, got {J.shape}")
     if h_phi.vacuum.any():
         raise VacuumError("R is undefined at vacuum nodes")
     rho = h_phi.rho
     Ak = A.values[:, None]
     dsigma = gen.gradient()
-    dS_psi = phase_gradient(h_phi) - dsigma
+    dS_phi = phase_gradient(h_phi)
+    J = 2.0 * Ak * rho * dS_phi
+    dS_psi = dS_phi - dsigma
     R = eval_W_parts(spec.tables, rho, dS_psi) - Ak * dsigma**2 + J * dsigma / rho
     current = 2.0 * (Ak * rho * dS_psi + eval_F_parts(spec.tables, rho))
     rel = current - current[:, gen.anchor, None]

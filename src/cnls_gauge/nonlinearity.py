@@ -25,13 +25,8 @@ from typing import Union
 
 import numpy as np
 
-from .fields import (
-    DispersionMatrix,
-    HydroFields,
-    VacuumError,
-    density_gradient,
-    phase_gradient,
-)
+from .fields import HydroFields, VacuumError, phase_gradient
+from .grid import derivative
 
 __all__ = [
     "CoefficientTables",
@@ -233,11 +228,10 @@ def eval_F_parts(tables: CoefficientTables, rho: np.ndarray) -> np.ndarray:
     return rho * eval_flux_rate(tables, rho)
 
 
-def eval_W(spec: FamilySpec, h: HydroFields, A: DispersionMatrix) -> np.ndarray:
-    """Real nonlinearity W_k evaluated on hydrodynamic fields."""
+def eval_W(spec, h: HydroFields) -> np.ndarray:
+    """Real nonlinearity W_k of a family spec, or R_k of a
+    ``TransformedSpec``, evaluated on hydrodynamic fields."""
     _check_spec_fields(spec, h.q)
-    if A.q != h.q:
-        raise ValueError(f"dispersion size {A.q} does not match fields q={h.q}")
     return eval_W_parts(spec.tables, h.rho, phase_gradient(h))
 
 
@@ -248,7 +242,7 @@ def eval_Wim(spec: FamilySpec, h: HydroFields) -> np.ndarray:
         raise VacuumError(
             "density below floor where the nonlinearity divides by rho"
         )
-    return eval_Wim_parts(spec.tables, h.rho, density_gradient(h))
+    return eval_Wim_parts(spec.tables, h.rho, derivative(h.rho, h.grid))
 
 
 def eval_F(spec: FamilySpec, h: HydroFields) -> np.ndarray:

@@ -84,8 +84,8 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
     gen0 = compute_generator(spec, to_hydro(psi0), A)
     phi0 = apply_gauge(psi0, gen0)
 
-    psi = SimState(t=0.0, fields=psi0, system_tag="psi", spec=spec, A=A)
-    phi = SimState(t=0.0, fields=phi0, system_tag="phi", spec=tspec, A=A)
+    psi = SimState(t=0.0, fields=psi0, spec=spec, A=A)
+    phi = SimState(t=0.0, fields=phi0, spec=tspec, A=A)
     norms0 = _norms_of(psi0)
 
     times: list[float] = []
@@ -133,7 +133,6 @@ def run_convergence(cfg: RunConfig) -> tuple[list[float], list[float], float]:
     initial = SimState(
         t=0.0,
         fields=cfg.build_initial(cfg.build_grid()),
-        system_tag=cfg.system,
         spec=spec,
         A=cfg.build_dispersion(),
     )

@@ -1,14 +1,13 @@
 """1-D periodic time evolution by spectral method of lines with RK4.
 
-Two system forms are evolved: the original fields with complex
-nonlinearity,
+One system form is evolved,
 
-    dpsi_k/dt = i A_k psi_k'' + i (W_k + i Wim_k) psi_k,
+    du_k/dt = i A_k u_k'' + i (W_k + i Wim_k) u_k,
 
-and the gauge-transformed fields with the real coefficient-form
-nonlinearity,
-
-    dphi_k/dt = i A_k phi_k'' + i R_k phi_k.
+with W and Wim read from the state's coefficient tables. For the original
+fields psi they are a family spec's; for the gauge-transformed fields phi
+they are a ``TransformedSpec``'s, whose Wim vanishes and whose W is the
+purely real R_k. The spec alone says which system a state belongs to.
 
 Every stage reads rho, dS/dx and drho/dx afresh from the stage's fields,
 so branch-cut artifacts never accumulate in dS/dx: the Laplacian and
@@ -46,8 +45,6 @@ from .grid import Grid1D, derivative, integrate
 from .nonlinearity import (
     CoefficientTables,
     FamilySpec,
-    LinearSpec,
-    eval_F,
     eval_F_parts,
     eval_W_parts,
     eval_Wim_parts,
@@ -61,8 +58,7 @@ __all__ = [
     "rhs",
     "step",
     "evolve",
-    "current_psi",
-    "current_phi",
+    "current",
     "continuity_residual",
     "stability_bound",
 ]
@@ -84,23 +80,15 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimState:
-    """Fields at one instant together with the governing coefficients."""
+    """Fields at one instant together with the governing coefficients; a
+    family spec makes it a psi state, a ``TransformedSpec`` a phi state."""
 
     t: float
     fields: ComplexFieldSet
-    system_tag: str
     spec: SystemSpec
     A: DispersionMatrix
 
     def __post_init__(self) -> None:
-        if self.system_tag not in ("psi", "phi"):
-            raise ValueError(f"system_tag must be 'psi' or 'phi', got {self.system_tag!r}")
-        if self.system_tag == "psi" and isinstance(self.spec, TransformedSpec):
-            raise ValueError("psi-system states take a family spec, not TransformedSpec")
-        if self.system_tag == "phi" and not isinstance(
-            self.spec, (TransformedSpec, LinearSpec)
-        ):
-            raise ValueError("phi-system states take a TransformedSpec (or LinearSpec)")
         if self.fields.q != self.spec.q or self.fields.q != self.A.q:
             raise ValueError(
                 f"species counts differ: fields {self.fields.q}, "
@@ -236,24 +224,23 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     return SimState(
         t=t_new,
         fields=ComplexFieldSet(data=new, grid=grid, kappa=state.fields.kappa),
-        system_tag=state.system_tag,
         spec=state.spec,
         A=A,
     )
 
 
-def current_psi(
-    spec: FamilySpec, h: HydroFields, A: DispersionMatrix
-) -> np.ndarray:
-    """Continuity current of the original system, j_k = 2(A_k rho_k dS_k/dx + F_k)."""
-    return 2.0 * (A.values[:, None] * h.rho * phase_gradient(h) + eval_F(spec, h))
-
-
-def current_phi(h: HydroFields, A: DispersionMatrix) -> np.ndarray:
-    """Transformed-system current in standard bilinear form, J_k = 2 A_k rho_k dS_k/dx."""
-    if A.q != h.q:
-        raise ValueError(f"dispersion size {A.q} does not match fields q={h.q}")
-    return 2.0 * A.values[:, None] * h.rho * phase_gradient(h)
+def current(spec: SystemSpec, h: HydroFields, A: DispersionMatrix) -> np.ndarray:
+    """Continuity current j_k = 2 (A_k rho_k dS_k/dx + F_k); F enters only
+    when the spec's tables have a flux, so a ``TransformedSpec`` gives the
+    bilinear J_k = 2 A_k rho_k dS_k/dx."""
+    if not spec.q == A.q == h.q:
+        raise ValueError(
+            f"species counts differ: spec {spec.q}, A {A.q}, fields {h.q}"
+        )
+    j = A.values[:, None] * h.rho * phase_gradient(h)
+    if spec.tables.has_flux:
+        j += eval_F_parts(spec.tables, h.rho)
+    return 2.0 * j
 
 
 def _current_from_fields(

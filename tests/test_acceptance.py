@@ -20,12 +20,11 @@ from cnls_gauge import (
     compute_generator,
     continuity_residual,
     curl_residual_2d,
-    current_phi,
     derivative,
     eval_F,
     eval_R_numeric,
+    eval_W,
     eval_Wim,
-    eval_transformed,
     evolve,
     from_hydro,
     load_config,
@@ -144,9 +143,8 @@ def test_criterion_4_coefficient_form_consistency():
                 spec = random_derivative_spec(rng, q)
                 tspec = transformed_spec(spec, A)
             gen = compute_generator(spec, h_phi, A)
-            J = current_phi(h_phi, A)
-            R_num = eval_R_numeric(spec, h_phi, gen, A, J)
-            R_coeff = eval_transformed(tspec, h_phi)
+            R_num = eval_R_numeric(spec, h_phi, gen, A)
+            R_coeff = eval_W(tspec, h_phi)
             diff = R_num - R_coeff
             wobble = np.abs(diff - diff.mean(axis=-1, keepdims=True)).max()
             worst = max(worst, float(wobble))
@@ -225,13 +223,13 @@ def test_criterion_7_conservation():
     A = cfg.build_dispersion()
     spec = cfg.build_family_spec()
     psi0 = cfg.build_initial(grid)
-    state = SimState(0.0, psi0, "psi", spec, A)
+    state = SimState(0.0, psi0, spec, A)
     final, records = evolve(state, 1e-4, 1.0, sample_every=2000)
     drift = float(np.abs(records[-1].norm_drift).max())
 
     # continuity residual halves twice when dt halves (centered difference)
     def residual_at(dt):
-        s = SimState(0.0, psi0, "psi", spec, A)
+        s = SimState(0.0, psi0, spec, A)
         for _ in range(int(round(0.05 / dt))):
             s = step(s, dt)
         mid = step(s, dt)
@@ -270,7 +268,7 @@ def test_criterion_9_linear_exactness():
     worst = 0.0
     for kmode in (1, 2, 3):
         phi0 = ComplexFieldSet(np.exp(1j * kmode * grid.x)[None, :], grid)
-        state = SimState(0.0, phi0, "phi", tspec, A)
+        state = SimState(0.0, phi0, tspec, A)
         final, _ = evolve(state, dt, 1.0, sample_every=10**9)
         exact = np.exp(1j * (kmode * grid.x - kmode**2 * 1.0))
         worst = max(worst, float(np.abs(final.fields.data[0] - exact).max()))

@@ -517,6 +517,69 @@ def test_t_end_not_multiple_of_dt_exits_1_without_traceback(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+# --- non-finite numbers ------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _set_path(payload, path, value):
+    node = payload
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("tolerance",), NAN, "tolerance"),
+        (("tolerance",), INF, "tolerance"),
+        (("dt",), NAN, "dt"),
+        (("t_end",), INF, "t_end"),
+        (("A", 1), NAN, "A"),
+        (("nonlinearity", "gamma", 0), NAN, "nonlinearity.gamma"),
+        (("amplitude",), NAN, "amplitude"),
+        (("initial", 0, "modes", 0, "re"), NAN, "initial[0].modes[0].re"),
+        (("grid", "x_max"), INF, "grid.x_max"),
+        (("grid", "x_max"), 10**400, "grid.x_max"),
+    ],
+)
+def test_non_finite_config_number_exits_1_naming_its_key(tmp_path, capsys, path, value, key):
+    payload = small_family_a_config(tmp_path)
+    _set_path(payload, path, value)
+    cfg = write_config(tmp_path, payload)
+    assert main(["verify", str(cfg)]) == 1
+    assert f"error: config key '{key}': expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "1e999"])
+def test_non_finite_tolerance_flag_exits_1(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, small_family_a_config(tmp_path))
+    assert main(["verify", str(cfg), "--tolerance", text]) == 1
+    assert "error: config key 'tolerance'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_non_finite_sweep_value_fails_only_its_row(tmp_path, text):
+    payload = small_family_a_config(tmp_path)
+    payload["t_end"] = 0.02
+    cfg = write_config(tmp_path, payload)
+    assert main(["verify", str(cfg), "--sweep", f"dt={text},0.0002"]) == 0
+    rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert [r[4:6] for r in rows[1:]] == [["failed", "1"], ["ok", "0"]]
+    assert "config key 'dt'" in rows[1][6]
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--delta", "--lambda"])
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_classify_non_finite_flag_exits_1(capsys, flag, text):
+    argv = {"--beta": "0", "--gamma": "0", "--delta": "0", "--lambda": "0"}
+    argv[flag] = text
+    assert main(["classify", *(a for item in argv.items() for a in item)]) == 1
+    err = capsys.readouterr().err
+    assert f"config key '{flag[2:]}': expected a finite number" in err
+
+
 def test_verify_vacuum_initial_exits_2(tmp_path):
     payload = small_family_a_config(tmp_path)
     payload["amplitude"] = 0.0

@@ -19,10 +19,9 @@ from cnls_gauge import (
     cole_hopf_G,
     compute_generator,
     curl_residual_2d,
-    current_phi,
+    current,
     derivative,
     eval_R_numeric,
-    eval_transformed,
     eval_W,
     from_hydro,
     invert_gauge,
@@ -128,14 +127,12 @@ def test_generator_gradient_identity_random(grid256):
         assert np.abs(gen.gradient() - target).max() < 1e-8
 
 
-def _constant_generator(grid, q, value, spec=None, A=None):
+def _constant_generator(grid, q, value):
     return GaugeGenerator(
         sigma=np.full((q, grid.n_points), value),
         ramp=np.zeros(q),
         anchor=0,
         grid=grid,
-        spec=spec or LinearSpec(q=q),
-        A=A or DispersionMatrix(np.ones(q)),
     )
 
 
@@ -343,9 +340,8 @@ def test_eval_R_numeric_zero_drift_equals_W(grid256):
         delta=np.zeros((q, q)), lam=rng.uniform(-1, 1, (q, q, q)),
     )
     gen = compute_generator(spec, h, A)
-    J = current_phi(h, A)
-    R = eval_R_numeric(spec, h, gen, A, J)
-    W = eval_W(spec, h, A)
+    R = eval_R_numeric(spec, h, gen, A)
+    W = eval_W(spec, h)
     assert np.abs(R - W).max() < 1e-10
 
 
@@ -359,9 +355,8 @@ def test_eval_R_numeric_drift_cubic_matches_coefficients_exactly(grid256):
     gen = compute_generator(spec, h_psi, A)
     phi = apply_gauge(psi, gen)  # windings are integers for these drifts
     h_phi = to_hydro(phi)
-    J = current_phi(h_phi, A)
-    R = eval_R_numeric(spec, h_phi, gen, A, J)
-    R_coeff = eval_transformed(transformed_spec(spec, A), h_phi)
+    R = eval_R_numeric(spec, h_phi, gen, A)
+    R_coeff = eval_W(transformed_spec(spec, A), h_phi)
     assert np.abs(R - R_coeff).max() < 1e-8
 
 
@@ -372,16 +367,13 @@ def test_eval_R_numeric_derivative_constant_offset(grid256):
     gen = compute_generator(spec, h_psi, A)
     phi = apply_gauge(psi, gen)
     h_phi = to_hydro(phi)
-    J = current_phi(h_phi, A)
-    R = eval_R_numeric(spec, h_phi, gen, A, J)
-    R_coeff = eval_transformed(transformed_spec(spec, A), h_phi)
+    R = eval_R_numeric(spec, h_phi, gen, A)
+    R_coeff = eval_W(transformed_spec(spec, A), h_phi)
     diff = R - R_coeff
     wobble = np.abs(diff - diff.mean(axis=-1, keepdims=True)).max()
     assert wobble < 1e-8
     # the offset is the anchor term of dsigma/dt: (delta @ j(anchor)) / A
-    from cnls_gauge import current_psi
-
-    j = current_psi(spec, h_psi, A)
+    j = current(spec, h_psi, A)
     predicted = (spec.delta @ j[:, gen.anchor]) / A.values
     assert np.abs(diff.mean(axis=-1) - predicted).max() < 1e-8
 
@@ -390,8 +382,8 @@ def test_eval_R_numeric_on_fractional_windings_up_to_a_constant(grid256):
     phi, spec, gen, A = fractional_winding_setup(grid256)
     assert np.abs(phi.kappa - [0.194, -0.44]).max() < 1e-12
     h_phi = to_hydro(phi)
-    R = eval_R_numeric(spec, h_phi, gen, A, current_phi(h_phi, A))
-    R_coeff = eval_transformed(transformed_spec(spec, A), h_phi)
+    R = eval_R_numeric(spec, h_phi, gen, A)
+    R_coeff = eval_W(transformed_spec(spec, A), h_phi)
     diff = R - R_coeff
     assert np.abs(diff - diff.mean(axis=-1, keepdims=True)).max() < 1e-13
 
@@ -410,7 +402,7 @@ def test_transformed_spec_eval_matches_manual(grid256):
     from cnls_gauge import phase_gradient
 
     dS = phase_gradient(h)
-    R = eval_transformed(ts, h)
+    R = eval_W(ts, h)
     manual = np.zeros_like(h.rho)
     for k in range(q):
         manual[k] += ts.const_shift[k]

@@ -5,7 +5,6 @@ import sympy
 from cnls_gauge import (
     ComplexFieldSet,
     DerivativeSpec,
-    DispersionMatrix,
     DriftCubicSpec,
     HydroFields,
     LinearSpec,
@@ -41,15 +40,14 @@ def test_eval_W_zero_coefficients(grid256):
         delta=np.zeros((1, 1)), lam=np.zeros((1, 1, 1)),
     )
     h = const_hydro(grid256, [1.3])
-    A = DispersionMatrix([1.0])
-    assert np.abs(eval_W(spec, h, A)).max() == 0.0
+    assert np.abs(eval_W(spec, h)).max() == 0.0
 
 
 def test_eval_W_drift_cubic_constant_density(grid256):
     spec = DriftCubicSpec(delta=[0.0], gamma=[1.0])
     c = 0.8
     h = const_hydro(grid256, [c])
-    W = eval_W(spec, h, DispersionMatrix([1.0]))
+    W = eval_W(spec, h)
     assert np.abs(W + c).max() < 1e-14
 
 
@@ -57,7 +55,7 @@ def test_eval_W_drift_cubic_cross_coupling(grid256):
     # two species: W_k = -gamma_k rho_k - 2 * sum_{j != k} gamma_j rho_j
     spec = DriftCubicSpec(delta=[0.0, 0.0], gamma=[1.0, 2.0])
     h = const_hydro(grid256, [0.5, 0.25])
-    W = eval_W(spec, h, DispersionMatrix([1.0, 1.0]))
+    W = eval_W(spec, h)
     assert np.abs(W[0] - (-1.0 * 0.5 - 2 * 2.0 * 0.25)).max() < 1e-14
     assert np.abs(W[1] - (-2.0 * 0.25 - 2 * 1.0 * 0.5)).max() < 1e-14
 
@@ -71,7 +69,7 @@ def test_eval_W_derivative_quartic_sum_oracle(grid256):
         delta=np.zeros((q, q)), lam=np.ones((q, q, q)),
     )
     h = const_hydro(grid256, [c, c])
-    W = eval_W(spec, h, DispersionMatrix([1.0, 1.0]))
+    W = eval_W(spec, h)
     oracle = np.zeros(q)
     for k in range(q):
         for j in range(q):
@@ -168,7 +166,7 @@ def test_nonlinearities_are_real(grid256):
     h = band_limited_hydro(rng, grid256, q=2)
     A = random_dispersion(rng, 2)
     for spec in (random_drift_cubic_spec(rng, 2), random_derivative_spec(rng, 2)):
-        assert np.isrealobj(eval_W(spec, h, A))
+        assert np.isrealobj(eval_W(spec, h))
         assert np.isrealobj(eval_Wim(spec, h))
         assert np.isrealobj(eval_F(spec, h))
 
@@ -196,13 +194,12 @@ def test_shape_mismatch(grid256):
     spec = DriftCubicSpec(delta=[1.0, 2.0], gamma=[0.0, 0.0])
     h = const_hydro(grid256, [1.0])
     with pytest.raises(ValueError, match="species"):
-        eval_W(spec, h, DispersionMatrix([1.0]))
+        eval_W(spec, h)
 
 
 def test_linear_spec_all_zero(grid256):
     h = const_hydro(grid256, [1.0, 2.0])
     spec = LinearSpec(q=2)
-    A = DispersionMatrix([1.0, -0.5])
-    assert np.abs(eval_W(spec, h, A)).max() == 0.0
+    assert np.abs(eval_W(spec, h)).max() == 0.0
     assert np.abs(eval_Wim(spec, h)).max() == 0.0
     assert np.abs(eval_F(spec, h)).max() == 0.0

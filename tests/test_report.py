@@ -160,7 +160,6 @@ def test_equivalence_samples_at_evolve_record_times():
     psi0 = SimState(
         t=0.0,
         fields=cfg.build_initial(cfg.build_grid()),
-        system_tag="psi",
         spec=cfg.build_family_spec(),
         A=cfg.build_dispersion(),
     )

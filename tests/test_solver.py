@@ -13,12 +13,10 @@ from cnls_gauge import (
     HydroFields,
     LinearSpec,
     SimState,
-    TransformedSpec,
     VacuumError,
     case1_coeffs,
     continuity_residual,
-    current_phi,
-    current_psi,
+    current,
     evolve,
     from_hydro,
     make_grid,
@@ -34,9 +32,9 @@ from conftest import fractional_winding_setup
 TWO_PI = 2.0 * np.pi
 
 
-def plane_wave_state(grid, kmode, spec, A, amplitude=1.0, tag="psi"):
+def plane_wave_state(grid, kmode, spec, A, amplitude=1.0):
     data = amplitude * np.exp(1j * kmode * grid.x)[None, :]
-    return SimState(0.0, ComplexFieldSet(data, grid), tag, spec, A)
+    return SimState(0.0, ComplexFieldSet(data, grid), spec, A)
 
 
 def small_family_b(q=2, scale=0.4):
@@ -111,7 +109,6 @@ def test_rhs_family_b_finite_difference_oracle(grid256):
     state = SimState(
         0.0,
         from_hydro(HydroFields(rho_fn(grid256.x), S_fn(grid256.x), grid256)),
-        "psi",
         spec,
         A,
     )
@@ -151,7 +148,7 @@ def test_rhs_vacuum_error(grid256):
     spec = small_family_b()
     A = DispersionMatrix([1.0, 1.0])
     data = np.vstack([np.sin(grid256.x), np.ones(256)]).astype(complex)
-    state = SimState(0.0, ComplexFieldSet(data, grid256), "psi", spec, A)
+    state = SimState(0.0, ComplexFieldSet(data, grid256), spec, A)
     with pytest.raises(VacuumError):
         rhs(state)
 
@@ -161,7 +158,7 @@ def test_rhs_of_shifted_plane_wave(grid128):
     for m in (0, 2, -3):
         u = np.exp(1j * m * grid128.x)[None, :]
         fields = ComplexFieldSet(u, grid128, kappa=[0.5])
-        state = SimState(0.0, fields, "phi", LinearSpec(q=1), DispersionMatrix([1.0]))
+        state = SimState(0.0, fields, LinearSpec(q=1), DispersionMatrix([1.0]))
         out = rhs(state)
         assert out.kappa.tolist() == [0.5]
         assert np.abs(out.data - (-1j * (m + 0.5) ** 2 * u)).max() < 1e-11
@@ -172,7 +169,7 @@ def test_evolve_shifted_plane_wave_diagnostics(grid128):
     # |phi'|^2 = (m + kappa)^2 and the current 2 (m + kappa) is constant
     wavenumber = 2.0 - 0.5
     fields = ComplexFieldSet(np.exp(2j * grid128.x)[None, :], grid128, kappa=[-0.5])
-    state = SimState(0.0, fields, "phi", LinearSpec(q=1), DispersionMatrix([1.0]))
+    state = SimState(0.0, fields, LinearSpec(q=1), DispersionMatrix([1.0]))
     final, records = evolve(state, 2.5e-4, 0.25, sample_every=250)
     assert final.fields.kappa.tolist() == [-0.5]
     exact = np.exp(1j * (wavenumber * grid128.x - wavenumber**2 * 0.25))
@@ -185,7 +182,7 @@ def test_evolve_shifted_plane_wave_diagnostics(grid128):
 def test_rhs_phi_case1_equals_linear(grid256):
     A = DispersionMatrix([1.0])
     tspec = transformed_spec(case1_coeffs([[0.8]], A), A)
-    phi = plane_wave_state(grid256, 2, tspec, A, amplitude=0.5, tag="phi")
+    phi = plane_wave_state(grid256, 2, tspec, A, amplitude=0.5)
     linear = plane_wave_state(grid256, 2, LinearSpec(q=1), A, amplitude=0.5)
     assert np.array_equal(rhs(phi).data, rhs(linear).data)
 
@@ -227,7 +224,7 @@ def test_spatial_error_is_spectral():
         rho = np.array([0.1 * (1 + 0.2 * np.cos(x) + 0.1 * np.sin(2 * x)),
                         0.1 * (1 + 0.15 * np.sin(x))])
         S = np.array([0.1 * np.sin(x), 0.08 * np.cos(2 * x)])
-        state = SimState(0.0, from_hydro(HydroFields(rho, S, grid)), "psi", spec, A)
+        state = SimState(0.0, from_hydro(HydroFields(rho, S, grid)), spec, A)
         for _ in range(steps):
             state = step(state, dt)
         return state.fields.data
@@ -240,7 +237,6 @@ def test_step_zero_field(grid256):
     state = SimState(
         0.0,
         ComplexFieldSet(np.zeros((1, 256), dtype=complex), grid256),
-        "psi",
         LinearSpec(q=1),
         DispersionMatrix([1.0]),
     )
@@ -287,7 +283,7 @@ def test_step_convergence_against_fine_reference(grid128):
     dt0 = 5e-4
 
     def final_at(dt):
-        state = SimState(0.0, psi0, "psi", spec, A)
+        state = SimState(0.0, psi0, spec, A)
         n = int(round(t_end / dt))
         for _ in range(n):
             state = step(state, dt)
@@ -307,12 +303,12 @@ def test_current_psi_plane_wave(grid256):
         ComplexFieldSet(np.exp(1j * kmode * grid256.x)[None, :], grid256)
     )
     spec = DriftCubicSpec(delta=[0.0], gamma=[0.0])
-    j = current_psi(spec, h, A)
+    j = current(spec, h, A)
     assert np.abs(j - 2.0 * kmode).max() < 1e-10
 
     # constant phase: no current
     h0 = HydroFields(np.ones((1, 256)), np.ones((1, 256)) * 0.4, grid256)
-    assert np.abs(current_psi(spec, h0, A)).max() < 1e-12
+    assert np.abs(current(spec, h0, A)).max() < 1e-12
 
 
 def test_current_psi_derivative_family(grid256):
@@ -323,17 +319,17 @@ def test_current_psi_derivative_family(grid256):
         beta=np.zeros((1, 1)), gamma=np.zeros((1, 1)),
         delta=np.ones((1, 1)), lam=np.zeros((1, 1, 1)),
     )
-    j = current_psi(spec, h, DispersionMatrix([1.0]))
+    j = current(spec, h, DispersionMatrix([1.0]))
     assert np.abs(j - 2.0 * (kmode + 1.0)).max() < 1e-10
 
 
 def test_current_phi_forms(grid256):
     A = DispersionMatrix([2.0])
     h0 = HydroFields(np.ones((1, 256)), 0.7 * np.ones((1, 256)), grid256)
-    assert np.abs(current_phi(h0, A)).max() < 1e-12
+    assert np.abs(current(LinearSpec(q=1), h0, A)).max() < 1e-12
     kmode = 2
     h = to_hydro(ComplexFieldSet(np.exp(1j * kmode * grid256.x)[None, :], grid256))
-    J = current_phi(h, DispersionMatrix([1.0]))
+    J = current(LinearSpec(q=1), h, DispersionMatrix([1.0]))
     assert np.abs(J - 2.0 * kmode).max() < 1e-10
 
 
@@ -342,7 +338,7 @@ def test_current_phi_of_shifted_plane_wave(grid128, kmode, kappa):
     # 2 exp(i kmode x) with kappa is the field 2 exp(i (kmode + kappa) x)
     data = 2.0 * np.exp(1j * kmode * grid128.x)[None, :]
     h = to_hydro(ComplexFieldSet(data, grid128, kappa=[kappa]))
-    J = current_phi(h, DispersionMatrix([1.5]))
+    J = current(LinearSpec(q=1), h, DispersionMatrix([1.5]))
     assert np.abs(J - 2.0 * 1.5 * 4.0 * (kmode + kappa)).max() < 1e-11
 
 
@@ -367,8 +363,8 @@ def test_currents_agree_across_gauge(grid256):
     h_psi = to_hydro(psi)
     gen = compute_generator(spec, h_psi, A)
     h_phi = to_hydro(apply_gauge(psi, gen))
-    j = current_psi(spec, h_psi, A)
-    J = current_phi(h_phi, A)
+    j = current(spec, h_psi, A)
+    J = current(transformed_spec(spec, A), h_phi, A)
     assert np.abs(J - j).max() < 1e-8
 
 
@@ -390,7 +386,7 @@ def test_continuity_residual_zero_field(grid256):
     def zstate(t):
         return SimState(
             t, ComplexFieldSet(np.zeros((1, 256), dtype=complex), grid256),
-            "psi", spec, A,
+            spec, A,
         )
 
     res = continuity_residual((zstate(0.0), zstate(0.1), zstate(0.2)), spec, A)
@@ -404,7 +400,7 @@ def test_continuity_residual_halving_dt(grid256):
     psi0 = smooth_small_state(grid256, base=0.1, seed=7)
 
     def residual_at(dt, n_settle=20):
-        state = SimState(0.0, psi0, "psi", spec, A)
+        state = SimState(0.0, psi0, spec, A)
         for _ in range(n_settle):
             state = step(state, dt)
         before = state
@@ -429,7 +425,7 @@ def test_continuity_residual_spacing_mismatch(grid256):
 
 def test_evolve_linear_norm_conservation(grid128):
     state = SimState(
-        0.0, smooth_small_state(grid128, base=0.5, seed=9), "psi",
+        0.0, smooth_small_state(grid128, base=0.5, seed=9),
         LinearSpec(q=2), DispersionMatrix([1.0, -0.5]),
     )
     final, records = evolve(state, 5e-4, 1.0, sample_every=200)
@@ -451,7 +447,7 @@ def test_evolve_energy_proxy_plane_wave(grid128):
 def test_evolve_family_b_small_amplitude_conservation(grid256):
     spec = small_family_b()
     A = DispersionMatrix([1.0, 1.0])
-    state = SimState(0.0, smooth_small_state(grid256, base=0.1, seed=11), "psi", spec, A)
+    state = SimState(0.0, smooth_small_state(grid256, base=0.1, seed=11), spec, A)
     final, records = evolve(state, 1e-4, 0.2, sample_every=500)
     drift = np.abs(records[-1].norm_drift)
     assert drift.max() < 1e-8
@@ -491,7 +487,7 @@ def test_evolve_continuity_residual_is_instantaneous_on_fractional_windings(grid
     # a centred time difference would read about 4e-7 here at dt = 1e-4
     phi, spec, _, A = fractional_winding_setup(grid256)
     assert np.abs(phi.kappa - [0.194, -0.44]).max() < 1e-12
-    state = SimState(0.0, phi, "phi", transformed_spec(spec, A), A)
+    state = SimState(0.0, phi, transformed_spec(spec, A), A)
     _, records = evolve(state, 1e-4, 0.05, sample_every=100)
     assert len(records) == 6
     for r in records:
@@ -557,8 +553,8 @@ def test_family_b_equivalence_up_to_global_phase(grid128):
     phi0 = apply_gauge(psi0, gen0)
     tspec = transformed_spec(spec, A)
 
-    sp = SimState(0.0, psi0, "psi", spec, A)
-    sf = SimState(0.0, phi0, "phi", tspec, A)
+    sp = SimState(0.0, psi0, spec, A)
+    sf = SimState(0.0, phi0, tspec, A)
     dt = 2.5e-4
     for _ in range(400):
         sp = step(sp, dt)
@@ -577,21 +573,12 @@ def test_family_b_equivalence_up_to_global_phase(grid128):
     assert np.abs(offset).min() > 1e-3
 
 
-def test_phi_system_requires_transformed_spec(grid128):
-    fields = ComplexFieldSet(np.ones((1, 128), dtype=complex), grid128)
-    with pytest.raises(ValueError, match="TransformedSpec"):
-        SimState(0.0, fields, "phi", DriftCubicSpec(delta=[1.0], gamma=[0.0]),
-                 DispersionMatrix([1.0]))
-    with pytest.raises(ValueError, match="family"):
-        SimState(0.0, fields, "psi", TransformedSpec.zeros(1), DispersionMatrix([1.0]))
-
-
 def test_step_blow_up_inside_stage_carries_step_time(grid256):
     spec = DriftCubicSpec(delta=[0.5, -0.3], gamma=[0.2, 0.1])
     data = np.ones((2, 256), dtype=complex)
     data[0, 17] = np.nan
     state = SimState(
-        0.3, ComplexFieldSet(data, grid256), "psi", spec, DispersionMatrix([1.0, 1.0])
+        0.3, ComplexFieldSet(data, grid256), spec, DispersionMatrix([1.0, 1.0])
     )
     with pytest.raises(BlowUpError) as excinfo:
         step(state, 1e-4)

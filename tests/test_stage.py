@@ -181,6 +181,6 @@ def test_stage_is_byte_identical_to_reference(family, kappa):
             q = data.shape[0]
             kap = kappa * np.linspace(1.0, -1.0, q)
             fields = ComplexFieldSet(data, grid, kappa=kap)
-            got = rhs(SimState(0.0, fields, tag, spec, A)).data
+            got = rhs(SimState(0.0, fields, spec, A)).data
             want = _reference_tendency(fields, spec.tables, A)
             assert got.tobytes() == want.tobytes(), (family, tag, seed)
