@@ -14,7 +14,8 @@ The grammar (documented in the README) is a single JSON object:
     system, output_dir, tolerance
     phi_coefficients  optional explicit transformed tables (verify only)
 
-Every number must be finite. Parsed configs are plain-value dataclasses
+Every number must be finite, and so must the domain length and the RK4
+step bound they give. Parsed configs are plain-value dataclasses
 so that a dumped config reparses to an equal object.
 """
 
@@ -31,6 +32,7 @@ from .fields import ComplexFieldSet, DispersionMatrix
 from .gauge import TransformedSpec, transformed_spec
 from .grid import Grid1D, make_grid
 from .nonlinearity import DerivativeSpec, DriftCubicSpec, FamilySpec, LinearSpec
+from .solver import stability_bound
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "dumps_config"]
 
@@ -116,8 +118,17 @@ class RunConfig:
         n_points = _integer(_require(grid_sec, "n_points", "grid"), "grid.n_points")
         x_min = _number(_require(grid_sec, "x_min", "grid"), "grid.x_min")
         x_max = _number(_require(grid_sec, "x_max", "grid"), "grid.x_max")
+        if not x_max > x_min:
+            raise ConfigError(
+                "grid.x_max", f"must exceed grid.x_min = {x_min!r}, got {x_max!r}"
+            )
+        if not math.isfinite(x_max - x_min):
+            raise ConfigError(
+                "grid.x_max", f"the domain length x_max - x_min = {x_max - x_min!r} "
+                f"is not finite (x_min = {x_min!r}, x_max = {x_max!r})"
+            )
         try:
-            make_grid(n_points, x_min, x_max)
+            grid = make_grid(n_points, x_min, x_max)
         except ValueError as err:
             raise ConfigError("grid.n_points", str(err)) from None
 
@@ -127,6 +138,13 @@ class RunConfig:
         A = _vector(_require(raw, "A"), "A", q)
         if any(a == 0.0 for a in A):
             raise ConfigError("A", "dispersion coefficients must be nonzero")
+        with np.errstate(over="ignore", divide="ignore"):
+            bound = stability_bound(grid, DispersionMatrix(values=np.asarray(A)))
+        if not math.isfinite(bound):
+            raise ConfigError(
+                "A", "the RK4 step bound 2 sqrt(2) / (max|A_k| (pi/dx)^2) is not "
+                f"finite: max|A_k| = {max(abs(a) for a in A)!r} is too small"
+            )
 
         nl = _require(raw, "nonlinearity")
         family = _require(nl, "family", "nonlinearity")

@@ -230,10 +230,16 @@ def _winding_from_samples(S: np.ndarray) -> np.ndarray:
     return np.rint(total / (2.0 * np.pi))
 
 
-def _phase_gradient_samples(S: np.ndarray, grid: Grid1D) -> np.ndarray:
-    # split off the non-periodic winding ramp before differentiating
+def _split_winding(S: np.ndarray, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """(periodic, slope) with S = periodic + slope (x - x_min): the
+    non-periodic integer-winding ramp split off the unwrapped phases."""
     slope = 2.0 * np.pi * _winding_from_samples(S) / grid.length
-    periodic = S - slope[:, None] * (grid.x - grid.x_min)
+    return S - slope[:, None] * (grid.x - grid.x_min), slope
+
+
+def _phase_gradient_samples(S: np.ndarray, grid: Grid1D) -> np.ndarray:
+    # differentiate the periodic part only, then add the ramp's exact slope
+    periodic, slope = _split_winding(S, grid)
     return derivative(periodic, grid) + slope[:, None]
 
 

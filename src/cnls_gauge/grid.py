@@ -37,6 +37,11 @@ class Grid1D:
                 f"domain endpoints out of order: x_min={self.x_min!r}, "
                 f"x_max={self.x_max!r}"
             )
+        if not np.isfinite(self.x_max - self.x_min):
+            raise ValueError(
+                f"domain length is not finite: x_min={self.x_min!r}, "
+                f"x_max={self.x_max!r}"
+            )
         n = self.n_points
         if n < 8 or n & (n - 1):
             raise ValueError(f"n_points must be a power of two >= 8, got {n!r}")

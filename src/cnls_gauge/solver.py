@@ -10,9 +10,13 @@ they are a ``TransformedSpec``'s, whose Wim vanishes and whose W is the
 purely real R_k. The spec alone says which system a state belongs to.
 
 Every stage reads rho, dS/dx and drho/dx afresh from the stage's fields,
-so branch-cut artifacts never accumulate in dS/dx: the Laplacian and
-drho/dx share one stacked FFT pair, and dS/dx comes from a jump-only
-unwrap of the phases (``fields._unwrap_rows``) and a pair of its own.
+so branch-cut artifacts never accumulate in dS/dx. The Laplacian, drho/dx
+and dS/dx come from one stacked in-place FFT pair over the data rows, the
+density rows and the periodic part of the phases, which a jump-only
+unwrap (``fields._unwrap_rows``) reads. ``step`` allocates its stage
+buffers once per step and writes each stage into them; every in-place
+product and sum keeps the operands of the plain expression, so the
+results are the same to the last bit.
 
 A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
 evolves its periodic u_k with the symbol -(k + kappa_k)^2 and dS_u/dx +
@@ -37,7 +41,7 @@ from .fields import (
     VacuumError,
     phase_gradient,
     DEFAULT_FLOOR,
-    _phase_gradient_samples,
+    _split_winding,
     _unwrap_rows,
 )
 from .gauge import TransformedSpec
@@ -138,18 +142,27 @@ def _tendency(
     t: float,
     kappa: np.ndarray | None = None,
     floor: float = DEFAULT_FLOOR,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """i A_k u_k'' + i (W_k + i Wim_k) u_k of one stage, u = ``data``.
+    """i A_k u_k'' + i (W_k + i Wim_k) u_k of one stage, u = ``data``,
+    written to ``out`` (a complex (q, n) array, fresh when not given).
 
-    The Laplacian of the q data rows and, when the tables have a flux, the
-    gradient of the q density rows come from one stacked FFT pair; dS/dx,
-    only when the tables read it, from a jump-only unwrap of the phases and
-    its own pair. Raises VacuumError when any node falls below the relative
-    floor: the nonlinear right-hand sides divide by rho and a spectral
-    evaluation of a near-vacuum phase would contaminate every node.
+    The q data rows, then the q density rows when the tables have a flux,
+    then the q periodic phase rows (the unwrapped phases less their
+    integer-winding ramp) when W reads dS/dx share one stacked FFT pair in
+    ``work``, a complex array of at least that many rows (fresh when not
+    given); W and Wim are evaluated after the pair. Raises VacuumError when
+    any node falls below the relative floor: the nonlinear right-hand sides
+    divide by rho and a spectral evaluation of a near-vacuum phase would
+    contaminate every node.
     """
-    q = data.shape[0]
-    flux = tables.has_flux
+    q, n = data.shape
+    flux, phase = tables.has_flux, tables.uses_phase
+    size = q * (1 + flux + phase)
+    rows = np.empty((size, n), dtype=complex) if work is None else work[:size]
+    rows[:q] = data
+    symbols = [grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)]
     if tables.nonzero:
         rho = data.real**2 + data.imag**2
         peak = rho.max(axis=-1)
@@ -157,31 +170,50 @@ def _tendency(
             raise VacuumError("species is identically zero (all-vacuum)")
         if (rho.min(axis=-1) < floor * peak).any():
             raise VacuumError("density below floor during evolution")
-        # dS/dx here and the shifted symbol below are freed as soon as they
-        # are read, so that no (q, n) temporary outlives its use
+        if flux:
+            rows[q:2 * q] = rho
+            symbols.append(grid._ik)
+        if phase:
+            periodic, slope = _split_winding(_unwrap_rows(np.angle(data)), grid)
+            rows[-q:] = periodic
+            del periodic
+            symbols.append(grid._ik)
+    _transform_rows(rows, *symbols)
+    del symbols
+    if out is None:
+        out = np.empty((q, n), dtype=complex)
+    # every product and sum below has the operands of the expression in its
+    # comment, so the in-place form gives the same bytes
+    lap, Ak = rows[:q], A.values[:, None]
+    if not tables.nonzero:
+        # 1j * (Ak * lap)
+        np.multiply(Ak, lap, out=out)
+        np.multiply(1j, out, out=out)
+    else:
         dS = None
-        if tables.uses_phase:
-            dS = _phase_gradient_samples(_unwrap_rows(np.angle(data)), grid)
+        if phase:
+            dS = rows[-q:].real + slope[:, None]
             if kappa is not None:
                 dS += kappa[:, None]
         W = eval_W_parts(tables, rho, dS)
         del dS
-    rows = np.empty((2 * q if flux else q, data.shape[1]), dtype=complex)
-    rows[:q] = data
-    symbols = [grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)]
-    if flux:
-        rows[q:] = rho
-        symbols.append(grid._ik)
-    lap = _transform_rows(rows, *symbols)[:q]
-    del symbols
-    Ak = A.values[:, None]
-    if not tables.nonzero:
-        out = 1j * (Ak * lap)
-    elif flux:
-        Wim = eval_Wim_parts(tables, rho, rows[q:].real)
-        out = 1j * (Ak * lap) + (1j * W - Wim) * data
-    else:
-        out = 1j * (Ak * lap + W * data)
+        if flux:
+            # 1j * (Ak * lap) + (1j * W - Wim) * data, the nonlinear term
+            # built in the density rows once Wim has read them
+            Wim = eval_Wim_parts(tables, rho, rows[q:2 * q].real)
+            nl = rows[q:2 * q]
+            np.multiply(1j, W, out=nl)
+            np.subtract(nl, Wim, out=nl)
+            np.multiply(nl, data, out=nl)
+            np.multiply(Ak, lap, out=out)
+            np.multiply(1j, out, out=out)
+            np.add(out, nl, out=out)
+        else:
+            # 1j * (Ak * lap + W * data)
+            np.multiply(Ak, lap, out=lap)
+            np.multiply(W, data, out=out)
+            np.add(lap, out, out=out)
+            np.multiply(1j, out, out=out)
     if not np.isfinite(out).all():
         raise BlowUpError(f"non-finite value in right-hand side at t={t}", t=t)
     return out
@@ -200,7 +232,12 @@ def rhs(state: SimState) -> ComplexFieldSet:
 
 
 def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
-    """One classical RK4 step; warns when |dt| exceeds the advisory bound."""
+    """One classical RK4 step; warns when |dt| exceeds the advisory bound.
+
+    The result has the bytes of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4). The
+    stage buffers are allocated once per step, and the k's enter a running
+    sum ((k1 + 2 k2) + 2 k3) + k4, so at most two k's are alive.
+    """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     grid = state.fields.grid
@@ -210,12 +247,33 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
             f"dt={dt!r} exceeds the stability bound {bound:.6g}", stacklevel=2
         )
     y = state.fields.data
+    q, n = y.shape
     tables, A, t, kappa = state.spec.tables, state.A, state.t, _shift(state.fields)
-    k1 = _tendency(y, grid, tables, A, t, kappa)
-    k2 = _tendency(y + 0.5 * dt * k1, grid, tables, A, t, kappa)
-    k3 = _tendency(y + 0.5 * dt * k2, grid, tables, A, t, kappa)
-    k4 = _tendency(y + dt * k3, grid, tables, A, t, kappa)
-    new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = np.empty((q, n), dtype=complex)
+    k = np.empty((q, n), dtype=complex)
+    stage = np.empty((q, n), dtype=complex)
+    work = np.empty((3 * q, n), dtype=complex)
+
+    def tendency(u: np.ndarray, into: np.ndarray) -> None:
+        _tendency(u, grid, tables, A, t, kappa, out=into, work=work)
+
+    tendency(y, acc)  # k1
+    np.multiply(0.5 * dt, acc, out=stage)
+    tendency(np.add(y, stage, out=stage), k)  # k2
+    for h in (0.5 * dt, dt):
+        np.multiply(h, k, out=stage)
+        np.add(y, stage, out=stage)
+        np.multiply(2.0, k, out=k)
+        np.add(acc, k, out=acc)
+        tendency(stage, k)  # k3, then k4
+    np.add(acc, k, out=acc)
+    np.multiply(dt / 6.0, acc, out=acc)
+    # A fresh result, allocated after the stage buffers, sits above them on
+    # the heap: freeing them leaves a hole the next step reuses, not a free
+    # heap top that glibc trims and the next step faults back in (writing
+    # the result into acc cost about 250 minor faults per q = 2, n = 4096
+    # step).
+    new = np.add(y, acc)
     t_new = state.t + dt
     if not np.all(np.isfinite(new)):
         raise BlowUpError(f"non-finite field at t={t_new}", t=t_new)

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -550,6 +551,38 @@ def test_non_finite_config_number_exits_1_naming_its_key(tmp_path, capsys, path,
     cfg = write_config(tmp_path, payload)
     assert main(["verify", str(cfg)]) == 1
     assert f"error: config key '{key}': expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid, key, message",
+    [
+        ({"x_min": 1.0, "x_max": 0.5}, "grid.x_max", "must exceed grid.x_min"),
+        ({"x_min": 0.0, "x_max": 0.0}, "grid.x_max", "must exceed grid.x_min"),
+        ({"x_min": -1e308, "x_max": 1e308}, "grid.x_max", "domain length"),
+        ({"n_points": 100}, "grid.n_points", "power of two"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_grid_error_exits_1_naming_its_key(tmp_path, capsys, command, grid, key, message):
+    payload = small_family_a_config(tmp_path)
+    payload["grid"].update(grid)
+    cfg = write_config(tmp_path, payload)
+    assert main([command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config key '{key}': " in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_subnormal_dispersion_exits_1_naming_A(tmp_path, capsys, command):
+    payload = small_family_a_config(tmp_path)
+    payload["A"] = [1e-320, -1e-320]
+    cfg = write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error: config key 'A': the RK4 step bound" in err and "is not finite" in err
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "1e999"])

@@ -37,6 +37,11 @@ def test_make_grid_rejects_bad_domain():
         make_grid(64, 1.0, 0.0)
 
 
+def test_make_grid_rejects_overflowing_length():
+    with pytest.raises(ValueError, match="length is not finite"):
+        make_grid(64, -1e308, 1e308)
+
+
 def test_derivative_sin(grid256):
     err = np.abs(derivative(np.sin(grid256.x), grid256) - np.cos(grid256.x)).max()
     assert err < 1e-13

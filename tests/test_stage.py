@@ -1,5 +1,7 @@
-"""The RK4 stage and its jump-only unwrap reproduce the plain numpy
-formulation byte for byte."""
+"""The RK4 stage, the RK4 step and the stage's jump-only unwrap reproduce
+the plain numpy formulation byte for byte."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from cnls_gauge import (
     SimState,
     make_grid,
     rhs,
+    step,
     transformed_spec,
 )
 from cnls_gauge.fields import _unwrap_rows, _winding_from_samples
@@ -184,3 +187,69 @@ def test_stage_is_byte_identical_to_reference(family, kappa):
             got = rhs(SimState(0.0, fields, spec, A)).data
             want = _reference_tendency(fields, spec.tables, A)
             assert got.tobytes() == want.tobytes(), (family, tag, seed)
+
+
+# --- the step against the textbook RK4 combination --------------------------
+
+
+def _textbook_step(state, dt):
+    """y + (dt/6)(k1 + 2 k2 + 2 k3 + k4), each k_i from ``rhs``."""
+    y, f = state.fields.data, state.fields
+
+    def k_at(u):
+        fields = ComplexFieldSet(u, f.grid, kappa=f.kappa)
+        return rhs(SimState(state.t, fields, state.spec, state.A)).data
+
+    k1 = k_at(y)
+    k2 = k_at(y + 0.5 * dt * k1)
+    k3 = k_at(y + 0.5 * dt * k2)
+    k4 = k_at(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("family", ["linear", "drift_cubic", "derivative"])
+@pytest.mark.parametrize("kappa", [0.0, 0.37])
+@pytest.mark.parametrize("dt", [2e-5, -2e-5])
+def test_step_is_byte_identical_to_textbook_rk4(family, kappa, dt):
+    for seed in range(2):
+        grid, A, states = _states(family, q=2 + seed, seed=seed)
+        for tag, spec, data in states:
+            q = data.shape[0]
+            kap = kappa * np.linspace(1.0, -1.0, q)
+            state = SimState(0.0, ComplexFieldSet(data, grid, kappa=kap), spec, A)
+            got = step(state, dt).fields.data
+            assert got.tobytes() == _textbook_step(state, dt).tobytes(), (tag, q)
+
+
+def test_step_buffers_carry_nothing_between_states():
+    grid, A, (psi, phi) = _states("derivative", q=3, seed=4)
+    kap = np.array([0.37, -0.2, 0.0])
+    a = SimState(0.0, ComplexFieldSet(psi[2], grid, kappa=kap), psi[1], A)
+    b = SimState(0.0, ComplexFieldSet(phi[2][::-1] * 0.5, grid), phi[1], A)
+    first = step(a, 1e-5).fields.data.tobytes()
+    step(b, -1e-5)
+    assert step(a, 1e-5).fields.data.tobytes() == first
+
+
+@pytest.mark.parametrize("system", ["psi", "phi"])
+def test_step_peak_memory(system):
+    """One step at q = 2, n = 4096 holds at most 160 bytes per q*n at once:
+    its stage buffers (three (q, n) complex arrays and a (3q, n) stack)
+    are allocated once per step, not once per stage."""
+    rng = np.random.default_rng(8)
+    q, n = 2, 4096
+    grid = make_grid(n, 0.0, TWO_PI)
+    A = random_dispersion(rng, q)
+    spec = random_derivative_spec(rng, q, scale=0.5)
+    if system == "phi":
+        spec = transformed_spec(spec, A)
+    fields = band_limited_state(rng, grid, q, phase_amp=2.5)
+    state = SimState(0.0, fields, spec, A)
+    step(state, 1e-7)  # grid symbols and FFT plans are cached on first use
+    tracemalloc.start()
+    try:
+        step(state, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (q * n) <= 160.0, peak / (q * n)
