@@ -203,7 +203,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, tolerance: float) -> int:
         for i, t in enumerate(result.times)
     ]
     write_csv(out_dir / "equivalence.csv", header, rows)
-    if result.final_density_diff >= tolerance:
+    if not result.final_density_diff < tolerance:  # a NaN gap fails too
         print(
             f"equivalence gap {result.final_density_diff:.3e} exceeds "
             f"tolerance {tolerance:.3e}",

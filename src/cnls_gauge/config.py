@@ -15,8 +15,11 @@ The grammar (documented in the README) is a single JSON object:
     phi_coefficients  optional explicit transformed tables (verify only)
 
 Every number must be finite, and so must the domain length and the RK4
-step bound they give. Parsed configs are plain-value dataclasses
-so that a dumped config reparses to an equal object.
+step bound they give, and the peak density and the norms of the initial
+data (bounded from the descriptors' amplitudes). The transformed
+coefficient tables must be finite for the commands that build them.
+Parsed configs are plain-value dataclasses so that a dumped config
+reparses to an equal object.
 """
 
 from __future__ import annotations
@@ -138,8 +141,10 @@ class RunConfig:
         A = _vector(_require(raw, "A"), "A", q)
         if any(a == 0.0 for a in A):
             raise ConfigError("A", "dispersion coefficients must be nonzero")
-        with np.errstate(over="ignore", divide="ignore"):
+        try:
             bound = stability_bound(grid, DispersionMatrix(values=np.asarray(A)))
+        except ZeroDivisionError:  # max|A_k| (pi/dx)^2 underflows to zero
+            bound = math.inf
         if not math.isfinite(bound):
             raise ConfigError(
                 "A", "the RK4 step bound 2 sqrt(2) / (max|A_k| (pi/dx)^2) is not "
@@ -193,6 +198,8 @@ class RunConfig:
         if sample_every < 1:
             raise ConfigError("sample_every", "must be >= 1")
         amplitude = _number(raw.get("amplitude", 1.0), "amplitude")
+        if initial is not None:
+            _check_initial_finite(initial, amplitude, grid.length)
         system = raw.get("system", "psi")
         if system not in SYSTEMS:
             raise ConfigError("system", f"must be one of {SYSTEMS}, got {system!r}")
@@ -274,8 +281,24 @@ class RunConfig:
 
     def build_transformed_spec(self, spec: FamilySpec) -> TransformedSpec:
         """Transformed tables of ``spec`` (this config's ``build_family_spec()``),
-        with any ``phi_coefficients`` overrides applied."""
-        base = transformed_spec(spec, self.build_dispersion())
+        with any ``phi_coefficients`` overrides applied.
+
+        They divide by the A_k, so finite coefficients can give non-finite
+        tables (``A = [1, 1e-320]``); that is a ConfigError naming A when
+        the tables are finite at unit dispersion, the nonlinearity otherwise.
+        """
+        with np.errstate(all="ignore"):
+            try:
+                base = transformed_spec(spec, self.build_dispersion())
+            except ValueError as err:
+                try:
+                    transformed_spec(spec, DispersionMatrix(values=np.ones(self.q)))
+                    key = "A"
+                except ValueError:
+                    key = "nonlinearity"
+                raise ConfigError(
+                    key, f"the transformed coefficient tables are not finite ({err})"
+                ) from None
         if not self.phi_coefficients:
             return base
         return replace(
@@ -343,6 +366,34 @@ def _parse_initial(entry: Any, k: int) -> dict:
                 parsed_g[opt] = _number(g[opt], f"{key}.gaussian.{opt}")
         return {"gaussian": parsed_g}
     raise ConfigError(key, "descriptor needs either 'modes' or 'gaussian'")
+
+
+def _check_initial_finite(initial: list, amplitude: float, length: float) -> None:
+    """Raise unless bounds on the initial peak density and norm are finite.
+
+    From the amplitudes alone, without building the field: species k of a
+    mode sum has peak density at most (a sum_m |c_m|)^2 and norm
+    L a^2 sum_m |c_m|^2 (exact for distinct modes); a Gaussian has peak
+    density at most (a (|amplitude| + |offset|))^2 and norm at most L times
+    that. A finite field whose |u|^2 overflows fails here, not as infinite
+    norms in the diagnostics.
+    """
+    a = abs(amplitude)
+    for k, entry in enumerate(initial):
+        if "modes" in entry:
+            mags = [a * math.hypot(t["re"], t["im"]) for t in entry["modes"]]
+            top = sum(mags)
+            norm = length * sum(m * m for m in mags)
+        else:
+            g = entry["gaussian"]
+            top = a * (abs(g["amplitude"]) + abs(g.get("offset", 0.0)))
+            norm = length * top * top
+        for name, value in (("peak density", top * top), ("norm", norm)):
+            if not math.isfinite(value):
+                raise ConfigError(
+                    "initial", f"species {k + 1}: the {name} of the initial data "
+                    f"is not finite (amplitudes too large)"
+                )
 
 
 def _parse_phi_tables(raw: Any, q: int) -> dict:

@@ -3,10 +3,15 @@
 A field set psi_k is decomposed as psi_k = rho_k^(1/2) exp(i S_k) with
 rho_k = |psi_k|^2 and S_k the phase unwrapped along the grid from node 0.
 The same containers hold the transformed fields phi_k and their phases.
+The integer winding of each unwrapped phase row, and the slope of the
+ramp it adds, are read on Python floats (``_winding_from_samples``,
+``_split_winding``) with the bytes of the numpy expression; the RK4 stage
+and ``phase_gradient`` share that split.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,13 +156,14 @@ def _unwrap_rows(p: np.ndarray) -> np.ndarray:
     only where a step is a jump: not below pi in magnitude, NaN included.
     """
     dd = p[:, 1:] - p[:, :-1]
-    jump = ~(np.abs(dd) < np.pi)
+    small = np.abs(dd) < np.pi
     out = np.empty_like(p)
     out[:, 0] = p[:, 0]
-    if not jump.any():
+    if small.all():
         # numpy adds a zero cumsum, which turns -0.0 into +0.0
         np.add(p[:, 1:], 0.0, out=out[:, 1:])
         return out
+    jump = ~small
     d = dd[jump]
     dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
     dmod[(dmod == -np.pi) & (d > 0)] = np.pi
@@ -221,19 +227,34 @@ def norms(h: HydroFields) -> np.ndarray:
 
 
 def _wrap_to_pi(v: np.ndarray | float) -> np.ndarray | float:
+    # Python's float % and numpy's remainder give the same bytes
     return (v + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _winding_from_samples(S: np.ndarray) -> np.ndarray:
-    closing = _wrap_to_pi(S[:, 0] - S[:, -1])
-    total = S[:, -1] - S[:, 0] + closing
-    return np.rint(total / (2.0 * np.pi))
+def _rint(v: float) -> float:
+    """np.rint of one float: half to even, the sign of a zero kept (-0.3
+    gives -0.0), NaN and inf passed through, where round() would drop the
+    sign or raise."""
+    return math.copysign(round(v), v) if math.isfinite(v) else v
+
+
+def _winding_from_samples(S: np.ndarray) -> list[float]:
+    """Integer winding of each row of unwrapped phases, one Python float per
+    row: the rise from the first to the last node plus the wrapped closing
+    step, over 2 pi. The same bytes as the array expression, in q scalar
+    operations rather than a dozen numpy calls on (q,) arrays."""
+    return [
+        _rint((last - first + _wrap_to_pi(first - last)) / (2.0 * np.pi))
+        for first, last in zip(S[:, 0].tolist(), S[:, -1].tolist())
+    ]
 
 
 def _split_winding(S: np.ndarray, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """(periodic, slope) with S = periodic + slope (x - x_min): the
-    non-periodic integer-winding ramp split off the unwrapped phases."""
-    slope = 2.0 * np.pi * _winding_from_samples(S) / grid.length
+    non-periodic integer-winding ramp split off the unwrapped phases. The
+    slopes 2 pi m_k / L are computed on Python floats."""
+    length = grid.length
+    slope = np.array([2.0 * np.pi * m / length for m in _winding_from_samples(S)])
     return S - slope[:, None] * (grid.x - grid.x_min), slope
 
 
@@ -254,7 +275,7 @@ def _data_phase(h: HydroFields) -> np.ndarray:
 def phase_winding(h: HydroFields) -> np.ndarray:
     """Integer winding number of each species' phase around the period,
     the fractional wavenumber kappa split off."""
-    return _winding_from_samples(_data_phase(h)).astype(int)
+    return np.array(_winding_from_samples(_data_phase(h))).astype(int)
 
 
 def phase_gradient(h: HydroFields) -> np.ndarray:

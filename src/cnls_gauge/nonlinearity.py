@@ -183,7 +183,8 @@ def eval_W_parts(
     """Real part W_k (or R_k of transformed tables) from density and
     phase-gradient samples; ``dS`` is read only when ``tables.uses_phase``."""
     on = tables.nonzero
-    W = np.broadcast_to(tables.const[:, None], rho.shape).copy()
+    W = np.empty(rho.shape)
+    W[:] = tables.const[:, None]
     if "a" in on:
         W += tables.a[:, None] * dS
     if "cubic" in on:

@@ -13,10 +13,14 @@ Every stage reads rho, dS/dx and drho/dx afresh from the stage's fields,
 so branch-cut artifacts never accumulate in dS/dx. The Laplacian, drho/dx
 and dS/dx come from one stacked in-place FFT pair over the data rows, the
 density rows and the periodic part of the phases, which a jump-only
-unwrap (``fields._unwrap_rows``) reads. ``step`` allocates its stage
-buffers once per step and writes each stage into them; every in-place
-product and sum keeps the operands of the plain expression, so the
-results are the same to the last bit.
+unwrap (``fields._unwrap_rows``) reads. The per-species scalars of a
+stage (the vacuum guard's minimum and peak densities, the winding and
+ramp slope of ``fields._split_winding``) are q Python floats, since at
+desk scale a stage costs about as much per numpy call as per array
+element. ``step`` allocates its stage buffers once per step and writes
+each stage into them; every in-place product and sum keeps the operands
+of the plain expression, and every scalar form the IEEE operations of the
+array one, so the results are the same to the last bit.
 
 A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
 evolves its periodic u_k with the symbol -(k + kappa_k)^2 and dS_u/dx +
@@ -28,6 +32,7 @@ from the stage tendency, so it never steps outside [t0, t_end].
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -120,16 +125,19 @@ def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
     a mode, which the bound does not include.
     """
     k_max = np.pi / grid.dx
-    return 2.0 * np.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
+    return 2.0 * math.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
 
 
-def _transform_rows(rows: np.ndarray, *symbols: np.ndarray) -> np.ndarray:
-    """In place on complex ``rows``, split into equal blocks, one per
-    symbol: each block becomes ifft(symbol * fft(block)). Returns rows."""
+def _transform_rows(
+    rows: np.ndarray, q: int, symbol: np.ndarray, ik: np.ndarray
+) -> np.ndarray:
+    """In place on complex ``rows``: the first q rows become
+    ifft(symbol * fft(row)), every later row ifft(ik * fft(row)), with one
+    product for all of the later rows. Returns rows."""
     np.fft.fft(rows, axis=-1, out=rows)
-    size = rows.shape[0] // len(symbols)
-    for b, symbol in enumerate(symbols):
-        rows[b * size:(b + 1) * size] *= symbol
+    rows[:q] *= symbol
+    if rows.shape[0] > q:
+        rows[q:] *= ik
     np.fft.ifft(rows, axis=-1, out=rows)
     return rows
 
@@ -162,24 +170,26 @@ def _tendency(
     size = q * (1 + flux + phase)
     rows = np.empty((size, n), dtype=complex) if work is None else work[:size]
     rows[:q] = data
-    symbols = [grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)]
+    symbol = grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)
     if tables.nonzero:
         rho = data.real**2 + data.imag**2
-        peak = rho.max(axis=-1)
-        if (peak <= 0.0).any():
+        # compared as Python floats: q scalars cost less than numpy calls on them
+        peaks, lows = rho.max(axis=-1).tolist(), rho.min(axis=-1).tolist()
+        if any(peak <= 0.0 for peak in peaks):
             raise VacuumError("species is identically zero (all-vacuum)")
-        if (rho.min(axis=-1) < floor * peak).any():
+        if any(low < floor * peak for low, peak in zip(lows, peaks)):
             raise VacuumError("density below floor during evolution")
         if flux:
             rows[q:2 * q] = rho
-            symbols.append(grid._ik)
         if phase:
-            periodic, slope = _split_winding(_unwrap_rows(np.angle(data)), grid)
+            # np.arctan2(imag, real) is np.angle(data) without its wrapper
+            periodic, slope = _split_winding(
+                _unwrap_rows(np.arctan2(data.imag, data.real)), grid
+            )
             rows[-q:] = periodic
             del periodic
-            symbols.append(grid._ik)
-    _transform_rows(rows, *symbols)
-    del symbols
+    _transform_rows(rows, q, symbol, grid._ik)
+    del symbol
     if out is None:
         out = np.empty((q, n), dtype=complex)
     # every product and sum below has the operands of the expression in its
@@ -275,7 +285,7 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     # step).
     new = np.add(y, acc)
     t_new = state.t + dt
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise BlowUpError(f"non-finite field at t={t_new}", t=t_new)
     if max_abs is not None and np.abs(new).max() > max_abs:
         raise BlowUpError(f"field magnitude exceeded blow-up threshold at t={t_new}", t=t_new)

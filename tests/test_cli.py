@@ -621,3 +621,115 @@ def test_verify_vacuum_initial_exits_2(tmp_path):
     assert res.returncode == 2
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+# --- gates and parse-time checks that NaN or overflow cannot slip past -------
+
+
+def test_verify_nan_gap_exits_2(tmp_path, capsys, monkeypatch):
+    # a NaN gap compares false against the tolerance, so the gate is written
+    # as not (gap < tolerance)
+    from cnls_gauge import cli
+    from cnls_gauge.report import EquivalenceRun
+
+    def nan_run(cfg):
+        nan = np.full((1, cfg.q), np.nan)
+        return EquivalenceRun([0.0], nan, nan, np.zeros(cfg.q))
+
+    monkeypatch.setattr(cli, "run_equivalence", nan_run)
+    cfg = write_config(tmp_path, small_linear_config(tmp_path))
+    assert main(["verify", str(cfg)]) == 2
+    assert "equivalence gap nan exceeds tolerance" in capsys.readouterr().err
+
+
+def _plane_wave_n32(tmp_path, initial):
+    payload = json.loads((CONFIGS / "linear_plane_wave.json").read_text())
+    payload["grid"]["n_points"] = 32
+    payload.update(
+        initial=[initial], t_end=0.002, sample_every=5, output_dir=str(tmp_path / "out")
+    )
+    return payload
+
+
+@pytest.mark.parametrize(
+    "initial, amplitude, what",
+    [
+        # a finite field whose |u|^2 overflows: simulate wrote N_1 = inf and
+        # verify a NaN gap, both with exit 0
+        ({"modes": [{"mode": 1, "re": 1e300, "im": 0.0}]}, 1.0, "peak density"),
+        ({"modes": [{"mode": 1, "re": 1e154, "im": 0.0},
+                    {"mode": 2, "re": 1e154, "im": 0.0}]}, 1.0, "peak density"),
+        # |u|^2 = 1.4e308 is finite, its integral over 2 pi is not
+        ({"modes": [{"mode": 1, "re": 1.2e154, "im": 0.0}]}, 1.0, "norm"),
+        ({"modes": [{"mode": 1, "re": 1.0, "im": 0.0}]}, 1e200, "peak density"),
+        ({"gaussian": {"amplitude": 1.0, "center": 3.0, "width": 1.0,
+                       "offset": 1e200}}, 1.0, "peak density"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_overflowing_initial_data_exits_1_naming_initial(
+    tmp_path, capsys, command, initial, amplitude, what
+):
+    payload = _plane_wave_n32(tmp_path, initial)
+    payload["amplitude"] = amplitude
+    cfg = write_config(tmp_path, payload)
+    assert main([command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: config key 'initial': species 1: the {what} ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_large_finite_initial_data_still_runs(tmp_path):
+    # |u|^2 = 1e200 and its norm are finite: the march runs
+    payload = _plane_wave_n32(tmp_path, {"modes": [{"mode": 1, "re": 1e100, "im": 0.0}]})
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", str(cfg)]) == 0
+    rows = read_csv(tmp_path / "out" / "diagnostics.csv")
+    assert all(np.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
+@pytest.mark.parametrize("command", ["verify", "transform"])
+@pytest.mark.parametrize(
+    "key, change",
+    [
+        ("A", {"A": [1.0, 1e-320]}),
+        ("nonlinearity", {"nonlinearity": {"family": "drift_cubic",
+                                           "delta": [2.0, -1e300],
+                                           "gamma": [0.4, 0.3]}}),
+    ],
+)
+def test_non_finite_transformed_tables_exit_1_naming_the_cause(
+    tmp_path, capsys, command, key, change
+):
+    payload = small_family_a_config(tmp_path, **change)
+    payload["grid"]["n_points"] = 32
+    cfg = write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(
+        f"error: config key '{key}': the transformed coefficient tables are not finite"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_runs_where_only_the_transformed_tables_overflow(tmp_path):
+    # simulate never builds the transformed tables
+    payload = small_family_a_config(tmp_path, A=[1.0, 1e-320], t_end=0.002)
+    payload["grid"]["n_points"] = 32
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", str(cfg)]) == 0
+    rows = read_csv(tmp_path / "out" / "diagnostics.csv")
+    assert all(np.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
+def test_step_bound_underflow_exits_1_naming_A(tmp_path, capsys):
+    # max|A_k| (pi/dx)^2 underflows to zero on a long coarse grid
+    payload = small_linear_config(tmp_path, A=[5e-324])
+    payload["grid"].update(n_points=8, x_max=1e4)
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", str(cfg)]) == 1
+    assert "error: config key 'A': the RK4 step bound" in capsys.readouterr().err

@@ -1,0 +1,72 @@
+"""Smoke test of tools/digest_outputs.py at n = 32."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+from cnls_gauge import DispersionMatrix, make_grid, stability_bound
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "digest_outputs.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("digest_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _config(tmp_path, name, **overrides):
+    payload = {
+        "grid": {"n_points": 32, "x_min": 0.0, "x_max": 2 * np.pi},
+        "q": 2,
+        "A": [1.0, 0.5],
+        "nonlinearity": {"family": "drift_cubic", "delta": [2.0, 1.0], "gamma": [0.4, 0.3]},
+        "initial": [
+            {"modes": [{"mode": 0, "re": 0.28}, {"mode": 1, "re": 0.02, "im": 0.01}]},
+            {"modes": [{"mode": 0, "re": 0.25}, {"mode": -1, "im": 0.015}]},
+        ],
+        "dt": 1e-3,
+        "t_end": 0.004,
+        "sample_every": 2,
+        "output_dir": "unused",
+    }
+    payload.update(overrides)
+    path = tmp_path / name
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def test_digest_lists_every_command_file_and_exit_code(tmp_path):
+    tool = _load_tool()
+    path = _config(tmp_path, "a.json")
+    lines = tool.digest({"a": path})
+    assert [l for l in lines if l.startswith("== ")] == [
+        f"== {command} a" for command in tool.COMMANDS
+    ]
+    assert lines[lines.index("== simulate a") + 1] == "exit 0"
+    files = [l.split("  ")[1] for l in lines if len(l.split("  ")[0]) == 64]
+    assert "diagnostics.csv" in files and "equivalence.csv" in files
+    assert "transformed_coefficients.csv" in files and "convergence.csv" in files
+    assert "snapshot_000000.raw" in files
+    # deterministic, and moved by a change in the initial data
+    assert tool.digest({"a": path}) == lines
+    other = tool.digest({"a": _config(tmp_path, "b.json", amplitude=1.001)})
+    assert other != lines and len(other) == len(lines)
+
+
+def test_digest_prints_warnings_without_file_and_line(tmp_path):
+    tool = _load_tool()
+    grid = make_grid(32, 0.0, 2 * np.pi)
+    dt = 1.01 * stability_bound(grid, DispersionMatrix([1.0, 0.5]))
+    path = _config(tmp_path, "warn.json", dt=dt, t_end=2 * dt, sample_every=1)
+    lines = tool.digest({"warn": path})
+    stderr = [l for l in lines if l.startswith("stderr| ")]
+    assert f"stderr| UserWarning: dt={dt!r} exceeds the stability bound" in "\n".join(stderr)
+    assert not any(".py:" in l for l in stderr)
+    # the registry is reset per command, as in a fresh process: simulate and
+    # verify each report the warning once
+    assert sum("UserWarning: dt=" in l for l in stderr) == 2
+    assert tool.digest({"warn": path}) == lines

@@ -1,5 +1,6 @@
-"""The RK4 stage, the RK4 step and the stage's jump-only unwrap reproduce
-the plain numpy formulation byte for byte."""
+"""The RK4 stage, the RK4 step and the stage's helpers (the jump-only
+unwrap, the winding split on Python floats, the vacuum guard, the stacked
+transform) reproduce the plain numpy formulation byte for byte."""
 
 import tracemalloc
 
@@ -7,17 +8,23 @@ import numpy as np
 import pytest
 
 from cnls_gauge import (
+    BlowUpError,
     ComplexFieldSet,
     DispersionMatrix,
+    DriftCubicSpec,
     LinearSpec,
     SimState,
+    VacuumError,
     make_grid,
     rhs,
+    stability_bound,
     step,
     transformed_spec,
 )
-from cnls_gauge.fields import _unwrap_rows, _winding_from_samples
+from cnls_gauge.fields import _split_winding, _unwrap_rows, _winding_from_samples
 from cnls_gauge.grid import derivative
+from cnls_gauge.nonlinearity import CoefficientTables, eval_W_parts
+from cnls_gauge.solver import _tendency, _transform_rows
 
 from conftest import (
     band_limited_state,
@@ -79,6 +86,168 @@ def test_unwrap_rows_random_phases(shape):
     assert _same_as_numpy(np.angle(np.exp(1j * (m * x + rng.uniform(-1, 1, shape)))))
 
 
+def test_unwrap_rows_jump_in_one_row_only():
+    # the no-jump shortcut must not fire when a single row has a jump
+    p = [[0.0, 0.1, 0.2, 0.3], [0.0, 3.0, -3.0, -2.9], [-0.0, -0.0, -0.0, -0.0]]
+    assert _same_as_numpy(p)
+
+
+# --- the winding split on Python floats against its numpy form ---------------
+
+
+def _reference_winding(S):
+    closing = (S[:, 0] - S[:, -1] + np.pi) % (2.0 * np.pi) - np.pi
+    total = S[:, -1] - S[:, 0] + closing
+    return np.rint(total / (2.0 * np.pi))
+
+
+def _reference_split(S, grid):
+    slope = 2.0 * np.pi * _reference_winding(S) / grid.length
+    return S - slope[:, None] * (grid.x - grid.x_min), slope
+
+
+def _edge_rows(n):
+    """Unwrapped-phase rows (first and last nodes set) at the edges of the
+    split: NaN, signed zeros, a rise of one ulp below the start, whose
+    winding rint rounds to -0.0 (Python's round gives +0), and closing
+    steps of exactly +-pi and 3 pi."""
+    pi, below_one = np.pi, np.nextafter(1.0, 0.0)
+    ends = [
+        (np.nan, 0.0), (0.0, np.nan), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0),
+        (1.0, below_one), (-1.0, -1.0 - 2.0**-52), (pi, 0.0), (0.0, pi),
+        (-pi, 0.0), (0.0, -pi), (3.0 * pi, 0.0), (0.0, 3.0 * pi),
+        (0.5, 0.5 + 2.0 * pi * 7), (0.5, 0.5 - 2.0 * pi * 7),
+    ]
+    rows = np.tile(np.linspace(-0.4, 0.4, n), (len(ends), 1))
+    rows[:, 0], rows[:, -1] = np.array(ends).T
+    rows[2, :] = -0.0
+    return rows
+
+
+def _random_rows(rng, grid, q):
+    """Seeded phases with integer windings, half of them with a fractional
+    (kappa != 0) ramp on top."""
+    x = grid.x - grid.x_min
+    m = rng.integers(-5, 6, (q, 1))
+    kappa = rng.uniform(-0.5, 0.5, (q, 1)) * (rng.random((q, 1)) < 0.5)
+    smooth = rng.uniform(-1.0, 1.0, (q, 1)) * np.sin(x + rng.uniform(0, 6, (q, 1)))
+    return TWO_PI * m * x / grid.length + kappa * x + smooth
+
+
+@pytest.mark.parametrize("x_min, x_max", [(0.0, TWO_PI), (-3.7, 11.2)])
+def test_split_winding_is_byte_identical_to_numpy(x_min, x_max):
+    grid = make_grid(16, x_min, x_max)
+    rng = np.random.default_rng(21)
+    rows = [_edge_rows(grid.n_points)]
+    rows += [_random_rows(rng, grid, 8) for _ in range(25)]
+    rows.append(rng.uniform(-50.0, 50.0, (64, grid.n_points)))
+    for S in rows:
+        periodic, slope = _split_winding(S, grid)
+        want_periodic, want_slope = _reference_split(S, grid)
+        assert slope.tobytes() == want_slope.tobytes()
+        assert periodic.tobytes() == want_periodic.tobytes()
+        got = np.array(_winding_from_samples(S))
+        assert got.tobytes() == _reference_winding(S).tobytes()
+
+
+def test_winding_keeps_the_sign_of_zero_and_passes_nan():
+    m = _winding_from_samples(_edge_rows(8))
+    assert np.isnan(m[0]) and np.isnan(m[1])
+    assert m[5] == 0.0 and np.signbit(m[5])  # -0.0 from below, as np.rint
+    assert m[7:11] == [-1.0, 0.0, 0.0, -1.0]  # a closing step of +-pi wraps to -pi
+
+
+# --- the stage's other one-call forms against the calls they replace ---------
+
+
+def test_arctan2_is_np_angle():
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    edge = np.array([[complex(a, b) for a in special for b in special]])
+    noise = rng.standard_normal((3, 256)) + 1j * rng.standard_normal((3, 256))
+    for z in (edge, noise):
+        assert np.arctan2(z.imag, z.real).tobytes() == np.angle(z).tobytes()
+
+
+def test_transform_rows_one_product_matches_one_per_block():
+    grid = make_grid(64, 0.0, TWO_PI)
+    rng = np.random.default_rng(4)
+    q = 3
+    symbol = -((grid.k + np.array([0.37, 0.0, -0.2])[:, None]) ** 2)
+    for blocks in (1, 2, 3):
+        shape = (blocks * q, 64)
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.fft.fft(rows, axis=-1)
+        want[:q] *= symbol
+        for b in range(1, blocks):
+            want[b * q:(b + 1) * q] *= grid._ik
+        want = np.fft.ifft(want, axis=-1)
+        got = _transform_rows(rows.copy(), q, symbol, grid._ik)
+        assert got.tobytes() == want.tobytes(), blocks
+
+
+def test_eval_W_parts_starts_from_the_constant_rows():
+    rng = np.random.default_rng(6)
+    q = 3
+    const = np.array([-0.0, 0.0, 1.5])
+    rho = rng.uniform(0.5, 1.5, (q, 32))
+    rho[1, 4] = np.nan
+    dS = rng.standard_normal((q, 32))
+    for tables in (
+        CoefficientTables.of(q, const=const),
+        CoefficientTables.of(q, const=const, a=rng.standard_normal(q),
+                             cubic=rng.standard_normal((q, q))),
+        random_derivative_spec(rng, q).tables,
+    ):
+        got = eval_W_parts(tables, rho, dS)
+        assert got.tobytes() == _reference_W(tables, rho, dS).tobytes()
+
+
+def _reference_guard(rho, floor):
+    peak = rho.max(axis=-1)
+    if (peak <= 0.0).any():
+        return "all-vacuum"
+    if (rho.min(axis=-1) < floor * peak).any():
+        return "below floor"
+    return None
+
+
+def test_vacuum_guard_on_python_floats_matches_numpy():
+    grid = make_grid(8, 0.0, TWO_PI)
+    tables = DriftCubicSpec(delta=[0.5, -0.3], gamma=[0.2, 0.1]).tables
+    A = DispersionMatrix([1.0, 1.0])
+    floor = 2.0**-40
+    ones, at5 = np.ones(8, dtype=complex), np.arange(8) == 5
+    rows = {
+        "zero row": [ones, 0.0 * ones],
+        "signed zero row": [ones, -0.0 * ones],
+        "NaN row": [ones, np.where(at5, np.nan, 1.0) + 0j],
+        "NaN and zero rows": [np.full(8, np.nan + 0j), 0.0 * ones],
+        "min at the floor": [ones, np.where(at5, 2.0**-20, 1.0) + 0j],
+        "min below the floor": [ones, np.where(at5, 2.0**-21, 1.0) + 0j],
+    }
+    for name, data in rows.items():
+        data = np.array(data)
+        want = _reference_guard(data.real**2 + data.imag**2, floor)
+        try:
+            _tendency(data, grid, tables, A, 0.0, floor=floor)
+            got = None
+        except VacuumError as err:
+            got = "all-vacuum" if "all-vacuum" in str(err) else "below floor"
+        except BlowUpError:
+            got = None  # past the guard, the NaN reaches the finite check
+        assert got == want, name
+
+
+def test_stability_bound_matches_the_numpy_expression():
+    for n, L, values in ((8, 1.0, [1.0]), (256, TWO_PI, [0.5, -2.0]), (4096, 40.0, [1e-3, 3.0])):
+        grid = make_grid(n, 0.0, L)
+        A = DispersionMatrix(values)
+        k_max = np.pi / grid.dx
+        want = 2.0 * np.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
+        assert stability_bound(grid, A) == want
+
+
 # --- the stage against a copy of the plain formulation ------------------------
 
 
@@ -87,8 +256,7 @@ def _reference_transform(f, symbol):
 
 
 def _reference_phase_gradient(S, grid):
-    slope = 2.0 * np.pi * _winding_from_samples(S) / grid.length
-    periodic = S - slope[:, None] * (grid.x - grid.x_min)
+    periodic, slope = _reference_split(S, grid)
     return _reference_transform(periodic, grid._ik).real + slope[:, None]
 
 
