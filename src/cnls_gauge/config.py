@@ -134,6 +134,13 @@ class RunConfig:
             grid = make_grid(n_points, x_min, x_max)
         except ValueError as err:
             raise ConfigError("grid.n_points", str(err)) from None
+        # the step bound squares the top wavenumber pi/dx
+        k_max = math.pi / grid.dx if grid.dx > 0.0 else math.inf
+        if not math.isfinite(k_max * k_max):
+            raise ConfigError(
+                "grid.x_max", f"the domain length x_max - x_min = {x_max - x_min!r} "
+                f"is too short for {n_points} points: (pi/dx)^2 overflows"
+            )
 
         q = _integer(_require(raw, "q"), "q")
         if q < 1:

@@ -3,6 +3,12 @@
 All operators act on the last axis of their input, so a stacked (q, n)
 family of fields is processed in one call. Grids are power-of-two sized
 for predictable FFT behaviour.
+
+Every FFT pair (the operators below and the RK4 stage's stacked pair in
+``solver``) goes through ``_spectral_pair``, which calls numpy's pocketfft
+ufuncs directly, with the factors and axes that ``np.fft.fft`` and
+``np.fft.ifft`` pass them, so the results have np.fft's bytes without its
+Python wrapper. Fields are transformed in double precision (complex128).
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft  # numpy >= 2.0
 
 __all__ = [
     "Grid1D",
@@ -98,20 +105,50 @@ def _check_field(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     return f
 
 
+# the core axes np.fft._raw_fft gives the ufuncs for a transform along axis -1
+_LAST_AXIS = [(-1,), (), (-1,)]
+
+
+def _spectral_pair(
+    rows: np.ndarray,
+    symbol: np.ndarray,
+    q: int | None = None,
+    tail: np.ndarray | None = None,
+) -> np.ndarray:
+    """In place on complex ``rows``: every row becomes ifft(symbol * fft(row)),
+    with the bytes of ``np.fft.ifft(symbol * np.fft.fft(row))``. Given q,
+    only the first q rows take ``symbol`` and every later row takes
+    ``tail``, with one product for all of them. Returns rows.
+
+    The forward factor is 1 and the inverse 1/n, the factors np.fft passes
+    for its default norm.
+    """
+    _pocketfft.fft(rows, 1.0, axes=_LAST_AXIS, out=rows)
+    # symbol first, as in symbol * fft(row): the operand order decides the
+    # sign of a NaN that a non-finite row produces
+    if q is None:
+        np.multiply(symbol, rows, out=rows)
+    else:
+        head = rows[:q]
+        np.multiply(symbol, head, out=head)
+        if rows.shape[0] > q:
+            rest = rows[q:]
+            np.multiply(tail, rest, out=rest)
+    _pocketfft.ifft(rows, 1.0 / rows.shape[-1], axes=_LAST_AXIS, out=rows)
+    return rows
+
+
 def derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Spectral first derivative; exact for band-limited periodic data."""
     f = _check_field(f, grid)
-    # one complex buffer, transformed in place
-    out = np.fft.fft(f, axis=-1)
-    out *= grid._ik
-    np.fft.ifft(out, axis=-1, out=out)
+    out = _spectral_pair(np.array(f, dtype=complex), grid._ik)
     return out.real if np.isrealobj(f) else out
 
 
 def second_derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Spectral second derivative (1-D Laplacian)."""
     f = _check_field(f, grid)
-    out = np.fft.ifft(grid._neg_k2 * np.fft.fft(f, axis=-1), axis=-1)
+    out = _spectral_pair(np.array(f, dtype=complex), grid._neg_k2)
     return out.real if np.isrealobj(f) else out
 
 
@@ -137,8 +174,8 @@ def antiderivative_parts(
         raise ValueError("antiderivative takes a real field")
     anchor = _check_anchor(anchor, grid)
     ramp = f.mean(axis=-1)
-    fluct = f - ramp[..., None]
-    periodic = np.fft.ifft(grid._inv_ik * np.fft.fft(fluct, axis=-1), axis=-1).real
+    fluct = (f - ramp[..., None]).astype(complex)
+    periodic = _spectral_pair(fluct, grid._inv_ik).real
     periodic = periodic - periodic[..., anchor, None]
     return periodic, ramp
 

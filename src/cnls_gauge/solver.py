@@ -11,8 +11,9 @@ purely real R_k. The spec alone says which system a state belongs to.
 
 Every stage reads rho, dS/dx and drho/dx afresh from the stage's fields,
 so branch-cut artifacts never accumulate in dS/dx. The Laplacian, drho/dx
-and dS/dx come from one stacked in-place FFT pair over the data rows, the
-density rows and the periodic part of the phases, which a jump-only
+and dS/dx come from one stacked in-place FFT pair (``grid._spectral_pair``,
+numpy's pocketfft ufuncs without the np.fft wrapper) over the data rows,
+the density rows and the periodic part of the phases, which a jump-only
 unwrap (``fields._unwrap_rows``) reads. The per-species scalars of a
 stage (the vacuum guard's minimum and peak densities, the winding and
 ramp slope of ``fields._split_winding``) are q Python floats, since at
@@ -50,7 +51,7 @@ from .fields import (
     _unwrap_rows,
 )
 from .gauge import TransformedSpec
-from .grid import Grid1D, derivative, integrate
+from .grid import Grid1D, _spectral_pair, derivative, integrate
 from .nonlinearity import (
     CoefficientTables,
     FamilySpec,
@@ -128,20 +129,6 @@ def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
     return 2.0 * math.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
 
 
-def _transform_rows(
-    rows: np.ndarray, q: int, symbol: np.ndarray, ik: np.ndarray
-) -> np.ndarray:
-    """In place on complex ``rows``: the first q rows become
-    ifft(symbol * fft(row)), every later row ifft(ik * fft(row)), with one
-    product for all of the later rows. Returns rows."""
-    np.fft.fft(rows, axis=-1, out=rows)
-    rows[:q] *= symbol
-    if rows.shape[0] > q:
-        rows[q:] *= ik
-    np.fft.ifft(rows, axis=-1, out=rows)
-    return rows
-
-
 def _tendency(
     data: np.ndarray,
     grid: Grid1D,
@@ -188,7 +175,7 @@ def _tendency(
             )
             rows[-q:] = periodic
             del periodic
-    _transform_rows(rows, q, symbol, grid._ik)
+    _spectral_pair(rows, symbol, q, grid._ik)
     del symbol
     if out is None:
         out = np.empty((q, n), dtype=complex)

@@ -1,6 +1,8 @@
-"""The RK4 stage, the RK4 step and the stage's helpers (the jump-only
-unwrap, the winding split on Python floats, the vacuum guard, the stacked
-transform) reproduce the plain numpy formulation byte for byte."""
+"""The RK4 stage, the RK4 step, the grid operators and the stage's helpers
+(the jump-only unwrap, the winding split on Python floats, the vacuum
+guard, the spectral pair on numpy's pocketfft ufuncs) reproduce the plain
+numpy formulation byte for byte. A numpy that moves or changes the private
+pocketfft module fails here."""
 
 import tracemalloc
 
@@ -22,9 +24,14 @@ from cnls_gauge import (
     transformed_spec,
 )
 from cnls_gauge.fields import _split_winding, _unwrap_rows, _winding_from_samples
-from cnls_gauge.grid import derivative
+from cnls_gauge.grid import (
+    _spectral_pair,
+    antiderivative_parts,
+    derivative,
+    second_derivative,
+)
 from cnls_gauge.nonlinearity import CoefficientTables, eval_W_parts
-from cnls_gauge.solver import _tendency, _transform_rows
+from cnls_gauge.solver import _tendency
 
 from conftest import (
     band_limited_state,
@@ -182,8 +189,39 @@ def test_transform_rows_one_product_matches_one_per_block():
         for b in range(1, blocks):
             want[b * q:(b + 1) * q] *= grid._ik
         want = np.fft.ifft(want, axis=-1)
-        got = _transform_rows(rows.copy(), q, symbol, grid._ik)
+        got = _spectral_pair(rows.copy(), symbol, q, grid._ik)
         assert got.tobytes() == want.tobytes(), blocks
+
+
+# --- the spectral pair against np.fft -----------------------------------------
+
+
+@pytest.mark.parametrize("n", [8, 256, 512, 4096])
+@pytest.mark.parametrize("rows", [None, 1, 2, 3, 6, 9])
+def test_spectral_pair_is_the_np_fft_pair(n, rows):
+    grid = make_grid(n, 0.0, TWO_PI)
+    rng = np.random.default_rng(n + (rows or 0))
+    shape = (n,) if rows is None else (rows, n)
+    x = rng.standard_normal(shape)
+    for f in (x, x + 1j * rng.standard_normal(shape)):
+        for symbol in (grid._ik, grid._neg_k2, grid._inv_ik):
+            got = _spectral_pair(f.astype(complex), symbol)
+            assert got.tobytes() == _reference_transform(f, symbol).tobytes()
+
+
+def test_spectral_pair_passes_nan_and_inf_as_np_fft():
+    grid = make_grid(64, 0.0, TWO_PI)
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+    f[1, 7] = np.nan
+    f[2, 3] = np.inf
+    f[3, 0], f[3, 9] = complex(-np.inf, np.nan), complex(0.0, -np.inf)
+    for symbol in (grid._ik, grid._neg_k2):
+        with np.errstate(invalid="ignore"):
+            got = _spectral_pair(f.copy(), symbol)
+            want = _reference_transform(f, symbol)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[0]).all() and np.isnan(got[1:]).all()
 
 
 def test_eval_W_parts_starts_from_the_constant_rows():
@@ -268,6 +306,25 @@ def test_in_place_derivative_is_byte_identical(shape):
     assert derivative(f, grid).tobytes() == _reference_transform(f, grid._ik).real.tobytes()
     z = f + 1j * rng.standard_normal(shape)
     assert derivative(z, grid).tobytes() == _reference_transform(z, grid._ik).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(256,), (1, 256), (3, 256)])
+def test_second_derivative_and_antiderivative_are_byte_identical(shape):
+    grid = make_grid(shape[-1], -1.5, 4.0)
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal(shape)
+    want = _reference_transform(f, grid._neg_k2)
+    assert second_derivative(f, grid).tobytes() == want.real.tobytes()
+    z = f + 1j * rng.standard_normal(shape)
+    want = _reference_transform(z, grid._neg_k2)
+    assert second_derivative(z, grid).tobytes() == want.tobytes()
+    for anchor in (0, 37):
+        periodic, ramp = antiderivative_parts(f, grid, anchor)
+        want_ramp = f.mean(axis=-1)
+        want = _reference_transform(f - want_ramp[..., None], grid._inv_ik).real
+        want = want - want[..., anchor, None]
+        assert ramp.tobytes() == want_ramp.tobytes()
+        assert periodic.tobytes() == want.tobytes()
 
 
 def _reference_W(tables, rho, dS):

@@ -1,0 +1,118 @@
+"""Per-layer timing of the RK4 march: one FFT pair, one stage tendency and
+one step, for each grid size n and species count q.
+
+Run from anywhere:
+
+    python3 tools/stage_timing.py [--n 256 1024 4096] [--q 1 2 3] [--repeats 7]
+
+The package is imported from this checkout's ``src/``. Each cell (n, q)
+builds a seeded derivative-family psi state whose species all wind once, so
+every stage transforms 3q rows (data, density and phase), and prints one
+JSON line with the min over ``repeats`` of the mean time of one call, in
+microseconds:
+
+- ``fft_pair_us``: the stage's stacked pair, ``grid._spectral_pair`` on 3q
+  rows, including the copy of the rows into its buffer;
+- ``tendency_us``: ``solver._tendency`` into buffers allocated once, as
+  ``solver.step`` calls it;
+- ``step_us``: ``solver.step`` at half the step bound.
+
+The calls per repeat (``*_calls``) are chosen by ``timeit``'s autorange, so
+one repeat lasts at least 0.2 s. To compare two checkouts, run the tool in
+each on the same machine, one after the other.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS/OpenMP thread, pinned before numpy is imported, as in perfbench.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import sys
+import timeit
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _import_package():
+    sys.path.insert(0, str(ROOT / "src"))
+    import cnls_gauge
+
+    return cnls_gauge
+
+
+def make_state(cg, n: int, q: int):
+    """A derivative-family psi state on [0, 2 pi) with nonzero flux and
+    phase tables, seeded by (n, q)."""
+    rng = np.random.default_rng([n, q])
+    grid = cg.make_grid(n, 0.0, 2.0 * np.pi)
+    A = cg.DispersionMatrix(rng.choice([-1.0, 1.0], q) * rng.uniform(0.5, 2.0, q))
+    spec = cg.DerivativeSpec(
+        beta=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
+        gamma=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
+        delta=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
+        lam=0.5 * rng.uniform(-1.0, 1.0, (q, q, q)),
+    )
+    x, k = grid.x, np.arange(q)[:, None]
+    data = (1.0 + 0.2 * np.cos(x + k)) * np.exp(1j * (x + 0.3 * np.sin(2.0 * x + k)))
+    return cg.SimState(0.0, cg.ComplexFieldSet(data, grid), spec, A)
+
+
+def time_cell(cg, n: int, q: int, repeats: int) -> dict:
+    """One JSON-ready row of per-call minima for the cell (n, q)."""
+    from cnls_gauge.grid import _spectral_pair
+    from cnls_gauge.solver import _tendency, step
+
+    state = make_state(cg, n, q)
+    grid, tables, A = state.fields.grid, state.spec.tables, state.A
+    data = state.fields.data
+    source = np.concatenate([data, np.abs(data) ** 2, np.angle(data)]).astype(complex)
+    work, out = np.empty_like(source), np.empty_like(data)
+    dt = 0.5 * cg.stability_bound(grid, A)
+
+    def fft_pair():
+        work[...] = source
+        _spectral_pair(work, grid._neg_k2, q, grid._ik)
+
+    def tendency():
+        _tendency(data, grid, tables, A, 0.0, out=out, work=work)
+
+    def one_step():
+        step(state, dt)
+
+    row = {"n": n, "q": q}
+    for name, call in (("fft_pair", fft_pair), ("tendency", tendency), ("step", one_step)):
+        call()  # grid symbols and FFT plans are cached on first use
+        timer = timeit.Timer(call)
+        number, _ = timer.autorange()
+        row[f"{name}_us"] = round(min(timer.repeat(repeats, number)) / number * 1e6, 3)
+        row[f"{name}_calls"] = number
+    row["numpy"] = np.__version__
+    return row
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, nargs="+", default=[256, 1024, 4096])
+    parser.add_argument("--q", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args(argv)
+    if args.repeats < 1 or min(args.q) < 1:
+        parser.error("--repeats and every --q must be >= 1")
+    cg = _import_package()
+    for n in args.n:
+        for q in args.q:
+            print(json.dumps(time_cell(cg, n, q, args.repeats)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
