@@ -24,7 +24,6 @@ from .fields import (
     HydroFields,
     to_hydro,
     from_hydro,
-    norms,
     phase_winding,
     phase_gradient,
 )
@@ -79,7 +78,7 @@ __all__ = [
     "antiderivative", "antiderivative_parts", "integrate",
     # fields
     "VacuumError", "DispersionMatrix", "ComplexFieldSet", "HydroFields",
-    "to_hydro", "from_hydro", "norms", "phase_winding", "phase_gradient",
+    "to_hydro", "from_hydro", "phase_winding", "phase_gradient",
     # nonlinearity
     "CoefficientTables", "LinearSpec", "DriftCubicSpec", "DerivativeSpec",
     "FamilySpec",

@@ -84,8 +84,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     grid = cfg.build_grid()
     A = cfg.build_dispersion()
     spec = cfg.build_family_spec()
-    psi0 = cfg.build_initial(grid)
-    state = SimState(t=0.0, fields=psi0, spec=spec, A=A)
+    # Built before the output directory, so a config error leaves none, and
+    # held only in this list until evolve takes it: the march then frees
+    # the initial fields after its first step.
+    initial = [SimState(t=0.0, fields=cfg.build_initial(grid), spec=spec, A=A)]
     out_dir.mkdir(parents=True, exist_ok=True)
 
     snap_index = 0
@@ -98,7 +100,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     status = 0
     try:
         _, records = evolve(
-            state, cfg.dt, cfg.t_end, cfg.sample_every, on_sample=snapshot
+            initial.pop(), cfg.dt, cfg.t_end, cfg.sample_every, on_sample=snapshot
         )
     except (BlowUpError, VacuumError) as err:
         print(f"error: {err}", file=sys.stderr)

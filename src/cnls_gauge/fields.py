@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, derivative, integrate
+from .grid import Grid1D, derivative
 
 __all__ = [
     "VacuumError",
@@ -25,7 +25,6 @@ __all__ = [
     "HydroFields",
     "to_hydro",
     "from_hydro",
-    "norms",
     "phase_winding",
     "phase_gradient",
     "DEFAULT_FLOOR",
@@ -219,11 +218,6 @@ def from_hydro(h: HydroFields) -> ComplexFieldSet:
         raise ValueError("negative density")
     data = np.sqrt(h.rho) * np.exp(1j * _data_phase(h))
     return ComplexFieldSet(data=data, grid=h.grid, kappa=h.kappa)
-
-
-def norms(h: HydroFields) -> np.ndarray:
-    """Per-species conserved norms N_k = integral of rho_k."""
-    return np.atleast_1d(integrate(h.rho, h.grid))
 
 
 def _wrap_to_pi(v: np.ndarray | float) -> np.ndarray | float:

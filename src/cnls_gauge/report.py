@@ -82,11 +82,17 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
     tspec = cfg.build_transformed_spec(spec)
     psi0 = cfg.build_initial(grid)
     gen0 = compute_generator(spec, to_hydro(psi0), A)
-    phi0 = apply_gauge(psi0, gen0)
-
-    psi = SimState(t=0.0, fields=psi0, spec=spec, A=A)
-    phi = SimState(t=0.0, fields=phi0, spec=tspec, A=A)
+    anchor = gen0.anchor
     norms0 = _norms_of(psi0)
+    marches = zip(
+        _march(SimState(t=0.0, fields=psi0, spec=spec, A=A), cfg.dt, cfg.n_steps,
+               cfg.sample_every),
+        _march(SimState(t=0.0, fields=apply_gauge(psi0, gen0), spec=tspec, A=A),
+               cfg.dt, cfg.n_steps, cfg.sample_every),
+    )
+    # the marches alone hold the initial states, and free them at their
+    # first steps
+    del psi0, gen0
 
     times: list[float] = []
     dens_rows: list[np.ndarray] = []
@@ -96,15 +102,11 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
     def sample(ps: SimState, fs: SimState) -> None:
         h_psi = to_hydro(ps.fields)
         h_phi = to_hydro(fs.fields)
-        gen_t = compute_generator(spec, h_psi, A, anchor=gen0.anchor)
+        gen_t = compute_generator(spec, h_psi, A, anchor=anchor)
         times.append(ps.t)
         dens_rows.append(np.abs(h_phi.rho - h_psi.rho).max(axis=-1))
         phase_rows.append(phase_relation_residual(h_psi, h_phi, gen_t))
 
-    marches = zip(
-        _march(psi, cfg.dt, cfg.n_steps, cfg.sample_every),
-        _march(phi, cfg.dt, cfg.n_steps, cfg.sample_every),
-    )
     for (psi, sampled), (phi, _) in marches:
         if sampled:
             sample(psi, phi)

@@ -18,10 +18,12 @@ unwrap (``fields._unwrap_rows``) reads. The per-species scalars of a
 stage (the vacuum guard's minimum and peak densities, the winding and
 ramp slope of ``fields._split_winding``) are q Python floats, since at
 desk scale a stage costs about as much per numpy call as per array
-element. ``step`` allocates its stage buffers once per step and writes
-each stage into them; every in-place product and sum keeps the operands
-of the plain expression, and every scalar form the IEEE operations of the
-array one, so the results are the same to the last bit.
+element. ``step`` allocates two (q, n) stage buffers and the stack once
+per step, and each stage writes its tendency over its own input; every
+in-place product and sum keeps the operands of the plain expression (or,
+for a stage input, the same real number to round), and every scalar form
+the IEEE operations of the array one, so the results are the same to the
+last bit.
 
 A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
 evolves its periodic u_k with the symbol -(k + kappa_k)^2 and dS_u/dx +
@@ -142,6 +144,9 @@ def _tendency(
 ) -> np.ndarray:
     """i A_k u_k'' + i (W_k + i Wim_k) u_k of one stage, u = ``data``,
     written to ``out`` (a complex (q, n) array, fresh when not given).
+    ``out`` may be ``data`` itself: every read of ``data`` comes before the
+    first write of ``out``, or is the same element in one elementwise
+    product, so the result has the bytes of a fresh ``out``.
 
     The q data rows, then the q density rows when the tables have a flux,
     then the q periodic phase rows (the unwrapped phases less their
@@ -231,9 +236,18 @@ def rhs(state: SimState) -> ComplexFieldSet:
 def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     """One classical RK4 step; warns when |dt| exceeds the advisory bound.
 
-    The result has the bytes of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4). The
-    stage buffers are allocated once per step, and the k's enter a running
-    sum ((k1 + 2 k2) + 2 k3) + k4, so at most two k's are alive.
+    The result has the bytes of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4). A step
+    allocates two (q, n) buffers and the (3q, n) stack, then its result.
+    The k's enter a running sum ((k1 + 2 k2) + 2 k3) + k4 in one buffer;
+    the other holds each k_i, is doubled in place (exact) once it has been
+    added, then becomes the next stage input y + (h/2)(2 k_i), which rounds
+    the same real number as y + h k_i, and takes that stage's tendency in
+    place. So until the result exists, the step holds two (q, n) arrays
+    besides y and the stack.
+
+    One edge differs from the plain expression: a stage tendency above
+    about 8.9e307 (so that 2 k_i overflows) raises the next stage's
+    BlowUpError, at the step's start time, rather than the end-of-step one.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -248,21 +262,21 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     tables, A, t, kappa = state.spec.tables, state.A, state.t, _shift(state.fields)
     acc = np.empty((q, n), dtype=complex)
     k = np.empty((q, n), dtype=complex)
-    stage = np.empty((q, n), dtype=complex)
     work = np.empty((3 * q, n), dtype=complex)
 
     def tendency(u: np.ndarray, into: np.ndarray) -> None:
         _tendency(u, grid, tables, A, t, kappa, out=into, work=work)
 
     tendency(y, acc)  # k1
-    np.multiply(0.5 * dt, acc, out=stage)
-    tendency(np.add(y, stage, out=stage), k)  # k2
+    np.multiply(0.5 * dt, acc, out=k)
+    np.add(y, k, out=k)
+    tendency(k, k)  # k2
     for h in (0.5 * dt, dt):
-        np.multiply(h, k, out=stage)
-        np.add(y, stage, out=stage)
         np.multiply(2.0, k, out=k)
         np.add(acc, k, out=acc)
-        tendency(stage, k)  # k3, then k4
+        np.multiply(0.5 * h, k, out=k)
+        np.add(y, k, out=k)
+        tendency(k, k)  # k3, then k4
     np.add(acc, k, out=acc)
     np.multiply(dt / 6.0, acc, out=acc)
     # A fresh result, allocated after the stage buffers, sits above them on
@@ -348,9 +362,12 @@ def _record(state: SimState, norms0: np.ndarray) -> DiagnosticsRecord:
     f = state.fields
     n = _norms_of(f)
     drift = np.where(norms0 > 0.0, (n - norms0) / np.where(norms0 > 0, norms0, 1.0), 0.0)
+    # d(rho)/dt = 2 Re(conj(u) u_t) with u_t the tendency the march steps
+    # on, reduced before any other (q, n) temporary exists
+    u_t = rhs(state).data
+    drho_dt = 2.0 * np.real(np.conj(f.data) * u_t)
+    del u_t
     grad = derivative(f.data, f.grid)
-    # d(rho)/dt = 2 Re(conj(u) u_t) with u_t the tendency the march steps on
-    drho_dt = 2.0 * np.real(np.conj(f.data) * rhs(state).data)
     current = _current_from_fields(state.spec, f, state.A, grad)
     res = np.abs(drho_dt + derivative(current, f.grid)).max(axis=-1)
     if f.kappa.any():
@@ -371,11 +388,14 @@ def _march(initial: SimState, dt: float, n_steps: int, sample_every: int):
 
     Sampled are step 0, every multiple of ``sample_every`` and step
     ``n_steps``. Every step takes the blow-up threshold BLOWUP_FACTOR times
-    the initial peak magnitude.
+    the initial peak magnitude. The generator holds ``initial`` only until
+    its first step, so a caller that keeps no reference of its own frees
+    the initial fields there.
     """
     peak0 = float(np.abs(initial.fields.data).max())
     max_abs = BLOWUP_FACTOR * peak0 if peak0 > 0 else None
     state = initial
+    del initial
     for i in range(n_steps + 1):
         if i:
             state = step(state, dt, max_abs=max_abs)
@@ -416,6 +436,8 @@ def evolve(
             f"t_end - t0 = {span!r} is not an integer multiple of dt = {dt!r}"
         )
     norms0 = _norms_of(initial.fields)
+    march = _march(initial, dt, n_steps, sample_every)
+    del initial  # so a caller that drops its own reference frees it in the march
 
     records: list[DiagnosticsRecord] = []
 
@@ -426,7 +448,7 @@ def evolve(
 
     try:
         pending = None
-        for state, sampled in _march(initial, dt, n_steps, sample_every):
+        for state, sampled in march:
             if pending is not None:
                 sample(pending)
             pending = state if sampled else None

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,44 @@ def test_command_steps_before_writing_any_output(tmp_path, monkeypatch, command,
     with pytest.raises(Sentinel):
         main([command, str(CONFIGS / config), "--output-dir", str(out)])
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_march_frees_the_initial_fields_after_its_first_step(tmp_path, monkeypatch, command):
+    # No command holds its initial fields (or, for verify, the gauged ones)
+    # through a march: before either march takes its second step, their data
+    # is freed.
+    import cnls_gauge.report as report
+    import cnls_gauge.solver as solver
+    from cnls_gauge.config import RunConfig
+
+    class Sentinel(Exception):
+        pass
+
+    refs = []
+
+    def tracked(build):
+        def built(*args, **kwargs):
+            fields = build(*args, **kwargs)
+            refs.append(weakref.ref(fields.data))
+            return fields
+        return built
+
+    monkeypatch.setattr(RunConfig, "build_initial", tracked(RunConfig.build_initial))
+    monkeypatch.setattr(report, "apply_gauge", tracked(report.apply_gauge))
+    real_step = solver.step
+
+    def step(state, *args, **kwargs):
+        if state.t > 0.0:
+            assert refs and all(ref() is None for ref in refs)
+            raise Sentinel
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", step)
+    with pytest.raises(Sentinel):
+        main([command, str(CONFIGS / "family_b_sample.json"),
+              "--output-dir", str(tmp_path / "out")])
+    assert len(refs) == {"simulate": 1, "verify": 2}[command]
 
 
 def test_simulate_mismatched_dispersion_exits_1(tmp_path):

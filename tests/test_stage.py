@@ -17,6 +17,7 @@ from cnls_gauge import (
     LinearSpec,
     SimState,
     VacuumError,
+    evolve,
     make_grid,
     rhs,
     stability_bound,
@@ -414,6 +415,22 @@ def test_stage_is_byte_identical_to_reference(family, kappa):
             assert got.tobytes() == want.tobytes(), (family, tag, seed)
 
 
+@pytest.mark.parametrize("family", ["linear", "drift_cubic", "derivative"])
+@pytest.mark.parametrize("kappa", [0.0, 0.37])
+def test_tendency_may_write_over_its_input(family, kappa):
+    # solver.step takes each stage's tendency in place over the stage input
+    for seed in range(2):
+        grid, A, states = _states(family, q=2 + seed, seed=seed)
+        for tag, spec, data in states:
+            q = data.shape[0]
+            kap = kappa * np.linspace(1.0, -1.0, q) if kappa else None
+            want = _tendency(data.copy(), grid, spec.tables, A, 0.0, kap)
+            u = data.copy()
+            got = _tendency(u, grid, spec.tables, A, 0.0, kap, out=u)
+            assert got is u
+            assert got.tobytes() == want.tobytes(), (family, tag, seed)
+
+
 # --- the step against the textbook RK4 combination --------------------------
 
 
@@ -446,6 +463,18 @@ def test_step_is_byte_identical_to_textbook_rk4(family, kappa, dt):
             assert got.tobytes() == _textbook_step(state, dt).tobytes(), (tag, q)
 
 
+def test_step_overflow_of_a_doubled_stage_raises_at_the_next_stage():
+    # |k1| = |k2| = 1e308 is finite and 2 k2 is not: the next stage input is
+    # non-finite, so its tendency raises at the step's start time (the
+    # textbook sum raises only once the step's result exists)
+    grid = make_grid(16, 0.0, TWO_PI)
+    data = 5e306 * np.exp(1j * grid.x)[None, :]
+    state = SimState(0.0, ComplexFieldSet(data, grid), LinearSpec(1), DispersionMatrix([20.0]))
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="right-hand side") as err:
+        step(state, 1e-3)
+    assert err.value.t == 0.0
+
+
 def test_step_buffers_carry_nothing_between_states():
     grid, A, (psi, phi) = _states("derivative", q=3, seed=4)
     kap = np.array([0.37, -0.2, 0.0])
@@ -456,11 +485,9 @@ def test_step_buffers_carry_nothing_between_states():
     assert step(a, 1e-5).fields.data.tobytes() == first
 
 
-@pytest.mark.parametrize("system", ["psi", "phi"])
-def test_step_peak_memory(system):
-    """One step at q = 2, n = 4096 holds at most 160 bytes per q*n at once:
-    its stage buffers (three (q, n) complex arrays and a (3q, n) stack)
-    are allocated once per step, not once per stage."""
+def _wide_state(system):
+    """A q = 2, n = 4096 derivative-family psi state, or the phi state of
+    its transformed tables, with grid symbols and FFT plans cached."""
     rng = np.random.default_rng(8)
     q, n = 2, 4096
     grid = make_grid(n, 0.0, TWO_PI)
@@ -470,11 +497,35 @@ def test_step_peak_memory(system):
         spec = transformed_spec(spec, A)
     fields = band_limited_state(rng, grid, q, phase_amp=2.5)
     state = SimState(0.0, fields, spec, A)
-    step(state, 1e-7)  # grid symbols and FFT plans are cached on first use
+    step(state, 1e-7)
+    return state
+
+
+def _peak_per_qn(call, state):
     tracemalloc.start()
     try:
-        step(state, 1e-7)
+        call(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (q * n) <= 160.0, peak / (q * n)
+    return peak / state.fields.data.size
+
+
+@pytest.mark.parametrize("system", ["psi", "phi"])
+def test_step_peak_memory(system):
+    """One step at q = 2, n = 4096 holds at most 136 bytes per q*n at once:
+    its stage buffers (two (q, n) complex arrays and a (3q, n) stack) are
+    allocated once per step, not once per stage."""
+    peak = _peak_per_qn(lambda s: step(s, 1e-7), _wide_state(system))
+    assert peak <= 136.0, peak
+
+
+@pytest.mark.parametrize("system", ["psi", "phi"])
+def test_evolve_peak_memory(system):
+    """Two sampled steps at q = 2, n = 4096 hold at most 152 bytes per q*n
+    at once: a record reduces the tendency to d(rho)/dt before it builds
+    its other temporaries."""
+    peak = _peak_per_qn(
+        lambda s: evolve(s, 1e-7, 2e-7, sample_every=1), _wide_state(system)
+    )
+    assert peak <= 152.0, peak

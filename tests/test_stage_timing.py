@@ -21,3 +21,5 @@ def test_one_json_line_per_cell_with_every_layer():
             assert row[f"{layer}_us"] > 0.0 and row[f"{layer}_calls"] >= 1
         # a step is four tendencies and more
         assert row["step_us"] > row["tendency_us"] > 0.0
+        # a step holds at least its result, two stage buffers and the stack
+        assert row["step_peak_b_per_qn"] >= 16.0 * (3 + 3)

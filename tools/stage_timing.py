@@ -17,6 +17,10 @@ microseconds:
   ``solver.step`` calls it;
 - ``step_us``: ``solver.step`` at half the step bound.
 
+Each line also gives ``step_peak_b_per_qn``, the most memory one step holds
+at once (``tracemalloc`` peak of one ``solver.step`` after a warm-up step,
+taken apart from the timed calls), in bytes per q*n.
+
 The calls per repeat (``*_calls``) are chosen by ``timeit``'s autorange, so
 one repeat lasts at least 0.2 s. To compare two checkouts, run the tool in
 each on the same machine, one after the other.
@@ -35,6 +39,7 @@ import argparse
 import json
 import sys
 import timeit
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +100,13 @@ def time_cell(cg, n: int, q: int, repeats: int) -> dict:
         number, _ = timer.autorange()
         row[f"{name}_us"] = round(min(timer.repeat(repeats, number)) / number * 1e6, 3)
         row[f"{name}_calls"] = number
+    tracemalloc.start()
+    try:
+        one_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row["step_peak_b_per_qn"] = round(peak / (q * n), 1)
     row["numpy"] = np.__version__
     return row
 
