@@ -25,7 +25,7 @@ import numpy as np
 from .classify import SpecialCase, classify_q1
 from .config import ConfigError, RunConfig, dumps_config, load_config
 from .fields import ComplexFieldSet, VacuumError, to_hydro
-from .gauge import apply_gauge, compute_generator
+from .gauge import TransformedSpec, apply_gauge, compute_generator
 from .report import (
     EXIT_CODES,
     EquivalenceRun,
@@ -124,22 +124,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 # --- transform -----------------------------------------------------------
 
 
-def _coefficient_rows(tspec) -> list[list]:
-    q = tspec.q
+def _coefficient_rows(tspec: TransformedSpec) -> list[list]:
+    """One (table, k, j, i, value) row per entry, the tables in the order of
+    ``TransformedSpec.TABLES``; indices 1-based, blank past a table's rank."""
     rows: list[list] = []
-    for k in range(q):
-        rows.append(["const_shift", str(k + 1), "", "", tspec.const_shift[k]])
-    for name in ("cubic", "drift_self", "drift_cross"):
+    for name in TransformedSpec.TABLES:
         table = getattr(tspec, name)
-        for k in range(q):
-            for j in range(q):
-                rows.append([name, str(k + 1), str(j + 1), "", table[k, j]])
-    for k in range(q):
-        for j in range(q):
-            for i in range(q):
-                rows.append(
-                    ["quartic", str(k + 1), str(j + 1), str(i + 1), tspec.quartic[k, j, i]]
-                )
+        for index in np.ndindex(table.shape):
+            labels = [str(i + 1) for i in index] + [""] * (3 - len(index))
+            rows.append([name, *labels, table[index]])
     return rows
 
 

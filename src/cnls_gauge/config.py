@@ -12,7 +12,9 @@ The grammar (documented in the README) is a single JSON object:
                                 "momentum"?, "offset"?}}
     dt, t_end (an integer multiple of dt), sample_every, amplitude,
     system, output_dir, tolerance
-    phi_coefficients  optional explicit transformed tables (verify only)
+    phi_coefficients  optional transformed tables overriding the computed
+                  ones wherever they are built: transform, verify, and
+                  convergence with system "phi"
 
 Every number must be finite, and so must the domain length and the RK4
 step bound they give, and the peak density and the norms of the initial
@@ -39,7 +41,11 @@ from .solver import stability_bound
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "dumps_config"]
 
-FAMILIES = ("linear", "drift_cubic", "derivative")
+FAMILIES = {
+    "linear": LinearSpec, "drift_cubic": DriftCubicSpec, "derivative": DerivativeSpec,
+}
+# A table's config key is its spec field name, except where listed here.
+_CONFIG_KEY = {"lam": "lambda"}
 SYSTEMS = ("psi", "phi")
 
 
@@ -76,22 +82,14 @@ def _integer(value: Any, key: str) -> int:
     return int(value)
 
 
-def _vector(value: Any, key: str, length: int) -> list[float]:
-    if not isinstance(value, list) or len(value) != length:
-        raise ConfigError(key, f"expected a list of {length} numbers, got {value!r}")
-    return [_number(v, key) for v in value]
-
-
-def _matrix(value: Any, key: str, q: int) -> list[list[float]]:
+def _table(value: Any, key: str, q: int, rank: int) -> Any:
+    """A table of shape (q,) * rank, rank >= 1: lists of q entries nested
+    ``rank`` deep, with finite numbers at the bottom."""
     if not isinstance(value, list) or len(value) != q:
-        raise ConfigError(key, f"expected a {q}x{q} matrix")
-    return [_vector(row, key, q) for row in value]
-
-
-def _tensor3(value: Any, key: str, q: int) -> list[list[list[float]]]:
-    if not isinstance(value, list) or len(value) != q:
-        raise ConfigError(key, f"expected a {q}x{q}x{q} tensor")
-    return [_matrix(plane, key, q) for plane in value]
+        raise ConfigError(key, f"expected a list of {q} entries, got {value!r}")
+    if rank == 1:
+        return [_number(v, key) for v in value]
+    return [_table(v, key, q, rank - 1) for v in value]
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ class RunConfig:
         q = _integer(_require(raw, "q"), "q")
         if q < 1:
             raise ConfigError("q", "must be >= 1")
-        A = _vector(_require(raw, "A"), "A", q)
+        A = _table(_require(raw, "A"), "A", q, 1)
         if any(a == 0.0 for a in A):
             raise ConfigError("A", "dispersion coefficients must be nonzero")
         try:
@@ -160,30 +158,15 @@ class RunConfig:
 
         nl = _require(raw, "nonlinearity")
         family = _require(nl, "family", "nonlinearity")
-        if family not in FAMILIES:
+        if not isinstance(family, str) or family not in FAMILIES:
             raise ConfigError(
-                "nonlinearity.family", f"must be one of {FAMILIES}, got {family!r}"
+                "nonlinearity.family", f"must be one of {tuple(FAMILIES)}, got {family!r}"
             )
         coefficients: dict = {}
-        if family == "drift_cubic":
-            coefficients["delta"] = _vector(
-                _require(nl, "delta", "nonlinearity"), "nonlinearity.delta", q
-            )
-            coefficients["gamma"] = _vector(
-                _require(nl, "gamma", "nonlinearity"), "nonlinearity.gamma", q
-            )
-        elif family == "derivative":
-            coefficients["beta"] = _matrix(
-                _require(nl, "beta", "nonlinearity"), "nonlinearity.beta", q
-            )
-            coefficients["gamma"] = _matrix(
-                _require(nl, "gamma", "nonlinearity"), "nonlinearity.gamma", q
-            )
-            coefficients["delta"] = _matrix(
-                _require(nl, "delta", "nonlinearity"), "nonlinearity.delta", q
-            )
-            coefficients["lambda"] = _tensor3(
-                _require(nl, "lambda", "nonlinearity"), "nonlinearity.lambda", q
+        for name, rank in FAMILIES[family].TABLES.items():
+            key = _CONFIG_KEY.get(name, name)
+            coefficients[key] = _table(
+                _require(nl, key, "nonlinearity"), f"nonlinearity.{key}", q, rank
             )
 
         initial = raw.get("initial")
@@ -269,17 +252,13 @@ class RunConfig:
         return DispersionMatrix(values=np.asarray(self.A))
 
     def build_family_spec(self) -> FamilySpec:
-        c = self.coefficients
-        if self.family == "linear":
+        spec_type = FAMILIES[self.family]
+        if spec_type is LinearSpec:
             return LinearSpec(q=self.q)
-        if self.family == "drift_cubic":
-            return DriftCubicSpec(delta=np.asarray(c["delta"]), gamma=np.asarray(c["gamma"]))
-        return DerivativeSpec(
-            beta=np.asarray(c["beta"]),
-            gamma=np.asarray(c["gamma"]),
-            delta=np.asarray(c["delta"]),
-            lam=np.asarray(c["lambda"]),
-        )
+        return spec_type(**{
+            name: np.asarray(self.coefficients[_CONFIG_KEY.get(name, name)])
+            for name in spec_type.TABLES
+        })
 
     @property
     def n_steps(self) -> int:
@@ -409,14 +388,9 @@ def _parse_phi_tables(raw: Any, q: int) -> dict:
     parsed: dict[str, Any] = {}
     for name, value in raw.items():
         key = f"phi_coefficients.{name}"
-        if name in ("drift_self", "drift_cross", "cubic"):
-            parsed[name] = _matrix(value, key, q)
-        elif name == "quartic":
-            parsed[name] = _tensor3(value, key, q)
-        elif name == "const_shift":
-            parsed[name] = _vector(value, key, q)
-        else:
+        if name not in TransformedSpec.TABLES:
             raise ConfigError(key, "unknown transformed-coefficient table")
+        parsed[name] = _table(value, key, q, TransformedSpec.TABLES[name])
     return parsed
 
 

@@ -201,9 +201,9 @@ def to_hydro(psi: ComplexFieldSet, floor: float = DEFAULT_FLOOR) -> HydroFields:
     vacuum = rho < floor * peak[:, None]
     for k in range(psi.q):
         if peak[k] <= 0.0:
-            raise VacuumError(f"species {k} is identically zero (all-vacuum)")
+            raise VacuumError(f"species {k + 1} is identically zero (all-vacuum)")
         if vacuum[k].all():
-            raise VacuumError(f"species {k} lies entirely below the density floor")
+            raise VacuumError(f"species {k + 1} lies entirely below the density floor")
     theta = np.angle(data)
     S = _unwrap_rows(theta)
     for k in np.nonzero(vacuum.any(axis=-1))[0]:

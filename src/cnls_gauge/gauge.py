@@ -20,8 +20,9 @@ vector fluxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .nonlinearity import (
     eval_F_parts,
     eval_flux_rate,
     eval_W_parts,
-    _as_array,
+    _TableSpec,
 )
 
 __all__ = [
@@ -116,49 +117,27 @@ class GaugeGenerator:
 
 
 @dataclass(frozen=True)
-class TransformedSpec:
+class TransformedSpec(_TableSpec):
     """Coefficient tables of the purely real transformed nonlinearity: R_k
     has the W_k form of ``CoefficientTables`` with const = const_shift,
     the given cubic, drift_self, drift_cross and quartic, and a = c = D = 0.
+    ``TABLES`` is in the row order of ``transformed_coefficients.csv``.
     """
+
+    TABLES: ClassVar[dict[str, int]] = {
+        "const_shift": 1, "cubic": 2, "drift_self": 2, "drift_cross": 2, "quartic": 3,
+    }
 
     drift_self: np.ndarray
     drift_cross: np.ndarray
     cubic: np.ndarray
     quartic: np.ndarray
     const_shift: np.ndarray
-    tables: CoefficientTables = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        ds = np.atleast_2d(np.asarray(self.drift_self, dtype=float))
-        q = ds.shape[0]
-        const = np.atleast_1d(np.asarray(self.const_shift, dtype=float))
-        for name, value, shape in (
-            ("drift_self", ds, (q, q)),
-            ("drift_cross", self.drift_cross, (q, q)),
-            ("cubic", self.cubic, (q, q)),
-            ("quartic", self.quartic, (q, q, q)),
-            ("const_shift", const, (q,)),
-        ):
-            object.__setattr__(self, name, _as_array(name, value, shape))
-        tables = CoefficientTables.of(
+    def _lower(self, q: int) -> CoefficientTables:
+        return CoefficientTables.of(
             q, const=self.const_shift, cubic=self.cubic, drift_self=self.drift_self,
             drift_cross=self.drift_cross, quartic=self.quartic,
-        )
-        object.__setattr__(self, "tables", tables)
-
-    @property
-    def q(self) -> int:
-        return self.drift_self.shape[0]
-
-    @classmethod
-    def zeros(cls, q: int) -> "TransformedSpec":
-        return cls(
-            drift_self=np.zeros((q, q)),
-            drift_cross=np.zeros((q, q)),
-            cubic=np.zeros((q, q)),
-            quartic=np.zeros((q, q, q)),
-            const_shift=np.zeros(q),
         )
 
 

@@ -20,8 +20,8 @@ and skip every all-zero one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -42,15 +42,6 @@ __all__ = [
     "eval_F_parts",
     "eval_flux_rate",
 ]
-
-
-def _as_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain finite entries")
-    return arr
 
 
 _RANKS = {"const": 1, "a": 1, "cubic": 2, "drift_self": 2, "drift_cross": 2,
@@ -108,6 +99,8 @@ class CoefficientTables:
 class LinearSpec:
     """All-zero nonlinearity (free Schrodinger system)."""
 
+    TABLES: ClassVar[dict[str, int]] = {}
+
     q: int = 1
     tables: CoefficientTables = field(init=False, repr=False, compare=False)
 
@@ -119,54 +112,68 @@ class LinearSpec:
 
 
 @dataclass(frozen=True)
-class DriftCubicSpec:
-    """Drift-cubic family: per-species drift delta_k and cubic gamma_k."""
+class _TableSpec:
+    """Base of the spec types given by coefficient tables. ``TABLES`` maps
+    each table's name to its rank; construction stores each table, in field
+    order, as a finite float array of shape (q,) * rank, q being the leading
+    size of the first field (a table with fewer axes gets leading axes of
+    length 1, so q = 1 tables may be scalars); then ``_lower(q)`` gives
+    ``tables``."""
 
-    delta: np.ndarray
-    gamma: np.ndarray
+    TABLES: ClassVar[dict[str, int]]
     tables: CoefficientTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
-        q = delta.size
-        object.__setattr__(self, "delta", _as_array("delta", delta, (q,)))
-        object.__setattr__(self, "gamma", _as_array("gamma", self.gamma, (q,)))
-        cubic = np.diag(self.gamma) - 2.0 * self.gamma
-        object.__setattr__(
-            self, "tables",
-            CoefficientTables.of(q, a=self.delta, cubic=cubic, c=-0.5 * self.delta),
-        )
+        q = None
+        for name in (f.name for f in fields(self) if f.init):
+            rank = self.TABLES[name]
+            arr = np.asarray(getattr(self, name), dtype=float)
+            given = arr.shape
+            if arr.ndim < rank:
+                arr = arr.reshape((1,) * (rank - arr.ndim) + given)
+            q = arr.shape[0] if q is None else q
+            shape = (q,) * rank
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {given}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must contain finite entries")
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "tables", self._lower(q))
 
     @property
     def q(self) -> int:
-        return self.delta.size
+        return self.tables.q
 
 
 @dataclass(frozen=True)
-class DerivativeSpec:
+class DriftCubicSpec(_TableSpec):
+    """Drift-cubic family: per-species drift delta_k and cubic gamma_k."""
+
+    TABLES: ClassVar[dict[str, int]] = {"delta": 1, "gamma": 1}
+
+    delta: np.ndarray
+    gamma: np.ndarray
+
+    def _lower(self, q: int) -> CoefficientTables:
+        cubic = np.diag(self.gamma) - 2.0 * self.gamma
+        return CoefficientTables.of(q, a=self.delta, cubic=cubic, c=-0.5 * self.delta)
+
+
+@dataclass(frozen=True)
+class DerivativeSpec(_TableSpec):
     """Derivative family: q x q couplings beta, gamma, delta and cubic tensor lam."""
+
+    TABLES: ClassVar[dict[str, int]] = {"beta": 2, "gamma": 2, "delta": 2, "lam": 3}
 
     beta: np.ndarray
     gamma: np.ndarray
     delta: np.ndarray
     lam: np.ndarray
-    tables: CoefficientTables = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
-        q = beta.shape[0]
-        object.__setattr__(self, "beta", _as_array("beta", beta, (q, q)))
-        object.__setattr__(self, "gamma", _as_array("gamma", self.gamma, (q, q)))
-        object.__setattr__(self, "delta", _as_array("delta", self.delta, (q, q)))
-        object.__setattr__(self, "lam", _as_array("lam", self.lam, (q, q, q)))
-        tables = CoefficientTables.of(
+    def _lower(self, q: int) -> CoefficientTables:
+        return CoefficientTables.of(
             q, drift_self=self.beta, drift_cross=self.gamma, quartic=self.lam, D=self.delta
         )
-        object.__setattr__(self, "tables", tables)
-
-    @property
-    def q(self) -> int:
-        return self.beta.shape[0]
 
 
 FamilySpec = Union[LinearSpec, DriftCubicSpec, DerivativeSpec]

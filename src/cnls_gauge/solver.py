@@ -168,9 +168,15 @@ def _tendency(
         # compared as Python floats: q scalars cost less than numpy calls on them
         peaks, lows = rho.max(axis=-1).tolist(), rho.min(axis=-1).tolist()
         if any(peak <= 0.0 for peak in peaks):
-            raise VacuumError("species is identically zero (all-vacuum)")
+            k = [peak <= 0.0 for peak in peaks].index(True)
+            raise VacuumError(
+                f"species is identically zero (all-vacuum): species {k + 1} at t={t}"
+            )
         if any(low < floor * peak for low, peak in zip(lows, peaks)):
-            raise VacuumError("density below floor during evolution")
+            k = [low < floor * peak for low, peak in zip(lows, peaks)].index(True)
+            raise VacuumError(
+                f"density below floor during evolution: species {k + 1} at t={t}"
+            )
         if flux:
             rows[q:2 * q] = rho
         if phase:

@@ -337,6 +337,28 @@ def test_transform_zero_delta_passthrough(tmp_path):
     assert coeffs[("quartic", "1", "1", "1")] == 0.9
 
 
+def test_transform_rows_in_table_order(tmp_path):
+    payload = small_family_a_config(tmp_path)
+    payload["phi_coefficients"] = {"cubic": [[9.0, 9.0], [9.0, 9.0]]}
+    cfg = write_config(tmp_path, payload)
+    assert main(["transform", str(cfg)]) == 0
+    rows = read_csv(tmp_path / "out" / "transformed_coefficients.csv")
+    assert rows[0] == ["table", "k", "j", "i", "value"]
+    pairs = [("1", "1", ""), ("1", "2", ""), ("2", "1", ""), ("2", "2", "")]
+    assert [tuple(r[:4]) for r in rows[1:]] == [
+        ("const_shift", "1", "", ""), ("const_shift", "2", "", ""),
+        *(("cubic", *p) for p in pairs),
+        *(("drift_self", *p) for p in pairs),
+        *(("drift_cross", *p) for p in pairs),
+        ("quartic", "1", "1", "1"), ("quartic", "1", "1", "2"),
+        ("quartic", "1", "2", "1"), ("quartic", "1", "2", "2"),
+        ("quartic", "2", "1", "1"), ("quartic", "2", "1", "2"),
+        ("quartic", "2", "2", "1"), ("quartic", "2", "2", "2"),
+    ]
+    # the override is what transform writes
+    assert [float(r[4]) for r in rows[1:] if r[0] == "cubic"] == [9.0] * 4
+
+
 def test_transform_case1_all_zero(tmp_path):
     from cnls_gauge import DispersionMatrix, case1_coeffs
 
@@ -599,6 +621,66 @@ def test_non_finite_config_number_exits_1_naming_its_key(tmp_path, capsys, path,
     cfg = write_config(tmp_path, payload)
     assert main(["verify", str(cfg)]) == 1
     assert f"error: config key '{key}': expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, path, value, key",
+    [
+        ("family_a_verify", ("A",), [1.0, 0.5, 2.0], "A"),
+        ("family_a_verify", ("nonlinearity", "delta"), [2.0], "nonlinearity.delta"),
+        ("family_b_sample", ("nonlinearity", "beta", 1), [0.1], "nonlinearity.beta"),
+        ("family_b_sample", ("nonlinearity", "lambda", 0, 1), [0.0],
+         "nonlinearity.lambda"),
+        ("family_b_sample", ("nonlinearity", "gamma", 0, 1), True, "nonlinearity.gamma"),
+        ("family_a_verify", ("phi_coefficients",), {"quartic": [[0.0, 0.0], [0.0, 0.0]]},
+         "phi_coefficients.quartic"),
+        ("family_a_verify", ("phi_coefficients",), {"a": [0.0, 0.0]},
+         "phi_coefficients.a"),
+    ],
+)
+def test_misshapen_table_exits_1_naming_its_key(
+    tmp_path, capsys, config, path, value, key
+):
+    payload = json.loads((CONFIGS / f"{config}.json").read_text())
+    payload["output_dir"] = str(tmp_path / "out")
+    _set_path(payload, path, value)
+    cfg = write_config(tmp_path, payload)
+    assert main(["verify", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: config key '{key}': ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("verify", "error: species 2 is identically zero (all-vacuum)\n"),
+        ("transform", "error: species 2 is identically zero (all-vacuum)\n"),
+        ("simulate",
+         "error: species is identically zero (all-vacuum): species 2 at t=0.0\n"),
+    ],
+    ids=["verify", "transform", "simulate"],
+)
+def test_vacuum_error_names_the_species_from_1(tmp_path, capsys, command, message):
+    payload = json.loads((CONFIGS / "family_a_verify.json").read_text())
+    payload["initial"][1] = {"modes": [{"mode": 0, "re": 0.0, "im": 0.0}]}
+    payload.update(output_dir=str(tmp_path / "out"), t_end=0.001, sample_every=4)
+    cfg = write_config(tmp_path, payload)
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_vacuum_mid_march_names_the_species_and_time(tmp_path, capsys):
+    # dt above the step bound: species 1 collapses below the floor in a stage
+    payload = json.loads((CONFIGS / "family_b_sample.json").read_text())
+    payload.update(dt=2e-4, t_end=0.4, sample_every=20, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["simulate", str(cfg)]) == 2
+    prefix, _, t = capsys.readouterr().err.partition(" at t=")
+    assert prefix == "error: density below floor during evolution: species 1"
+    assert abs(float(t) - 0.0088) < 1e-12  # the start time of the failing step
 
 
 @pytest.mark.parametrize(

@@ -264,6 +264,21 @@ def test_curl_residual_shape_mismatch():
     g2 = Grid2D(16, 16, 0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="shape"):
         curl_residual_2d(np.ones((16, 8)), np.ones((16, 16)), np.ones((16, 16)), g2)
+    # a spec table of the wrong rank is named
+    v, m, t = np.ones(2), np.ones((2, 2)), np.ones((2, 2, 2))
+    for make, name in (
+        (lambda: DriftCubicSpec(delta=v, gamma=m), "gamma"),
+        (lambda: DerivativeSpec(beta=m, gamma=t, delta=m, lam=t), "gamma"),
+        (lambda: DerivativeSpec(beta=m, gamma=m, delta=m, lam=m), "lam"),
+        (lambda: TransformedSpec(drift_self=m, drift_cross=m, cubic=v, quartic=t,
+                                 const_shift=v), "cubic"),
+        (lambda: TransformedSpec(drift_self=m, drift_cross=m, cubic=m, quartic=m,
+                                 const_shift=v), "quartic"),
+        (lambda: TransformedSpec(drift_self=m, drift_cross=m, cubic=m, quartic=t,
+                                 const_shift=m), "const_shift"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
+            make()
 
 
 def test_transformed_drift_zero_delta_passthrough():

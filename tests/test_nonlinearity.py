@@ -8,6 +8,7 @@ from cnls_gauge import (
     DriftCubicSpec,
     HydroFields,
     LinearSpec,
+    TransformedSpec,
     VacuumError,
     derivative,
     eval_F,
@@ -203,3 +204,20 @@ def test_linear_spec_all_zero(grid256):
     assert np.abs(eval_W(spec, h)).max() == 0.0
     assert np.abs(eval_Wim(spec, h)).max() == 0.0
     assert np.abs(eval_F(spec, h)).max() == 0.0
+
+
+def test_q1_tables_may_be_scalars():
+    pairs = [
+        (DriftCubicSpec(delta=2.0, gamma=0.3), DriftCubicSpec(delta=[2.0], gamma=[0.3])),
+        (DerivativeSpec(beta=0.3, gamma=-0.1, delta=0.5, lam=[0.2]),
+         DerivativeSpec(beta=[[0.3]], gamma=[[-0.1]], delta=[[0.5]], lam=[[[0.2]]])),
+        (TransformedSpec(drift_self=1.0, drift_cross=2.0, cubic=[3.0], quartic=[[4.0]],
+                         const_shift=5.0),
+         TransformedSpec(drift_self=[[1.0]], drift_cross=[[2.0]], cubic=[[3.0]],
+                         quartic=[[[4.0]]], const_shift=[5.0])),
+    ]
+    for lifted, full in pairs:
+        assert lifted.q == 1
+        for name in type(full).TABLES:
+            got, want = getattr(lifted, name), getattr(full, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
