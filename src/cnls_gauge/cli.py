@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .classify import SpecialCase, classify_q1
-from .config import ConfigError, RunConfig, dumps_config, load_config
+from .config import _CONFIG_KEY, ConfigError, RunConfig, dumps_config, load_config
 from .fields import ComplexFieldSet, VacuumError, to_hydro
 from .gauge import TransformedSpec, apply_gauge, compute_generator
+from .nonlinearity import DerivativeSpec
 from .report import (
     EXIT_CODES,
     EquivalenceRun,
@@ -165,16 +166,22 @@ _LABEL_ORDER = [
 ]
 
 
-def cmd_classify(beta: str, gamma: str, delta: str, lam: str) -> int:
+def cmd_classify(texts: dict[str, str]) -> int:
+    """Print the labels of q = 1 derivative-family coefficients, given as
+    text under their ``DerivativeSpec.TABLES`` names; a bad value is a
+    ConfigError naming its config key."""
     values = {}
-    for name, text in (("beta", beta), ("gamma", gamma), ("delta", delta), ("lambda", lam)):
+    for name in DerivativeSpec.TABLES:
+        text = texts[name]
         try:
             values[name] = float(text)
         except (TypeError, ValueError):
             values[name] = math.nan
         if not math.isfinite(values[name]):
-            raise ConfigError(name, f"expected a finite number, got {text!r}")
-    labels = classify_q1(values["beta"], values["gamma"], values["delta"], values["lambda"])
+            raise ConfigError(
+                _CONFIG_KEY.get(name, name), f"expected a finite number, got {text!r}"
+            )
+    labels = classify_q1(**values)
     for label in _LABEL_ORDER:
         if label in labels:
             print(label.value)
@@ -287,10 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config_command("convergence", "self-convergence study in dt")
 
     cls = sub.add_parser("classify", help="label scalar derivative-family coefficients")
-    cls.add_argument("--beta", required=True)
-    cls.add_argument("--gamma", required=True)
-    cls.add_argument("--delta", required=True)
-    cls.add_argument("--lambda", dest="lam", required=True)
+    for name in DerivativeSpec.TABLES:
+        cls.add_argument(f"--{_CONFIG_KEY.get(name, name)}", dest=name, required=True)
     return parser
 
 
@@ -298,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "classify":
-            return cmd_classify(args.beta, args.gamma, args.delta, args.lam)
+            return cmd_classify(vars(args))
         cfg = load_config(args.config)
         if args.output_dir is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.output_dir)

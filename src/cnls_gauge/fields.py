@@ -35,7 +35,15 @@ DEFAULT_FLOOR = 1e-12
 
 
 class VacuumError(ValueError):
-    """Raised when a phase-based quantity is requested at vanishing density."""
+    """Raised when a phase-based quantity is requested at vanishing density.
+
+    ``t`` is the start time of the step whose stage failed, for a failure
+    during a march; None otherwise.
+    """
+
+    def __init__(self, message: str, t: float | None = None):
+        super().__init__(message)
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -153,22 +161,25 @@ class HydroFields:
 def _unwrap_rows(p: np.ndarray) -> np.ndarray:
     """np.unwrap(p, axis=-1), bit for bit, computing the 2 pi correction
     only where a step is a jump: not below pi in magnitude, NaN included.
+    The differences and masks are freed before the result is allocated.
     """
     dd = p[:, 1:] - p[:, :-1]
-    small = np.abs(dd) < np.pi
+    jump = ~(np.abs(dd) < np.pi)
+    if jump.any():
+        d = dd[jump]
+        dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+        dmod[(dmod == -np.pi) & (d > 0)] = np.pi
+        correct = np.zeros_like(dd)
+        correct[jump] = dmod - d
+        del dd, jump, d, dmod
+        correct = correct.cumsum(axis=-1)
+    else:
+        del dd, jump
+        # numpy adds a zero cumsum, which turns -0.0 into +0.0
+        correct = 0.0
     out = np.empty_like(p)
     out[:, 0] = p[:, 0]
-    if small.all():
-        # numpy adds a zero cumsum, which turns -0.0 into +0.0
-        np.add(p[:, 1:], 0.0, out=out[:, 1:])
-        return out
-    jump = ~small
-    d = dd[jump]
-    dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
-    dmod[(dmod == -np.pi) & (d > 0)] = np.pi
-    correct = np.zeros_like(dd)
-    correct[jump] = dmod - d
-    np.add(p[:, 1:], correct.cumsum(axis=-1), out=out[:, 1:])
+    np.add(p[:, 1:], correct, out=out[:, 1:])
     return out
 
 

@@ -115,10 +115,10 @@ class LinearSpec:
 class _TableSpec:
     """Base of the spec types given by coefficient tables. ``TABLES`` maps
     each table's name to its rank; construction stores each table, in field
-    order, as a finite float array of shape (q,) * rank, q being the leading
-    size of the first field (a table with fewer axes gets leading axes of
-    length 1, so q = 1 tables may be scalars); then ``_lower(q)`` gives
-    ``tables``."""
+    order, as a finite float array of shape (q,) * rank, q >= 1 being the
+    leading size of the first field (a table with fewer axes gets leading
+    axes of length 1, so q = 1 tables may be scalars); then ``_lower(q)``
+    gives ``tables``."""
 
     TABLES: ClassVar[dict[str, int]]
     tables: CoefficientTables = field(init=False, repr=False, compare=False)
@@ -131,7 +131,10 @@ class _TableSpec:
             given = arr.shape
             if arr.ndim < rank:
                 arr = arr.reshape((1,) * (rank - arr.ndim) + given)
-            q = arr.shape[0] if q is None else q
+            if q is None:
+                q = arr.shape[0]
+                if q < 1:
+                    raise ValueError(f"{name} must hold q >= 1 species, got shape {given}")
             shape = (q,) * rank
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {given}")
@@ -188,7 +191,9 @@ def eval_W_parts(
     tables: CoefficientTables, rho: np.ndarray, dS: np.ndarray | None
 ) -> np.ndarray:
     """Real part W_k (or R_k of transformed tables) from density and
-    phase-gradient samples; ``dS`` is read only when ``tables.uses_phase``."""
+    phase-gradient samples; ``dS`` is read only when ``tables.uses_phase``.
+    Each term is freed before the next, and the drift_self product is
+    formed in place, so at most two (q, n) temporaries exist besides W."""
     on = tables.nonzero
     W = np.empty(rho.shape)
     W[:] = tables.const[:, None]
@@ -197,7 +202,10 @@ def eval_W_parts(
     if "cubic" in on:
         W += tables.cubic @ rho
     if "drift_self" in on:
-        W += (tables.drift_self @ rho) * dS
+        term = tables.drift_self @ rho
+        term *= dS
+        W += term
+        del term
     if "drift_cross" in on:
         W += tables.drift_cross @ (rho * dS)
     if "quartic" in on:
@@ -218,16 +226,21 @@ def eval_Wim_parts(
     """Imaginary part (1/rho_k) dF_k/dx from density samples and gradients;
     ``drho`` is read only when ``tables.has_flux``. The diagonal of D enters
     as 2 D_kk drho_k/dx, not via rho_k drho_k/dx / rho_k (one rounding less).
+    Each sum and product is taken in place, in the order of the expression
+    2 D_kk drho_k + (D_off drho)_k + ((D_off rho)_k + c_k) drho_k / rho_k.
     """
     if not tables.has_flux:
         return np.zeros_like(rho)
     if "D" not in tables.nonzero:
         return tables.c[:, None] * drho / rho
-    Wim = 2.0 * tables.D_diag[:, None] * drho + tables.D_off @ drho
+    Wim = 2.0 * tables.D_diag[:, None] * drho
+    Wim += tables.D_off @ drho
     rate = tables.D_off @ rho
     if "c" in tables.nonzero:
         rate += tables.c[:, None]
-    Wim += rate * drho / rho
+    rate *= drho
+    rate /= rho
+    Wim += rate
     return Wim
 
 

@@ -81,7 +81,8 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
     spec = cfg.build_family_spec()
     tspec = cfg.build_transformed_spec(spec)
     psi0 = cfg.build_initial(grid)
-    gen0 = compute_generator(spec, to_hydro(psi0), A)
+    h0 = to_hydro(psi0)
+    gen0 = compute_generator(spec, h0, A)
     anchor = gen0.anchor
     norms0 = _norms_of(psi0)
     marches = zip(
@@ -91,8 +92,10 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
                cfg.dt, cfg.n_steps, cfg.sample_every),
     )
     # the marches alone hold the initial states, and free them at their
-    # first steps
-    del psi0, gen0
+    # first steps; the t = 0 sample takes the set-up's to_hydro and
+    # generator of psi0 from this list before the first step
+    first_sample = [(h0, gen0)]
+    del psi0, h0, gen0
 
     times: list[float] = []
     dens_rows: list[np.ndarray] = []
@@ -100,9 +103,12 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
 
     # a function, so that its temporaries are freed before the next step
     def sample(ps: SimState, fs: SimState) -> None:
-        h_psi = to_hydro(ps.fields)
+        if first_sample:
+            h_psi, gen_t = first_sample.pop()
+        else:
+            h_psi = to_hydro(ps.fields)
+            gen_t = compute_generator(spec, h_psi, A, anchor=anchor)
         h_phi = to_hydro(fs.fields)
-        gen_t = compute_generator(spec, h_psi, A, anchor=anchor)
         times.append(ps.t)
         dens_rows.append(np.abs(h_phi.rho - h_psi.rho).max(axis=-1))
         phase_rows.append(phase_relation_residual(h_psi, h_phi, gen_t))

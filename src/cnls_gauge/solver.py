@@ -19,7 +19,11 @@ stage (the vacuum guard's minimum and peak densities, the winding and
 ramp slope of ``fields._split_winding``) are q Python floats, since at
 desk scale a stage costs about as much per numpy call as per array
 element. ``step`` allocates two (q, n) stage buffers and the stack once
-per step, and each stage writes its tendency over its own input; every
+per step, and each stage writes its tendency over its own input. Besides
+those, a stage holds the real (q, n) density and at most three real
+(q, n) temporaries at once (such as W, Wim and a term being summed into
+Wim): dS/dx is formed in the phase rows, and the flux branch builds
+1j W - Wim in the density rows with no complex cast of W or Wim. Every
 in-place product and sum keeps the operands of the plain expression (or,
 for a stage input, the same real number to round), and every scalar form
 the IEEE operations of the array one, so the results are the same to the
@@ -170,12 +174,12 @@ def _tendency(
         if any(peak <= 0.0 for peak in peaks):
             k = [peak <= 0.0 for peak in peaks].index(True)
             raise VacuumError(
-                f"species is identically zero (all-vacuum): species {k + 1} at t={t}"
+                f"species is identically zero (all-vacuum): species {k + 1} at t={t}", t=t
             )
         if any(low < floor * peak for low, peak in zip(lows, peaks)):
             k = [low < floor * peak for low, peak in zip(lows, peaks)].index(True)
             raise VacuumError(
-                f"density below floor during evolution: species {k + 1} at t={t}"
+                f"density below floor during evolution: species {k + 1} at t={t}", t=t
             )
         if flux:
             rows[q:2 * q] = rho
@@ -200,18 +204,26 @@ def _tendency(
     else:
         dS = None
         if phase:
-            dS = rows[-q:].real + slope[:, None]
+            # rows[-q:].real + slope (+ kappa), formed in the phase rows
+            dS = rows[-q:].real
+            np.add(dS, slope[:, None], out=dS)
             if kappa is not None:
                 dS += kappa[:, None]
         W = eval_W_parts(tables, rho, dS)
         del dS
         if flux:
             # 1j * (Ak * lap) + (1j * W - Wim) * data, the nonlinear term
-            # built in the density rows once Wim has read them
+            # built in the density rows once Wim has read them: W stored as
+            # complex times 1j is 1j * W, and Wim is taken from the real
+            # parts alone, since b - 0.0 is b bit for bit; so neither is
+            # cast through a complex buffer
             Wim = eval_Wim_parts(tables, rho, rows[q:2 * q].real)
             nl = rows[q:2 * q]
-            np.multiply(1j, W, out=nl)
-            np.subtract(nl, Wim, out=nl)
+            nl[...] = W
+            nl *= 1j
+            np.subtract(nl.real, Wim, out=nl.real)
+            # freed before Ak * lap, whose real-to-complex cast takes a buffer
+            del W, Wim
             np.multiply(nl, data, out=nl)
             np.multiply(Ak, lap, out=out)
             np.multiply(1j, out, out=out)

@@ -745,6 +745,17 @@ def test_classify_non_finite_flag_exits_1(capsys, flag, text):
     assert f"config key '{flag[2:]}': expected a finite number" in err
 
 
+def test_classify_flags_follow_the_derivative_tables(capsys):
+    # the flags are read from DerivativeSpec.TABLES, lam under its config key
+    with pytest.raises(SystemExit) as excinfo:
+        main(["classify", "--help"])
+    assert excinfo.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split())
+    assert usage.startswith(
+        "usage: cnls-gauge classify [-h] --beta BETA --gamma GAMMA --delta DELTA --lambda LAM"
+    )
+
+
 def test_verify_vacuum_initial_exits_2(tmp_path):
     payload = small_family_a_config(tmp_path)
     payload["amplitude"] = 0.0

@@ -206,6 +206,26 @@ def test_linear_spec_all_zero(grid256):
     assert np.abs(eval_F(spec, h)).max() == 0.0
 
 
+@pytest.mark.parametrize(
+    "build, first",
+    [
+        (lambda: DriftCubicSpec(delta=[], gamma=[]), "delta"),
+        (lambda: DerivativeSpec(beta=np.zeros((0, 0)), gamma=np.zeros((0, 0)),
+                                delta=np.zeros((0, 0)), lam=np.zeros((0, 0, 0))), "beta"),
+        (lambda: TransformedSpec(drift_self=np.zeros((0, 0)), drift_cross=np.zeros((0, 0)),
+                                 cubic=np.zeros((0, 0)), quartic=np.zeros((0, 0, 0)),
+                                 const_shift=[]), "drift_self"),
+    ],
+    ids=["drift_cubic", "derivative", "transformed"],
+)
+def test_table_specs_reject_zero_species(build, first):
+    # as LinearSpec(q=0) does; the message names the first table
+    with pytest.raises(ValueError, match=f"^{first} must hold q >= 1 species"):
+        build()
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        LinearSpec(q=0)
+
+
 def test_q1_tables_may_be_scalars():
     pairs = [
         (DriftCubicSpec(delta=2.0, gamma=0.3), DriftCubicSpec(delta=[2.0], gamma=[0.3])),

@@ -1,16 +1,28 @@
 import ast
 import csv
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cnls_gauge import RunConfig, SimState, dumps_config, evolve
+from cnls_gauge import (
+    RunConfig,
+    SimState,
+    apply_gauge,
+    compute_generator,
+    dumps_config,
+    evolve,
+    load_config,
+    phase_relation_residual,
+    to_hydro,
+)
 from cnls_gauge.cli import main, run_convergence, run_equivalence
 from cnls_gauge.report import sweep, write_sweep_csv
 
 TWO_PI = 2.0 * np.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def family_b_base(t_end=0.1, dt=5e-4, n=128):
@@ -165,6 +177,36 @@ def test_equivalence_samples_at_evolve_record_times():
     )
     _, records = evolve(psi0, cfg.dt, cfg.t_end, cfg.sample_every)
     assert run_equivalence(cfg).times == [r.t for r in records]
+
+
+@pytest.mark.parametrize(
+    "name, delta",
+    [("family_b_sample", None), ("family_a_verify", None), ("family_a_verify", [1.0, 1.0])],
+    ids=["derivative", "drift_cubic", "fractional_ramp"],
+)
+def test_equivalence_t0_row_is_a_fresh_sample(tmp_path, name, delta):
+    # the t = 0 row reuses the set-up's to_hydro and generator; it has the
+    # bytes of a sample computed afresh from the initial fields
+    payload = json.loads((CONFIGS / f"{name}.json").read_text())
+    payload.update(t_end=2 * payload["dt"], sample_every=1)
+    if delta is not None:
+        payload["nonlinearity"]["delta"] = delta
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["verify", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+
+    cfg = load_config(path)
+    A, spec = cfg.build_dispersion(), cfg.build_family_spec()
+    psi0 = cfg.build_initial(cfg.build_grid())
+    gen = compute_generator(spec, to_hydro(psi0), A)
+    h_psi, h_phi = to_hydro(psi0), to_hydro(apply_gauge(psi0, gen))
+    gen_t = compute_generator(spec, h_psi, A, anchor=gen.anchor)
+    fresh = [0.0, *np.abs(h_phi.rho - h_psi.rho).max(axis=-1),
+             *phase_relation_residual(h_psi, h_phi, gen_t)]
+    with open(tmp_path / "out" / "equivalence.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 4
+    assert rows[1] == [repr(float(v)) for v in fresh]
 
 
 def _imported_modules(path: Path):

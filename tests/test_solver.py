@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from cnls_gauge import (
     case1_coeffs,
     continuity_residual,
     current,
+    eval_Wim,
     evolve,
     from_hydro,
+    load_config,
     make_grid,
     rhs,
     stability_bound,
@@ -583,3 +586,31 @@ def test_step_blow_up_inside_stage_carries_step_time(grid256):
     with pytest.raises(BlowUpError) as excinfo:
         step(state, 1e-4)
     assert excinfo.value.t == 0.3
+
+
+def test_vacuum_error_carries_the_failing_step_time(grid256):
+    # family_b_sample above its step bound: species 1 falls below the floor
+    # in a stage of the step that starts at t = 0.0088
+    config = Path(__file__).resolve().parents[1] / "configs" / "family_b_sample.json"
+    cfg = load_config(config)
+    state = SimState(0.0, cfg.build_initial(cfg.build_grid()), cfg.build_family_spec(),
+                     cfg.build_dispersion())
+    with warnings_ignored(), pytest.raises(VacuumError) as excinfo:
+        evolve(state, 2e-4, 0.4, sample_every=20)
+    err = excinfo.value
+    assert err.t == 0.008799999999999997
+    assert str(err) == f"density below floor during evolution: species 1 at t={err.t}"
+
+    zero = SimState(0.3, ComplexFieldSet(np.zeros((2, 256)), grid256), small_family_b(),
+                    DispersionMatrix([1.0, 1.0]))
+    with pytest.raises(VacuumError, match="all-vacuum") as excinfo:
+        step(zero, 1e-4)
+    assert excinfo.value.t == 0.3
+    # every raiser outside a march leaves t unset
+    with pytest.raises(VacuumError) as excinfo:
+        to_hydro(zero.fields)
+    assert excinfo.value.t is None
+    h = to_hydro(ComplexFieldSet(np.sin(grid256.x)[None, :], grid256), floor=1e-6)
+    with pytest.raises(VacuumError) as excinfo:
+        eval_Wim(DriftCubicSpec(delta=[1.0], gamma=[0.0]), h)
+    assert excinfo.value.t is None
