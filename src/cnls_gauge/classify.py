@@ -121,22 +121,15 @@ def case2_coeffs(
     beta_diag = np.atleast_1d(np.asarray(beta_diag, dtype=float))
     if beta_diag.shape != (q,):
         raise ValueError(f"beta_diag must have shape {(q,)}, got {beta_diag.shape}")
+    diag = np.arange(q)
     beta = base.beta.copy()
-    beta[np.arange(q), np.arange(q)] = beta_diag
+    beta[diag, diag] = beta_diag
     lam = base.lam.copy()
-    dkk = delta[np.arange(q), np.arange(q)]
-    for k in range(q):
-        for j in range(q):
-            if j == k:
-                for i in range(q):
-                    if i == k:
-                        lam[k, k, k] = dkk[k] * (beta_diag[k] + 3.0 * dkk[k]) / Ak[k]
-                    else:
-                        lam[k, k, i] = dkk[k] * delta[k, i] / Ak[k]
-            else:
-                lam[k, j, k] = (
-                    delta[k, j] * (beta_diag[k] + dkk[k] + 2.0 * delta[j, k]) / Ak[k]
-                )
+    dkk = delta[diag, diag]
+    lam[diag, diag, diag] = dkk * (beta_diag + 3.0 * dkk) / Ak
+    k, j = np.nonzero(~np.eye(q, dtype=bool))  # every pair j != k
+    lam[k, k, j] = dkk[k] * delta[k, j] / Ak[k]
+    lam[k, j, k] = delta[k, j] * (beta_diag[k] + dkk[k] + 2.0 * delta[j, k]) / Ak[k]
     eta = (beta_diag + 2.0 * dkk) / (2.0 * Ak)
     return DerivativeSpec(beta=beta, gamma=base.gamma, delta=delta, lam=lam), eta
 

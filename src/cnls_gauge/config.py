@@ -79,6 +79,12 @@ def _number(value: Any, key: str) -> float:
 def _integer(value: Any, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(key, f"expected an integer, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # named by its size: the float repr would read inf
+        raise ConfigError(
+            key, f"an integer of {value.bit_length()} bits is beyond the float range"
+        ) from None
     return int(value)
 
 

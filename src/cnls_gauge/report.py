@@ -178,9 +178,13 @@ class SweepResult:
 
 
 def _broadcast(value: float, template):
-    """Fill every leaf of a (possibly nested) list with ``value``."""
+    """Fill every leaf of a (possibly nested) list with ``value``, as an int
+    where the leaf is an int and ``value`` is integral, so that integer keys
+    sweep."""
     if isinstance(template, list):
         return [_broadcast(value, item) for item in template]
+    if type(template) is int and value.is_integer():  # not a bool leaf
+        return int(value)
     return value
 
 

@@ -33,8 +33,12 @@ A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
 evolves its periodic u_k with the symbol -(k + kappa_k)^2 and dS_u/dx +
 kappa_k; at kappa = 0 that is exactly the unshifted stage.
 
-``evolve`` checks the continuity law with d(rho_k)/dt = 2 Re(conj(u_k) u_t)
-from the stage tendency, so it never steps outside [t0, t_end].
+The continuity law d(rho_k)/dt + dj_k/dx = 0 has one current, ``current``:
+j_k = 2 (A_k Im(conj(phi_k) phi_k') + F_k), which is 2 (A_k rho_k dS_k/dx
++ F_k) without a division by rho, so it is finite at vacuum nodes.
+``evolve`` checks the law with d(rho_k)/dt = 2 Re(conj(u_k) u_t) from the
+stage tendency, so it never steps outside [t0, t_end];
+``continuity_residual`` with a centered difference of three states.
 """
 
 from __future__ import annotations
@@ -49,9 +53,7 @@ import numpy as np
 from .fields import (
     ComplexFieldSet,
     DispersionMatrix,
-    HydroFields,
     VacuumError,
-    phase_gradient,
     DEFAULT_FLOOR,
     _split_winding,
     _unwrap_rows,
@@ -121,7 +123,6 @@ class DiagnosticsRecord:
     norms: np.ndarray
     norm_drift: np.ndarray
     continuity_residual: np.ndarray
-    energy_proxy: np.ndarray
 
 
 def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
@@ -316,44 +317,36 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     )
 
 
-def current(spec: SystemSpec, h: HydroFields, A: DispersionMatrix) -> np.ndarray:
-    """Continuity current j_k = 2 (A_k rho_k dS_k/dx + F_k); F enters only
-    when the spec's tables have a flux, so a ``TransformedSpec`` gives the
-    bilinear J_k = 2 A_k rho_k dS_k/dx."""
-    if not spec.q == A.q == h.q:
+def current(spec: SystemSpec, fields: ComplexFieldSet, A: DispersionMatrix) -> np.ndarray:
+    """Continuity current j_k = 2 (A_k Im(conj(phi_k) phi_k') + F_k) of the
+    fields phi_k = exp(i kappa_k (x - x_min)) u_k, which is
+    2 (A_k rho_k dS_k/dx + F_k) and needs no division by rho, so it is
+    finite at vacuum nodes. F enters only when the spec's tables have a
+    flux, so a ``TransformedSpec`` gives the bilinear J_k = 2 A_k rho_k dS_k/dx."""
+    if not spec.q == A.q == fields.q:
         raise ValueError(
-            f"species counts differ: spec {spec.q}, A {A.q}, fields {h.q}"
+            f"species counts differ: spec {spec.q}, A {A.q}, fields {fields.q}"
         )
-    j = A.values[:, None] * h.rho * phase_gradient(h)
-    if spec.tables.has_flux:
-        j += eval_F_parts(spec.tables, h.rho)
-    return 2.0 * j
-
-
-def _current_from_fields(
-    spec: SystemSpec, fields: ComplexFieldSet, A: DispersionMatrix, grad=None
-) -> np.ndarray:
-    # Vacuum-safe current: rho * dS/dx == Im(conj(f) df/dx) needs no division;
-    # grad, when the caller has it, is df/dx of the data.
     data = fields.data
-    if grad is None:
-        grad = derivative(data, fields.grid)
-    momentum = np.imag(np.conj(data) * grad)
+    momentum = np.imag(np.conj(data) * derivative(data, fields.grid))
     if fields.kappa.any():
         momentum += fields.kappa[:, None] * (data.real**2 + data.imag**2)
-    current = 2.0 * A.values[:, None] * momentum
+    j = 2.0 * A.values[:, None] * momentum
     if spec.tables.has_flux:
         rho = data.real**2 + data.imag**2
-        current += 2.0 * eval_F_parts(spec.tables, rho)
-    return current
+        j += 2.0 * eval_F_parts(spec.tables, rho)
+    return j
 
 
-def continuity_residual(
-    states: tuple[SimState, SimState, SimState],
-    spec: SystemSpec,
-    A: DispersionMatrix,
-) -> np.ndarray:
-    """sup |d(rho)/dt + d(current)/dx| from three equally spaced states.
+def _residual(drho_dt: np.ndarray, state: SimState) -> np.ndarray:
+    # sup_x |drho_dt + d(current)/dx| of each species
+    j = current(state.spec, state.fields, state.A)
+    return np.abs(drho_dt + derivative(j, state.fields.grid)).max(axis=-1)
+
+
+def continuity_residual(states: tuple[SimState, SimState, SimState]) -> np.ndarray:
+    """sup |d(rho)/dt + d(current)/dx| from three equally spaced states,
+    with the current of the middle state's fields, spec and A.
 
     The time derivative is a centered difference, so the residual decays at
     second order in the state spacing.
@@ -367,9 +360,7 @@ def continuity_residual(
     rho0 = np.abs(s0.fields.data) ** 2
     rho2 = np.abs(s2.fields.data) ** 2
     drho_dt = (rho2 - rho0) / (2.0 * dt1)
-    current = _current_from_fields(spec, s1.fields, A)
-    residual = drho_dt + derivative(current, s1.fields.grid)
-    return np.abs(residual).max(axis=-1)
+    return _residual(drho_dt, s1)
 
 
 def _norms_of(fields: ComplexFieldSet) -> np.ndarray:
@@ -385,18 +376,11 @@ def _record(state: SimState, norms0: np.ndarray) -> DiagnosticsRecord:
     u_t = rhs(state).data
     drho_dt = 2.0 * np.real(np.conj(f.data) * u_t)
     del u_t
-    grad = derivative(f.data, f.grid)
-    current = _current_from_fields(state.spec, f, state.A, grad)
-    res = np.abs(drho_dt + derivative(current, f.grid)).max(axis=-1)
-    if f.kappa.any():
-        grad += 1j * f.kappa[:, None] * f.data
-    energy = np.atleast_1d(integrate(np.abs(grad) ** 2, f.grid))
     return DiagnosticsRecord(
         t=state.t,
         norms=n,
         norm_drift=drift,
-        continuity_residual=res,
-        energy_proxy=energy,
+        continuity_residual=_residual(drho_dt, state),
     )
 
 
@@ -431,8 +415,8 @@ def evolve(
     sampling diagnostics periodically.
 
     Samples are taken at step multiples of ``sample_every`` and at the
-    final step. Each record reads its state alone: norms, drift, the
-    energy proxy and the instantaneous continuity residual
+    final step. Each record reads its state alone: norms, drift and the
+    instantaneous continuity residual
     sup|2 Re(conj(u) u_t) + dj/dx| with u_t from ``rhs``. A sampled state
     is recorded once the following step exists (the final state after the
     last step), so a step is always the first work of a march.

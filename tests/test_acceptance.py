@@ -234,7 +234,7 @@ def test_criterion_7_conservation():
             s = step(s, dt)
         mid = step(s, dt)
         after = step(mid, dt)
-        return float(continuity_residual((s, mid, after), spec, A).max())
+        return float(continuity_residual((s, mid, after)).max())
 
     r1 = residual_at(1e-4)
     r2 = residual_at(5e-5)

@@ -120,6 +120,36 @@ def test_case2_decoupling_random(q):
         assert np.abs(eta - expected_diag / (2.0 * A.values)).max() < 1e-14
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_case2_tables_follow_the_index_formulas(q):
+    # the docstring's four formulas for lam and beta_kk free, entry by entry
+    rng = np.random.default_rng(40 + q)
+    for trial in range(20):
+        Ak = rng.uniform(0.5, 2.0, q) * rng.choice([-1.0, 1.0], q)
+        delta = rng.uniform(-1, 1, (q, q))
+        beta_diag = rng.uniform(-1, 1, q)
+        spec, _ = case2_coeffs(delta, beta_diag, DispersionMatrix(Ak))
+        lam = np.empty((q, q, q))
+        for k in range(q):
+            for j in range(q):
+                for i in range(q):
+                    if j == k and i == k:
+                        lam[k, j, i] = delta[k, k] * (beta_diag[k] + 3.0 * delta[k, k]) / Ak[k]
+                    elif i == k:
+                        lam[k, j, i] = (
+                            delta[k, j] * (beta_diag[k] + delta[k, k] + 2.0 * delta[j, k])
+                            / Ak[k]
+                        )
+                    elif j == k:
+                        lam[k, j, i] = delta[k, k] * delta[k, i] / Ak[k]
+                    else:
+                        lam[k, j, i] = delta[k, j] * (2.0 * delta[j, i] - delta[k, i]) / Ak[k]
+        beta = np.where(np.eye(q, dtype=bool), beta_diag, -2.0 * delta)
+        assert np.array_equal(spec.lam, lam)
+        assert np.array_equal(spec.beta, beta)
+        assert np.array_equal(spec.delta, delta)
+
+
 def test_case3_zero_delta():
     A = DispersionMatrix([1.0, 2.0])
     gamma = np.array([[1.0, 0.5], [-0.3, 0.2]])

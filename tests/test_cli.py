@@ -624,6 +624,32 @@ def test_non_finite_config_number_exits_1_naming_its_key(tmp_path, capsys, path,
 
 
 @pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("grid", "n_points"), 2**1100, "grid.n_points"),
+        (("q",), -(2**1100), "q"),
+        (("sample_every",), 2**1100, "sample_every"),
+        (("initial", 0, "modes", 0, "mode"), 10**400, "initial[0].modes[0].mode"),
+    ],
+    ids=["n_points", "q", "sample_every", "mode"],
+)
+@pytest.mark.parametrize("command", ["simulate", "transform", "verify"])
+def test_out_of_range_config_integer_exits_1_naming_its_key(
+    tmp_path, capsys, command, path, value, key
+):
+    payload = small_family_a_config(tmp_path)
+    _set_path(payload, path, value)
+    cfg = write_config(tmp_path, payload)
+    assert main([command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    bits = abs(value).bit_length()
+    assert err == (
+        f"error: config key '{key}': an integer of {bits} bits is beyond the float range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "config, path, value, key",
     [
         ("family_a_verify", ("A",), [1.0, 0.5, 2.0], "A"),
@@ -733,6 +759,20 @@ def test_non_finite_sweep_value_fails_only_its_row(tmp_path, text):
     rows = read_csv(tmp_path / "out" / "sweep.csv")
     assert [r[4:6] for r in rows[1:]] == [["failed", "1"], ["ok", "0"]]
     assert "config key 'dt'" in rows[1][6]
+
+
+@pytest.mark.parametrize(
+    "axis, values", [("grid.n_points", "64,128"), ("sample_every", "100,250")]
+)
+def test_sweep_over_an_integer_key(tmp_path, axis, values):
+    payload = small_family_a_config(tmp_path)
+    payload["t_end"] = 0.02
+    cfg = write_config(tmp_path, payload)
+    assert main(["verify", str(cfg), "--sweep", f"{axis}={values},100.5"]) == 0
+    rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert rows[0][0] == axis
+    assert [r[4:6] for r in rows[1:]] == [["ok", "0"], ["ok", "0"], ["failed", "1"]]
+    assert rows[3][6] == f"config key '{axis}': expected an integer, got 100.5"
 
 
 @pytest.mark.parametrize("flag", ["--beta", "--gamma", "--delta", "--lambda"])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cnls_gauge import DispersionMatrix, make_grid, stability_bound
+from cnls_gauge import DispersionMatrix, load_config, make_grid, stability_bound
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "digest_outputs.py"
 
@@ -70,3 +70,14 @@ def test_digest_prints_warnings_without_file_and_line(tmp_path):
     # verify each report the warning once
     assert sum("UserWarning: dt=" in l for l in stderr) == 2
     assert tool.digest({"warn": path}) == lines
+
+
+def test_workload_configs_cover_every_benchmark_workload(tmp_path):
+    tool = _load_tool()
+    configs = tool.workload_configs(tmp_path)
+    assert list(configs) == [
+        f"perfbench {name} seed 1" for name in ("equiv_drift", "equiv_deriv", "simulate_wide")
+    ]
+    for path in configs.values():
+        assert path.parent == tmp_path
+        load_config(str(path))

@@ -388,7 +388,7 @@ def test_eval_R_numeric_derivative_constant_offset(grid256):
     wobble = np.abs(diff - diff.mean(axis=-1, keepdims=True)).max()
     assert wobble < 1e-8
     # the offset is the anchor term of dsigma/dt: (delta @ j(anchor)) / A
-    j = current(spec, h_psi, A)
+    j = current(spec, psi, A)
     predicted = (spec.delta @ j[:, gen.anchor]) / A.values
     assert np.abs(diff.mean(axis=-1) - predicted).max() < 1e-8
 

@@ -18,6 +18,7 @@ from cnls_gauge import (
     case1_coeffs,
     continuity_residual,
     current,
+    eval_F,
     eval_Wim,
     evolve,
     from_hydro,
@@ -168,8 +169,8 @@ def test_rhs_of_shifted_plane_wave(grid128):
 
 
 def test_evolve_shifted_plane_wave_diagnostics(grid128):
-    # exp(i(m + kappa)x - i(m + kappa)^2 t): the energy proxy integrates
-    # |phi'|^2 = (m + kappa)^2 and the current 2 (m + kappa) is constant
+    # exp(i(m + kappa)x - i(m + kappa)^2 t): the current 2 (m + kappa) is
+    # constant, so the continuity residual vanishes
     wavenumber = 2.0 - 0.5
     fields = ComplexFieldSet(np.exp(2j * grid128.x)[None, :], grid128, kappa=[-0.5])
     state = SimState(0.0, fields, LinearSpec(q=1), DispersionMatrix([1.0]))
@@ -178,7 +179,6 @@ def test_evolve_shifted_plane_wave_diagnostics(grid128):
     exact = np.exp(1j * (wavenumber * grid128.x - wavenumber**2 * 0.25))
     assert np.abs(final.fields.samples()[0] - exact).max() < 1e-10
     for r in records:
-        assert abs(r.energy_proxy[0] - wavenumber**2 * TWO_PI) < 1e-10
         assert r.continuity_residual[0] < 1e-10
 
 
@@ -302,37 +302,35 @@ def test_step_convergence_against_fine_reference(grid128):
 def test_current_psi_plane_wave(grid256):
     A = DispersionMatrix([1.0])
     kmode = 3
-    h = to_hydro(
-        ComplexFieldSet(np.exp(1j * kmode * grid256.x)[None, :], grid256)
-    )
+    psi = ComplexFieldSet(np.exp(1j * kmode * grid256.x)[None, :], grid256)
     spec = DriftCubicSpec(delta=[0.0], gamma=[0.0])
-    j = current(spec, h, A)
+    j = current(spec, psi, A)
     assert np.abs(j - 2.0 * kmode).max() < 1e-10
 
     # constant phase: no current
     h0 = HydroFields(np.ones((1, 256)), np.ones((1, 256)) * 0.4, grid256)
-    assert np.abs(current(spec, h0, A)).max() < 1e-12
+    assert np.abs(current(spec, from_hydro(h0), A)).max() < 1e-12
 
 
 def test_current_psi_derivative_family(grid256):
     # q=1, rho=1, S=kx, delta=1, A=1: j = 2(k + 1)
     kmode = 2
-    h = to_hydro(ComplexFieldSet(np.exp(1j * kmode * grid256.x)[None, :], grid256))
+    psi = ComplexFieldSet(np.exp(1j * kmode * grid256.x)[None, :], grid256)
     spec = DerivativeSpec(
         beta=np.zeros((1, 1)), gamma=np.zeros((1, 1)),
         delta=np.ones((1, 1)), lam=np.zeros((1, 1, 1)),
     )
-    j = current(spec, h, DispersionMatrix([1.0]))
+    j = current(spec, psi, DispersionMatrix([1.0]))
     assert np.abs(j - 2.0 * (kmode + 1.0)).max() < 1e-10
 
 
 def test_current_phi_forms(grid256):
     A = DispersionMatrix([2.0])
     h0 = HydroFields(np.ones((1, 256)), 0.7 * np.ones((1, 256)), grid256)
-    assert np.abs(current(LinearSpec(q=1), h0, A)).max() < 1e-12
+    assert np.abs(current(LinearSpec(q=1), from_hydro(h0), A)).max() < 1e-12
     kmode = 2
-    h = to_hydro(ComplexFieldSet(np.exp(1j * kmode * grid256.x)[None, :], grid256))
-    J = current(LinearSpec(q=1), h, DispersionMatrix([1.0]))
+    phi = ComplexFieldSet(np.exp(1j * kmode * grid256.x)[None, :], grid256)
+    J = current(LinearSpec(q=1), phi, DispersionMatrix([1.0]))
     assert np.abs(J - 2.0 * kmode).max() < 1e-10
 
 
@@ -340,9 +338,45 @@ def test_current_phi_forms(grid256):
 def test_current_phi_of_shifted_plane_wave(grid128, kmode, kappa):
     # 2 exp(i kmode x) with kappa is the field 2 exp(i (kmode + kappa) x)
     data = 2.0 * np.exp(1j * kmode * grid128.x)[None, :]
-    h = to_hydro(ComplexFieldSet(data, grid128, kappa=[kappa]))
-    J = current(LinearSpec(q=1), h, DispersionMatrix([1.5]))
+    phi = ComplexFieldSet(data, grid128, kappa=[kappa])
+    J = current(LinearSpec(q=1), phi, DispersionMatrix([1.5]))
     assert np.abs(J - 2.0 * 1.5 * 4.0 * (kmode + kappa)).max() < 1e-11
+
+
+def flux_spec_q1():
+    # derivative family with delta = 0.7: a nonzero flux F
+    spec = DerivativeSpec(
+        beta=np.full((1, 1), 0.3), gamma=np.full((1, 1), -0.2),
+        delta=np.full((1, 1), 0.7), lam=np.full((1, 1, 1), 0.1),
+    )
+    assert spec.tables.has_flux
+    return spec
+
+
+def test_current_is_finite_through_exact_zeros(grid256):
+    # u = sin(x) exp(2ix) vanishes at x = 0 and x = pi, where dS/dx is
+    # undefined; Im(conj(u) u') = 2 sin^2 x = 2 rho stays smooth
+    spec, A = flux_spec_q1(), DispersionMatrix([1.5])
+    x = grid256.x
+    u = (np.sin(x) * np.exp(2j * x))[None, :]
+    assert (u == 0).any()
+    rho = np.abs(u) ** 2
+    F = eval_F(spec, HydroFields(rho, np.zeros_like(rho), grid256))
+    assert np.abs(F).max() > 0.1
+    j = current(spec, ComplexFieldSet(u, grid256), A)
+    assert np.isfinite(j).all()
+    assert np.abs(j - 2.0 * (1.5 * 2.0 * rho + F)).max() < 1e-12
+
+
+@pytest.mark.parametrize("kmode, kappa", [(1, 0.3), (-2, -0.45)])
+def test_current_of_shifted_field_with_flux(grid128, kmode, kappa):
+    # the field 0.8 exp(i (kmode + kappa) x): rho = 0.64 and dS/dx = kmode + kappa
+    spec, A = flux_spec_q1(), DispersionMatrix([-0.75])
+    data = 0.8 * np.exp(1j * kmode * grid128.x)[None, :]
+    rho = np.full((1, 128), 0.64)
+    F = eval_F(spec, HydroFields(rho, np.zeros_like(rho), grid128))
+    j = current(spec, ComplexFieldSet(data, grid128, kappa=[kappa]), A)
+    assert np.abs(j - (2.0 * -0.75 * (kmode + kappa) * 0.64 + 2.0 * F)).max() < 1e-12
 
 
 def test_currents_agree_across_gauge(grid256):
@@ -363,11 +397,10 @@ def test_currents_agree_across_gauge(grid256):
         lam=0.1 * rng.uniform(-1, 1, (q, q, q)),
     )
     A = DispersionMatrix([1.0, 1.0])
-    h_psi = to_hydro(psi)
-    gen = compute_generator(spec, h_psi, A)
-    h_phi = to_hydro(apply_gauge(psi, gen))
-    j = current(spec, h_psi, A)
-    J = current(transformed_spec(spec, A), h_phi, A)
+    gen = compute_generator(spec, to_hydro(psi), A)
+    phi = apply_gauge(psi, gen)
+    j = current(spec, psi, A)
+    J = current(transformed_spec(spec, A), phi, A)
     assert np.abs(J - j).max() < 1e-8
 
 
@@ -378,7 +411,7 @@ def test_continuity_residual_stationary_plane_wave(grid256):
     dt = 1e-4
     s0 = step(s1, -dt)
     s2 = step(s1, dt)
-    res = continuity_residual((s0, s1, s2), spec, A)
+    res = continuity_residual((s0, s1, s2))
     assert res.max() < 1e-8
 
 
@@ -392,7 +425,7 @@ def test_continuity_residual_zero_field(grid256):
             spec, A,
         )
 
-    res = continuity_residual((zstate(0.0), zstate(0.1), zstate(0.2)), spec, A)
+    res = continuity_residual((zstate(0.0), zstate(0.1), zstate(0.2)))
     assert res.max() == 0.0
 
 
@@ -409,7 +442,7 @@ def test_continuity_residual_halving_dt(grid256):
         before = state
         mid = step(before, dt)
         after = step(mid, dt)
-        return continuity_residual((before, mid, after), spec, A).max()
+        return continuity_residual((before, mid, after)).max()
 
     r1 = residual_at(1e-4, n_settle=20)
     r2 = residual_at(5e-5, n_settle=40)
@@ -423,7 +456,7 @@ def test_continuity_residual_spacing_mismatch(grid256):
     s1 = step(s, 1e-4)
     s2 = step(s1, 1.5e-4)
     with pytest.raises(ValueError, match="spaced"):
-        continuity_residual((s, s1, s2), spec, A)
+        continuity_residual((s, s1, s2))
 
 
 def test_evolve_linear_norm_conservation(grid128):
@@ -435,16 +468,6 @@ def test_evolve_linear_norm_conservation(grid128):
     assert final.t == pytest.approx(1.0)
     drift = np.abs(np.array([r.norm_drift for r in records]))
     assert drift.max() < 1e-10
-
-
-def test_evolve_energy_proxy_plane_wave(grid128):
-    # for a single mode, energy_proxy = k^2 * N, constant under linear flow
-    kmode = 3
-    state = plane_wave_state(grid128, kmode, LinearSpec(q=1), DispersionMatrix([1.0]))
-    _, records = evolve(state, 2e-4, 0.05, sample_every=50)
-    energies = np.array([r.energy_proxy[0] for r in records])
-    expected = kmode**2 * records[0].norms[0]
-    assert np.abs(energies - expected).max() < 1e-9
 
 
 def test_evolve_family_b_small_amplitude_conservation(grid256):

@@ -7,8 +7,10 @@ Run from anywhere, with any extra config paths:
 
 It runs ``simulate``, ``transform``, ``verify`` and ``convergence`` through
 ``cnls_gauge.cli.main`` (imported from this checkout's ``src/``) on every
-shipped config in ``configs/`` and then on each extra path, each command in
-its own temporary output directory. For each command it prints the exit
+shipped config in ``configs/``, on the seed-1 config of each benchmark
+workload in ``perfbench/workloads.py`` (written to a temporary file as the
+benchmark writes it), and then on each extra path, each command in its own
+temporary output directory. For each command it prints the exit
 code, the stdout and stderr lines, and one SHA-256 per written file. Two
 checkouts whose outputs agree give equal digests, so one ``diff`` of two
 digests replaces a ``diff -r`` of the output trees.
@@ -16,8 +18,9 @@ digests replaces a ``diff -r`` of the output trees.
 A warning is printed as ``Category: message``, without the file and line
 that Python's default format adds, and the warning registry is reset for
 every command as in a fresh process; so a digest does not change when
-source lines move. Shipped configs are named relative to the checkout, so
-two checkouts can be compared, and extra paths by their absolute path.
+source lines move. Shipped configs are named relative to the checkout and
+workload configs by workload and seed, so two checkouts can be compared;
+extra paths are named by their absolute path.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
+import json
 import sys
 import tempfile
 import warnings
@@ -33,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("simulate", "transform", "verify", "convergence")
+WORKLOAD_SEED = 1
 
 
 def _import_cli():
@@ -40,6 +46,22 @@ def _import_cli():
     from cnls_gauge import cli
 
     return cli
+
+
+def workload_configs(directory: Path) -> dict[str, Path]:
+    """The seed-1 config of every benchmark workload, written into
+    ``directory``, by name ("perfbench equiv_drift seed 1" -> path)."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    configs = {}
+    for name, make in workloads.WORKLOADS.items():
+        config = directory / f"{name}_seed{WORKLOAD_SEED}.json"
+        config.write_text(json.dumps(make(WORKLOAD_SEED).config, indent=1), encoding="utf-8")
+        configs[f"perfbench {name} seed {WORKLOAD_SEED}"] = config
+    return configs
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -85,8 +107,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     configs = {str(p.relative_to(ROOT)): p
                for p in sorted((ROOT / "configs").glob("*.json"))}
-    configs.update((str(Path(c).resolve()), Path(c).resolve()) for c in args.configs)
-    print("\n".join(digest(configs)))
+    with tempfile.TemporaryDirectory() as tmp:
+        configs.update(workload_configs(Path(tmp)))
+        configs.update((str(Path(c).resolve()), Path(c).resolve()) for c in args.configs)
+        print("\n".join(digest(configs)))
     return 0
 
 
