@@ -290,8 +290,9 @@ def transformed_spec(spec: FamilySpec, A: DispersionMatrix) -> TransformedSpec:
         quartic'_kji  = quartic_kji - D_kj (drift_self_ki + D_ki)/A_k
                         - drift_cross_kj D_ji/A_j
 
-    and a linear drift a' = a + 2c, which vanishes for every spec type
-    (drift-cubic has a = delta, c = -delta/2; the others a = c = 0).
+    and a linear drift a' = a + 2c, which vanishes by construction:
+    ``CoefficientTables`` rejects tables with a + 2c != 0 (drift-cubic has
+    a = -2c, c = -delta/2; the others a = c = 0).
     """
     t = spec.tables
     if A.q != t.q:

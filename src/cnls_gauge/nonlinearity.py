@@ -20,7 +20,8 @@ and skip every all-zero one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
@@ -52,11 +53,19 @@ _RANKS = {"const": 1, "a": 1, "cubic": 2, "drift_self": 2, "drift_cross": 2,
 class CoefficientTables:
     """The one coefficient form W_k, F_k that every spec type lowers to.
 
+    The linear drift pair must satisfy a_k + 2 c_k = 0 for every species k
+    (a ValueError names the first that does not). Then the two terms it
+    adds to i (W_k + i Wim_k) u_k, i a_k (dS_k/dx) u_k and
+    -c_k (drho_k/dx / rho_k) u_k, sum to the drift a_k u_k' of the field.
+
     ``nonzero`` names the tables holding a nonzero entry, ``has_flux`` is
     whether Wim can be nonzero (c or D nonzero), and ``uses_phase`` whether
     W reads the phase gradients (a, drift_self or drift_cross nonzero);
     ``D_diag`` and ``D_off`` split D into its diagonal and the rest. All
-    are fixed at construction.
+    are fixed at construction. ``reduced`` is these tables with a = c = 0
+    (the tables themselves when both are zero already), from which the RK4
+    stage evaluates W and Wim while it takes the pair as a u'; it is built
+    once, when first read.
     """
 
     const: np.ndarray  # (q,)
@@ -75,6 +84,14 @@ class CoefficientTables:
 
     def __post_init__(self) -> None:
         nonzero = frozenset(n for n in _RANKS if np.count_nonzero(getattr(self, n)))
+        if nonzero & {"a", "c"}:
+            broken = np.flatnonzero(self.a + 2.0 * self.c)
+            if broken.size:
+                k = broken[0]
+                raise ValueError(
+                    f"tables a and c must satisfy a + 2 c = 0: species {k + 1} has "
+                    f"a = {float(self.a[k])!r}, c = {float(self.c[k])!r}"
+                )
         object.__setattr__(self, "nonzero", nonzero)
         object.__setattr__(self, "has_flux", bool(nonzero & {"c", "D"}))
         object.__setattr__(
@@ -89,6 +106,17 @@ class CoefficientTables:
         """Tables for q species; every table not given is zero."""
         return cls(**{name: tables.get(name, np.zeros((q,) * rank))
                       for name, rank in _RANKS.items()})
+
+    @property
+    def reduced(self) -> "CoefficientTables":
+        # not self cached: that would make every table set a reference
+        # cycle, freed only by the cyclic garbage collector
+        return self._without_drift if "a" in self.nonzero else self
+
+    @cached_property
+    def _without_drift(self) -> "CoefficientTables":
+        zero = np.zeros_like(self.a)
+        return replace(self, a=zero, c=zero)
 
     @property
     def q(self) -> int:
@@ -159,7 +187,9 @@ class DriftCubicSpec(_TableSpec):
 
     def _lower(self, q: int) -> CoefficientTables:
         cubic = np.diag(self.gamma) - 2.0 * self.gamma
-        return CoefficientTables.of(q, a=self.delta, cubic=cubic, c=-0.5 * self.delta)
+        c = -0.5 * self.delta
+        # a = -2 c is delta itself unless halving a subnormal delta rounds
+        return CoefficientTables.of(q, a=-2.0 * c, cubic=cubic, c=c)
 
 
 @dataclass(frozen=True)

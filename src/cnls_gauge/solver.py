@@ -9,12 +9,27 @@ fields psi they are a family spec's; for the gauge-transformed fields phi
 they are a ``TransformedSpec``'s, whose Wim vanishes and whose W is the
 purely real R_k. The spec alone says which system a state belongs to.
 
-Every stage reads rho, dS/dx and drho/dx afresh from the stage's fields,
-so branch-cut artifacts never accumulate in dS/dx. The Laplacian, drho/dx
-and dS/dx come from one stacked in-place FFT pair (``grid._spectral_pair``,
-numpy's pocketfft ufuncs without the np.fft wrapper) over the data rows,
-the density rows and the periodic part of the phases, which a jump-only
-unwrap (``fields._unwrap_rows``) reads. The per-species scalars of a
+The linear drift pair of the tables, a_k dS_k/dx in W and c_k (drho_k/dx)
+/ rho_k in Wim, is the drift a_k phi_k' of the field, since the tables
+have a + 2c = 0: for u = sqrt(rho) exp(i S_u),
+i a (dS_u/dx + kappa) u - c (drho/dx / rho) u = a (u' + i kappa u).
+So a stage evaluates W and Wim from the tables less that pair
+(``CoefficientTables.reduced``) and adds a (u' + i kappa u), with no
+phase and no division by rho for the pair.
+
+Every stage reads rho, and dS/dx and drho/dx where the reduced tables use
+them, afresh from the stage's fields, so branch-cut artifacts never
+accumulate in dS/dx. The stage's spectral rows share one stacked in-place
+FFT pair (``grid._spectral_pair``, numpy's pocketfft ufuncs without the
+np.fft wrapper), and the stack holds exactly the rows the stage reads:
+the q data rows (the Laplacian), q density rows when the reduced tables
+have a flux (D nonzero: drho/dx), q periodic phase rows when their W
+reads dS/dx (drift_self or drift_cross nonzero: the unwrapped phases
+of a jump-only unwrap, ``fields._unwrap_rows``, less their winding
+ramps), and q u' rows when a is nonzero, which take the data rows'
+spectrum and need no forward transform of their own. That is 3q rows for
+a derivative-family psi, 2q for its phi and for a drift-cubic psi, and q
+for a drift-cubic phi and the linear system. The per-species scalars of a
 stage (the vacuum guard's minimum and peak densities, the winding and
 ramp slope of ``fields._split_winding``) are q Python floats, since at
 desk scale a stage costs about as much per numpy call as per array
@@ -22,16 +37,17 @@ element. ``step`` allocates two (q, n) stage buffers and the stack once
 per step, and each stage writes its tendency over its own input. Besides
 those, a stage holds the real (q, n) density and at most three real
 (q, n) temporaries at once (such as W, Wim and a term being summed into
-Wim): dS/dx is formed in the phase rows, and the flux branch builds
-1j W - Wim in the density rows with no complex cast of W or Wim. Every
-in-place product and sum keeps the operands of the plain expression (or,
-for a stage input, the same real number to round), and every scalar form
-the IEEE operations of the array one, so the results are the same to the
-last bit.
+Wim): dS/dx is formed in the phase rows, a u' in the u' rows, and the
+flux branch builds 1j W - Wim in the density rows with no complex cast
+of W or Wim. Every in-place product and sum keeps the operands of the
+plain expression (or, for a stage input, the same real number to round),
+and every scalar form the IEEE operations of the array one, so the
+results are the same to the last bit.
 
 A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
-evolves its periodic u_k with the symbol -(k + kappa_k)^2 and dS_u/dx +
-kappa_k; at kappa = 0 that is exactly the unshifted stage.
+evolves its periodic u_k with the symbols -(k + kappa_k)^2 and, for u',
+i(k + kappa_k), and with dS_u/dx + kappa_k; at kappa = 0 that is exactly
+the unshifted stage.
 
 The continuity law d(rho_k)/dt + dj_k/dx = 0 has one current, ``current``:
 j_k = 2 (A_k Im(conj(phi_k) phi_k') + F_k), which is 2 (A_k rho_k dS_k/dx
@@ -136,6 +152,14 @@ def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
     return 2.0 * math.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
 
 
+def _stack_rows(tables: CoefficientTables, q: int) -> int:
+    # the q data rows, then q density rows when the reduced tables have a
+    # flux (D), q phase rows when they read dS/dx (drift_self, drift_cross)
+    # and q u' rows when the tables have the drift pair (a, c)
+    stage = tables.reduced
+    return q * (1 + stage.has_flux + stage.uses_phase + ("a" in tables.nonzero))
+
+
 def _tendency(
     data: np.ndarray,
     grid: Grid1D,
@@ -153,21 +177,32 @@ def _tendency(
     first write of ``out``, or is the same element in one elementwise
     product, so the result has the bytes of a fresh ``out``.
 
-    The q data rows, then the q density rows when the tables have a flux,
-    then the q periodic phase rows (the unwrapped phases less their
-    integer-winding ramp) when W reads dS/dx share one stacked FFT pair in
-    ``work``, a complex array of at least that many rows (fresh when not
-    given); W and Wim are evaluated after the pair. Raises VacuumError when
-    any node falls below the relative floor: the nonlinear right-hand sides
-    divide by rho and a spectral evaluation of a near-vacuum phase would
-    contaminate every node.
+    The drift pair (a, c) of the tables enters as a_k (u_k' + i kappa_k
+    u_k), and W and Wim are those of ``tables.reduced``. The q data rows,
+    then the q density rows when those have a flux, then the q periodic
+    phase rows (the unwrapped phases less their integer-winding ramp) when
+    their W reads dS/dx, then the q u' rows when a is nonzero share one
+    stacked FFT pair in ``work``, a complex array of at least
+    ``_stack_rows`` rows (fresh when not given); the u' rows take the
+    spectrum of the data rows. W and Wim are evaluated after the pair.
+    Raises VacuumError when any node falls below the relative floor and
+    the tables have a nonzero entry: Wim divides by rho and a spectral
+    evaluation of a near-vacuum phase would contaminate every node (the
+    guard is kept where the stage does neither, as for drift-cubic psi).
     """
     q, n = data.shape
-    flux, phase = tables.has_flux, tables.uses_phase
-    size = q * (1 + flux + phase)
+    stage = tables.reduced
+    flux, phase, drift = stage.has_flux, stage.uses_phase, "a" in tables.nonzero
+    size = _stack_rows(tables, q)
     rows = np.empty((size, n), dtype=complex) if work is None else work[:size]
     rows[:q] = data
     symbol = grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)
+    tail = grid._ik
+    if drift and kappa is not None:
+        # the u' rows take the field's derivative symbol i(k + kappa_k)
+        tail = np.concatenate(
+            [np.broadcast_to(tail, (size - 2 * q, n)), tail + 1j * kappa[:, None]]
+        )
     if tables.nonzero:
         rho = data.real**2 + data.imag**2
         # compared as Python floats: q scalars cost less than numpy calls on them
@@ -189,28 +224,29 @@ def _tendency(
             periodic, slope = _split_winding(
                 _unwrap_rows(np.arctan2(data.imag, data.real)), grid
             )
-            rows[-q:] = periodic
+            phase_rows = rows[q * (1 + flux):q * (2 + flux)]
+            phase_rows[...] = periodic
             del periodic
-    _spectral_pair(rows, symbol, q, grid._ik)
-    del symbol
+    _spectral_pair(rows, symbol, q, tail, copies=q * drift)
+    del symbol, tail
     if out is None:
         out = np.empty((q, n), dtype=complex)
     # every product and sum below has the operands of the expression in its
     # comment, so the in-place form gives the same bytes
     lap, Ak = rows[:q], A.values[:, None]
-    if not tables.nonzero:
+    if not stage.nonzero:
         # 1j * (Ak * lap)
         np.multiply(Ak, lap, out=out)
         np.multiply(1j, out, out=out)
     else:
         dS = None
         if phase:
-            # rows[-q:].real + slope (+ kappa), formed in the phase rows
-            dS = rows[-q:].real
+            # phase_rows.real + slope (+ kappa), formed in the phase rows
+            dS = phase_rows.real
             np.add(dS, slope[:, None], out=dS)
             if kappa is not None:
                 dS += kappa[:, None]
-        W = eval_W_parts(tables, rho, dS)
+        W = eval_W_parts(stage, rho, dS)
         del dS
         if flux:
             # 1j * (Ak * lap) + (1j * W - Wim) * data, the nonlinear term
@@ -218,7 +254,7 @@ def _tendency(
             # complex times 1j is 1j * W, and Wim is taken from the real
             # parts alone, since b - 0.0 is b bit for bit; so neither is
             # cast through a complex buffer
-            Wim = eval_Wim_parts(tables, rho, rows[q:2 * q].real)
+            Wim = eval_Wim_parts(stage, rho, rows[q:2 * q].real)
             nl = rows[q:2 * q]
             nl[...] = W
             nl *= 1j
@@ -235,6 +271,11 @@ def _tendency(
             np.multiply(W, data, out=out)
             np.add(lap, out, out=out)
             np.multiply(1j, out, out=out)
+    if drift:
+        # ... + a * u', in the u' rows
+        du = rows[-q:]
+        np.multiply(tables.a[:, None], du, out=du)
+        np.add(out, du, out=out)
     if not np.isfinite(out).all():
         raise BlowUpError(f"non-finite value in right-hand side at t={t}", t=t)
     return out
@@ -256,7 +297,8 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     """One classical RK4 step; warns when |dt| exceeds the advisory bound.
 
     The result has the bytes of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4). A step
-    allocates two (q, n) buffers and the (3q, n) stack, then its result.
+    allocates two (q, n) buffers and the stack of the rows its stages read
+    (``_stack_rows``), then its result.
     The k's enter a running sum ((k1 + 2 k2) + 2 k3) + k4 in one buffer;
     the other holds each k_i, is doubled in place (exact) once it has been
     added, then becomes the next stage input y + (h/2)(2 k_i), which rounds
@@ -281,7 +323,7 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     tables, A, t, kappa = state.spec.tables, state.A, state.t, _shift(state.fields)
     acc = np.empty((q, n), dtype=complex)
     k = np.empty((q, n), dtype=complex)
-    work = np.empty((3 * q, n), dtype=complex)
+    work = np.empty((_stack_rows(tables, q), n), dtype=complex)
 
     def tendency(u: np.ndarray, into: np.ndarray) -> None:
         _tendency(u, grid, tables, A, t, kappa, out=into, work=work)

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import sympy
 
 from cnls_gauge import (
+    CoefficientTables,
     ComplexFieldSet,
     DerivativeSpec,
     DriftCubicSpec,
@@ -241,3 +245,41 @@ def test_q1_tables_may_be_scalars():
         for name in type(full).TABLES:
             got, want = getattr(lifted, name), getattr(full, name)
             assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+def test_tables_reject_a_drift_pair_with_a_plus_2c_nonzero():
+    # the RK4 stage takes the pair (a, c) as the drift a u', which is the
+    # pair only when a + 2c = 0
+    with pytest.raises(ValueError, match=r"a \+ 2 c = 0: species 2 has a = 1\.0, c = 0\.0"):
+        CoefficientTables.of(2, a=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="species 1 has a = 0.0, c = -0.25"):
+        CoefficientTables.of(1, c=np.array([-0.25]))
+    tables = CoefficientTables.of(2, a=np.array([0.6, -2.0]), c=np.array([-0.3, 1.0]))
+    assert tables.reduced.nonzero == frozenset()
+
+
+def test_drift_cubic_pair_holds_for_a_subnormal_delta():
+    # halving 1e-310 rounds, so a is -2c rather than delta itself
+    spec = DriftCubicSpec(delta=[1e-310, 5e-324, -3.7], gamma=[0.1, 0.2, 0.3])
+    t = spec.tables
+    assert np.all(t.a + 2.0 * t.c == 0.0)
+    assert t.a[2] == -3.7 and t.c[2] == 1.85
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DriftCubicSpec(delta=[0.5, -0.3], gamma=[0.2, 0.1]),
+    lambda: DerivativeSpec(beta=0.3, gamma=-0.1, delta=0.5, lam=[0.2]),
+], ids=["drift_cubic", "derivative"])
+def test_tables_and_their_reduced_set_are_freed_by_reference_counting(build):
+    # a table set that referred to itself would live on until the cycle
+    # collector ran, holding its arrays through a march
+    tables = build().tables
+    refs = [weakref.ref(tables), weakref.ref(tables.reduced)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del tables
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

@@ -5,6 +5,7 @@ numpy formulation byte for byte. A numpy that moves or changes the private
 pocketfft module fails here."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,26 @@ def test_transform_rows_one_product_matches_one_per_block():
         assert got.tobytes() == want.tobytes(), blocks
 
 
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_transform_rows_copies_take_the_spectrum_of_the_head(blocks):
+    # the last q rows are written, not read: each ends as ifft(tail * fft)
+    # of its head row, as the drift rows of the stage do
+    grid = make_grid(64, 0.0, TWO_PI)
+    rng = np.random.default_rng(14)
+    q = 2
+    symbol = -((grid.k + np.array([0.37, -0.2])[:, None]) ** 2)
+    tail = np.concatenate([np.broadcast_to(grid._ik, ((blocks - 2) * q, 64)),
+                           grid._ik + 1j * np.array([0.37, -0.2])[:, None]])
+    shape = (blocks * q, 64)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = [_reference_transform(rows[:q], symbol)]
+    want += [_reference_transform(rows[q:-q], grid._ik)] if blocks == 3 else []
+    want.append(_reference_transform(rows[:q], tail[-q:]))
+    rows[-q:] = np.nan  # never read
+    got = _spectral_pair(rows, symbol, q, tail, copies=q)
+    assert got.tobytes() == np.concatenate(want).tobytes()
+
+
 # --- the spectral pair against np.fft -----------------------------------------
 
 
@@ -233,9 +254,10 @@ def test_eval_W_parts_starts_from_the_constant_rows():
     rho = rng.uniform(0.5, 1.5, (q, 32))
     rho[1, 4] = np.nan
     dS = rng.standard_normal((q, 32))
+    a = rng.standard_normal(q)
     for tables in (
         CoefficientTables.of(q, const=const),
-        CoefficientTables.of(q, const=const, a=rng.standard_normal(q),
+        CoefficientTables.of(q, const=const, a=a, c=-0.5 * a,
                              cubic=rng.standard_normal((q, q))),
         random_derivative_spec(rng, q).tables,
     ):
@@ -358,9 +380,10 @@ def _reference_Wim(tables, rho, drho):
     return Wim
 
 
-def _reference_tendency(fields, tables, A):
+def _hydro_tendency(fields, tables, A):
     """The stage written with one transform pair per quantity, np.unwrap
-    and the W/Wim formulas spelled out."""
+    and the W/Wim formulas of the full tables spelled out: the drift pair
+    (a, c) read through the unwrapped phase and drho/dx / rho."""
     data, grid = fields.data, fields.grid
     kappa = fields.kappa if fields.kappa.any() else None
     shift = 0.0 if kappa is None else kappa[:, None]
@@ -380,6 +403,24 @@ def _reference_tendency(fields, tables, A):
         Wim = _reference_Wim(tables, rho, drho)
         return 1j * (Ak * lap) + (1j * W - Wim) * data
     return 1j * (Ak * lap + W * data)
+
+
+def _reference_tendency(fields, tables, A):
+    """The stage written with one transform pair per quantity: the hydro
+    form of the tables less their drift pair (a, c), plus that pair as
+    a * u' with u' from the field's derivative symbol i(k + kappa)."""
+    data, grid = fields.data, fields.grid
+    q = data.shape[0]
+    reduced = CoefficientTables.of(q, **{
+        name: getattr(tables, name)
+        for name in ("const", "cubic", "drift_self", "drift_cross", "quartic", "D")
+    })
+    out = _hydro_tendency(fields, reduced, A)
+    if "a" in tables.nonzero:
+        kappa = fields.kappa if fields.kappa.any() else None
+        ik = grid._ik if kappa is None else grid._ik + 1j * kappa[:, None]
+        out = out + tables.a[:, None] * _reference_transform(data, ik)
+    return out
 
 
 def _states(family, q=2, n=256, seed=0):
@@ -414,6 +455,51 @@ def test_stage_is_byte_identical_to_reference(family, kappa):
             got = rhs(SimState(0.0, fields, spec, A)).data
             want = _reference_tendency(fields, spec.tables, A)
             assert got.tobytes() == want.tobytes(), (family, tag, seed)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.37])
+def test_stage_with_every_row_block_is_byte_identical_to_reference(kappa):
+    # tables with the drift pair and derivative-family tables at once: the
+    # stack holds data, density, phase and u' rows, 4q in all
+    grid, A, states = _states("derivative", q=2, seed=5)
+    _, spec, data = states[0]
+    a = np.array([0.7, -0.4])
+    tables = replace(spec.tables, a=a, c=-0.5 * a)
+    kap = kappa * np.array([1.0, -1.0])
+    fields = ComplexFieldSet(data, grid, kappa=kap)
+    got = _tendency(data, grid, tables, A, 0.0, kap if kappa else None)
+    want = _reference_tendency(fields, tables, A)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.37])
+def test_drift_stage_matches_the_hydro_formula(kappa):
+    # a (u' + i kappa u) is i a dS/dx u - c (drho/dx / rho) u when a + 2c = 0
+    for seed in range(3):
+        grid, A, states = _states("drift_cubic", q=2 + seed % 2, seed=seed)
+        _, spec, data = states[0]
+        q = data.shape[0]
+        fields = ComplexFieldSet(data, grid, kappa=kappa * np.linspace(1.0, -1.0, q))
+        got = rhs(SimState(0.0, fields, spec, A)).data
+        want = _hydro_tendency(fields, spec.tables, A)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), seed
+
+
+def test_drift_cubic_stages_unwrap_no_phase(monkeypatch):
+    def unwrap(p):
+        raise AssertionError("phase unwrapped")
+
+    monkeypatch.setattr(solver, "_unwrap_rows", unwrap)
+    for family in ("drift_cubic", "derivative"):
+        grid, A, states = _states(family, q=2, seed=1)
+        for tag, spec, data in states:
+            state = SimState(0.0, ComplexFieldSet(data, grid), spec, A)
+            if family == "drift_cubic":
+                rhs(state)
+                step(state, 1e-5)
+            elif tag == "psi":
+                with pytest.raises(AssertionError, match="phase unwrapped"):
+                    rhs(state)
 
 
 @pytest.mark.parametrize("family", ["linear", "drift_cubic", "derivative"])
@@ -552,14 +638,17 @@ def test_step_buffers_carry_nothing_between_states():
     assert step(a, 1e-5).fields.data.tobytes() == first
 
 
-def _wide_state(system):
-    """A q = 2, n = 4096 derivative-family psi state, or the phi state of
-    its transformed tables, with grid symbols and FFT plans cached."""
+def _wide_state(system, family="derivative"):
+    """A q = 2, n = 4096 psi state of the family, or the phi state of its
+    transformed tables, with grid symbols and FFT plans cached."""
     rng = np.random.default_rng(8)
     q, n = 2, 4096
     grid = make_grid(n, 0.0, TWO_PI)
     A = random_dispersion(rng, q)
-    spec = random_derivative_spec(rng, q, scale=0.5)
+    if family == "derivative":
+        spec = random_derivative_spec(rng, q, scale=0.5)
+    else:
+        spec = random_drift_cubic_spec(rng, q, scale=0.5)
     if system == "phi":
         spec = transformed_spec(spec, A)
     fields = band_limited_state(rng, grid, q, phase_amp=2.5)
@@ -581,11 +670,20 @@ def _peak_per_qn(call, state):
 @pytest.mark.parametrize("system", ["psi", "phi"])
 def test_step_peak_memory(system):
     """One step at q = 2, n = 4096 holds at most 120 bytes per q*n at once:
-    its stage buffers (two (q, n) complex arrays and a (3q, n) stack) are
-    allocated once per step, not once per stage, and a stage holds at most
-    four real (q, n) arrays besides them (rho and three temporaries)."""
+    its stage buffers (two (q, n) complex arrays and a stack of at most 3q
+    rows) are allocated once per step, not once per stage, and a stage
+    holds at most four real (q, n) arrays besides them (rho and three
+    temporaries)."""
     peak = _peak_per_qn(lambda s: step(s, 1e-7), _wide_state(system))
     assert peak <= 120.0, peak
+
+
+def test_drift_cubic_step_holds_less_than_a_derivative_step():
+    # its stack has 2q rows (data, u') against 3q (data, density, phase):
+    # 16 bytes per q*n less
+    drift = _peak_per_qn(lambda s: step(s, 1e-7), _wide_state("psi", "drift_cubic"))
+    deriv = _peak_per_qn(lambda s: step(s, 1e-7), _wide_state("psi"))
+    assert drift + 16.0 <= deriv, (drift, deriv)
 
 
 @pytest.mark.parametrize("system", ["psi", "phi"])

@@ -1,4 +1,4 @@
-"""Smoke test of tools/stage_timing.py at n = 32 with one repeat."""
+"""Smoke test of tools/stage_timing.py at n = 32 with one repeat, both families."""
 
 import json
 import subprocess
@@ -15,11 +15,16 @@ def test_one_json_line_per_cell_with_every_layer():
     )
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
-    assert [(r["n"], r["q"]) for r in rows] == [(32, 1), (32, 2)]
+    assert [(r["n"], r["q"], r["family"]) for r in rows] == [
+        (32, 1, "derivative"), (32, 1, "drift_cubic"),
+        (32, 2, "derivative"), (32, 2, "drift_cubic"),
+    ]
     for row in rows:
         for layer in ("fft_pair", "tendency", "step"):
             assert row[f"{layer}_us"] > 0.0 and row[f"{layer}_calls"] >= 1
         # a step is four tendencies and more
         assert row["step_us"] > row["tendency_us"] > 0.0
         # a step holds at least its result, two stage buffers and the stack
-        assert row["step_peak_b_per_qn"] >= 16.0 * (3 + 3)
+        # of 3q rows (derivative) or 2q rows (drift-cubic: data and u')
+        stack = 3 if row["family"] == "derivative" else 2
+        assert row["step_peak_b_per_qn"] >= 16.0 * (3 + stack)

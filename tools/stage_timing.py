@@ -1,18 +1,25 @@
 """Per-layer timing of the RK4 march: one FFT pair, one stage tendency and
-one step, for each grid size n and species count q.
+one step, for each grid size n, species count q and family.
 
 Run from anywhere:
 
     python3 tools/stage_timing.py [--n 256 1024 4096] [--q 1 2 3] [--repeats 7]
 
 The package is imported from this checkout's ``src/``. Each cell (n, q)
-builds a seeded derivative-family psi state whose species all wind once, so
-every stage transforms 3q rows (data, density and phase), and prints one
-JSON line with the min over ``repeats`` of the mean time of one call, in
+builds two seeded psi states whose species all wind once, and prints one
+JSON line for each, with its ``family``:
+
+- ``derivative``: every stage transforms 3q rows (data, density and
+  phase);
+- ``drift_cubic``: every stage forward-transforms the q data rows and
+  inverse-transforms 2q (the Laplacian and the drift u').
+
+Each line gives the min over ``repeats`` of the mean time of one call, in
 microseconds:
 
-- ``fft_pair_us``: the stage's stacked pair, ``grid._spectral_pair`` on 3q
-  rows, including the copy of the rows into its buffer;
+- ``fft_pair_us``: the stacked pair that the family's stage runs,
+  ``grid._spectral_pair`` on its rows, including the copy of the rows it
+  reads into its buffer;
 - ``tendency_us``: ``solver._tendency`` into buffers allocated once, as
   ``solver.step`` calls it;
 - ``step_us``: ``solver.step`` at half the step bound.
@@ -22,8 +29,14 @@ at once (``tracemalloc`` peak of one ``solver.step`` after a warm-up step,
 taken apart from the timed calls), in bytes per q*n.
 
 The calls per repeat (``*_calls``) are chosen by ``timeit``'s autorange, so
-one repeat lasts at least 0.2 s. To compare two checkouts, run the tool in
-each on the same machine, one after the other.
+one repeat lasts at least 0.2 s. The lines of one run are comparable to
+each other, but separate runs are not comparable to a few percent: on a
+shared 2-vCPU host, two back-to-back runs of unchanged code gave
+``fft_pair_us`` 25.5 and 41.0 (n = 256, q = 2) and ``step_us`` 3960 and
+4251 (n = 4096, q = 2). To compare two checkouts, time both in one
+process in interleaved rounds (import one of them under another package
+name and alternate the calls); 30 such rounds resolve ratios to about
+1-2% on the same host.
 """
 
 from __future__ import annotations
@@ -54,38 +67,51 @@ def _import_package():
     return cnls_gauge
 
 
-def make_state(cg, n: int, q: int):
-    """A derivative-family psi state on [0, 2 pi) with nonzero flux and
-    phase tables, seeded by (n, q)."""
+FAMILIES = ("derivative", "drift_cubic")
+
+
+def make_state(cg, n: int, q: int, family: str):
+    """A psi state of the family on [0, 2 pi), seeded by (n, q): a
+    derivative-family one with nonzero flux and phase tables, or a
+    drift-cubic one."""
     rng = np.random.default_rng([n, q])
     grid = cg.make_grid(n, 0.0, 2.0 * np.pi)
     A = cg.DispersionMatrix(rng.choice([-1.0, 1.0], q) * rng.uniform(0.5, 2.0, q))
-    spec = cg.DerivativeSpec(
-        beta=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
-        gamma=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
-        delta=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
-        lam=0.5 * rng.uniform(-1.0, 1.0, (q, q, q)),
-    )
+    if family == "derivative":
+        spec = cg.DerivativeSpec(
+            beta=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
+            gamma=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
+            delta=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
+            lam=0.5 * rng.uniform(-1.0, 1.0, (q, q, q)),
+        )
+    else:
+        spec = cg.DriftCubicSpec(
+            delta=0.5 * rng.uniform(-1.0, 1.0, q), gamma=0.5 * rng.uniform(-1.0, 1.0, q)
+        )
     x, k = grid.x, np.arange(q)[:, None]
     data = (1.0 + 0.2 * np.cos(x + k)) * np.exp(1j * (x + 0.3 * np.sin(2.0 * x + k)))
     return cg.SimState(0.0, cg.ComplexFieldSet(data, grid), spec, A)
 
 
-def time_cell(cg, n: int, q: int, repeats: int) -> dict:
-    """One JSON-ready row of per-call minima for the cell (n, q)."""
+def time_cell(cg, n: int, q: int, family: str, repeats: int) -> dict:
+    """One JSON-ready row of per-call minima for the cell (n, q, family)."""
     from cnls_gauge.grid import _spectral_pair
-    from cnls_gauge.solver import _tendency, step
+    from cnls_gauge.solver import _stack_rows, _tendency, step
 
-    state = make_state(cg, n, q)
+    state = make_state(cg, n, q, family)
     grid, tables, A = state.fields.grid, state.spec.tables, state.A
     data = state.fields.data
-    source = np.concatenate([data, np.abs(data) ** 2, np.angle(data)]).astype(complex)
-    work, out = np.empty_like(source), np.empty_like(data)
+    size = _stack_rows(tables, q)
+    copies = q if "a" in tables.nonzero else 0  # the u' rows, never read
+    read = size - copies
+    source = np.concatenate([data, np.abs(data) ** 2, np.angle(data)])[:read]
+    source = source.astype(complex)
+    work, out = np.empty((size, n), dtype=complex), np.empty_like(data)
     dt = 0.5 * cg.stability_bound(grid, A)
 
     def fft_pair():
-        work[...] = source
-        _spectral_pair(work, grid._neg_k2, q, grid._ik)
+        work[:read] = source
+        _spectral_pair(work, grid._neg_k2, q, grid._ik, copies)
 
     def tendency():
         _tendency(data, grid, tables, A, 0.0, out=out, work=work)
@@ -93,7 +119,7 @@ def time_cell(cg, n: int, q: int, repeats: int) -> dict:
     def one_step():
         step(state, dt)
 
-    row = {"n": n, "q": q}
+    row = {"n": n, "q": q, "family": family}
     for name, call in (("fft_pair", fft_pair), ("tendency", tendency), ("step", one_step)):
         call()  # grid symbols and FFT plans are cached on first use
         timer = timeit.Timer(call)
@@ -122,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     cg = _import_package()
     for n in args.n:
         for q in args.q:
-            print(json.dumps(time_cell(cg, n, q, args.repeats)), flush=True)
+            for family in FAMILIES:
+                print(json.dumps(time_cell(cg, n, q, family, args.repeats)), flush=True)
     return 0
 
 
