@@ -229,17 +229,19 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         dts, errors, order = run_convergence(cfg)
+    # each step may add about one rounding error of the field's magnitude
+    peak = float(np.abs(cfg.build_initial(grid).data).max())
+    roundoff = cfg.n_steps * np.finfo(float).eps * peak
+    at_roundoff = errors[0] <= roundoff
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
-        [dts[0], errors[0], order],
+        # an order taken from two roundoff differences is left blank
+        [dts[0], errors[0], "" if at_roundoff else order],
         [dts[1], errors[1], ""],
         [dts[2], "", ""],
     ]
     write_csv(out_dir / "convergence.csv", ["dt", "diff_to_half_dt", "observed_order"], rows)
-    # each step may add about one rounding error of the field's magnitude
-    peak = float(np.abs(cfg.build_initial(grid).data).max())
-    roundoff = cfg.n_steps * np.finfo(float).eps * peak
-    if errors[0] <= roundoff:
+    if at_roundoff:
         print(
             f"order cannot be measured at this dt: the dt vs dt/2 difference "
             f"{errors[0]:.3e} is at roundoff (<= {roundoff:.3e})",

@@ -11,7 +11,7 @@ carries a purely real nonlinearity
 
     R_k = W_k - A_k (dsigma_k/dx)^2 + J_k dsigma_k/dx / rho_k + dsigma_k/dt,
 
-which, for every spec type, is again of the table form with a = c = D = 0
+which, for every spec type, is again of the table form with c = D = 0
 (``TransformedSpec``); ``transformed_spec`` is the one formula for its
 tables. This module builds generators, applies and inverts the map,
 evaluates R both ways, and checks the 2-D curl feasibility condition for
@@ -120,7 +120,7 @@ class GaugeGenerator:
 class TransformedSpec(_TableSpec):
     """Coefficient tables of the purely real transformed nonlinearity: R_k
     has the W_k form of ``CoefficientTables`` with const = const_shift,
-    the given cubic, drift_self, drift_cross and quartic, and a = c = D = 0.
+    the given cubic, drift_self, drift_cross and quartic, and c = D = 0.
     ``TABLES`` is in the row order of ``transformed_coefficients.csv``.
     """
 
@@ -282,17 +282,16 @@ def transformed_spec(spec: FamilySpec, A: DispersionMatrix) -> TransformedSpec:
     With u_k = (c_k + sum_i D_ki rho_i)/A_k, expanding
     R = W(dS_phi - u) - A u^2 + J u/rho + dsigma/dt gives
 
-        const'_k      = const_k - (a_k c_k + c_k^2)/A_k
-        cubic'_kj     = cubic_kj - (a_k + 2 c_k) D_kj/A_k
-                        - drift_self_kj c_k/A_k - drift_cross_kj c_j/A_j
+        const'_k      = const_k + c_k^2/A_k
+        cubic'_kj     = cubic_kj - drift_self_kj c_k/A_k - drift_cross_kj c_j/A_j
         drift_self'   = drift_self + 2 D
         drift_cross'_kj = drift_cross_kj - 2 D_kj A_j/A_k
         quartic'_kji  = quartic_kji - D_kj (drift_self_ki + D_ki)/A_k
                         - drift_cross_kj D_ji/A_j
 
-    and a linear drift a' = a + 2c, which vanishes by construction:
-    ``CoefficientTables`` rejects tables with a + 2c != 0 (drift-cubic has
-    a = -2c, c = -delta/2; the others a = c = 0).
+    since the tables' drift is a = -2c: the linear drift a + 2c of R and
+    its cubic term -(a_k + 2 c_k) D_kj/A_k vanish, and the constant
+    -(a_k c_k + c_k^2)/A_k is c_k^2/A_k.
     """
     t = spec.tables
     if A.q != t.q:
@@ -303,7 +302,6 @@ def transformed_spec(spec: FamilySpec, A: DispersionMatrix) -> TransformedSpec:
         drift_self=t.drift_self + 2.0 * t.D,
         drift_cross=t.drift_cross - 2.0 * t.D * (Ak[None, :] / Ak[:, None]),
         cubic=t.cubic
-        - ((t.a + 2.0 * t.c) / Ak)[:, None] * t.D
         - t.drift_self * c_over_A[:, None]
         - t.drift_cross * c_over_A[None, :],
         quartic=t.quartic
@@ -312,7 +310,7 @@ def transformed_spec(spec: FamilySpec, A: DispersionMatrix) -> TransformedSpec:
             / Ak[:, None, None]
             + t.drift_cross[:, :, None] * t.D[None, :, :] / Ak[None, :, None]
         ),
-        const_shift=t.const - (t.a * t.c + t.c**2) / Ak,
+        const_shift=t.const + t.c**2 / Ak,
     )
 
 
@@ -326,9 +324,9 @@ def eval_R_numeric(
 
     R_k = W_k - A_k (dsigma_k/dx)^2 + J_k dsigma_k/dx / rho_k + dsigma_k/dt,
 
-    with W_k evaluated on the pre-transform phase gradient dS = dS_phi -
-    dsigma/dx and J_k = 2 A_k rho_k dS_phi_k/dx the transformed-system
-    currents. The c part of the generator is time-independent; its D part
+    with W_k, its drift a_k dS_k/dx included, evaluated on the
+    pre-transform phase gradient dS = dS_phi - dsigma/dx and J_k = 2 A_k
+    rho_k dS_phi_k/dx the transformed-system currents. The c part of the generator is time-independent; its D part
     follows from the continuity equations,
 
         dsigma_k/dt = -(1/A_k) sum_j D_kj (j_j(x) - j_j(anchor)),
@@ -347,8 +345,10 @@ def eval_R_numeric(
     dS_phi = phase_gradient(h_phi)
     J = 2.0 * Ak * rho * dS_phi
     dS_psi = dS_phi - dsigma
-    R = eval_W_parts(spec.tables, rho, dS_psi) - Ak * dsigma**2 + J * dsigma / rho
-    current = 2.0 * (Ak * rho * dS_psi + eval_F_parts(spec.tables, rho))
+    t = spec.tables
+    W = eval_W_parts(t, rho, dS_psi) + t.a[:, None] * dS_psi
+    R = W - Ak * dsigma**2 + J * dsigma / rho
+    current = 2.0 * (Ak * rho * dS_psi + eval_F_parts(t, rho))
     rel = current - current[:, gen.anchor, None]
-    R -= (spec.tables.D @ rel) / Ak
+    R -= (t.D @ rel) / Ak
     return R

@@ -8,10 +8,11 @@ Every spec type lowers, at construction, to one coefficient-table form
             + sum_{j,i} quartic_kji rho_j rho_i
     Wim_k = (1/rho_k) dF_k/dx,   F_k = rho_k (c_k + sum_j D_kj rho_j)
 
-The divergence form of Wim conserves the species norms and makes the
-gauge reduction possible. Besides the linear case (all tables zero), two
-families are supported: ``DriftCubicSpec`` (per-species drift delta_k and
-cubic gamma_k) lowers to a = delta, c = -delta/2 and cubic_kj = -2 gamma_j
+with the linear drift pair stored once, as c, and a = -2c. The divergence
+form of Wim conserves the species norms and makes the gauge reduction
+possible. Besides the linear case (all tables zero), two families are
+supported: ``DriftCubicSpec`` (per-species drift delta_k and cubic
+gamma_k) lowers to c = -delta/2 (so a = delta) and cubic_kj = -2 gamma_j
 off the diagonal, -gamma_k on it; ``DerivativeSpec`` (q x q beta, gamma,
 delta and q x q x q lambda) lowers to (drift_self, drift_cross, quartic,
 D) = (beta, gamma, lambda, delta). The evaluators read only the tables
@@ -20,8 +21,7 @@ and skip every all-zero one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Union
 
 import numpy as np
@@ -45,31 +45,28 @@ __all__ = [
 ]
 
 
-_RANKS = {"const": 1, "a": 1, "cubic": 2, "drift_self": 2, "drift_cross": 2,
+_RANKS = {"const": 1, "cubic": 2, "drift_self": 2, "drift_cross": 2,
           "quartic": 3, "c": 1, "D": 2}
 
 
 @dataclass(frozen=True)
 class CoefficientTables:
-    """The one coefficient form W_k, F_k that every spec type lowers to.
+    """The one coefficient form W_k, F_k that every spec type lowers to:
+    seven tables, from const to D.
 
-    The linear drift pair must satisfy a_k + 2 c_k = 0 for every species k
-    (a ValueError names the first that does not). Then the two terms it
-    adds to i (W_k + i Wim_k) u_k, i a_k (dS_k/dx) u_k and
+    The linear drift pair is stored once, as c; its W coefficient
+    ``a = -2c`` is derived at construction (doubling is exact). The two
+    terms the pair adds to i (W_k + i Wim_k) u_k, i a_k (dS_k/dx) u_k and
     -c_k (drho_k/dx / rho_k) u_k, sum to the drift a_k u_k' of the field.
 
     ``nonzero`` names the tables holding a nonzero entry, ``has_flux`` is
     whether Wim can be nonzero (c or D nonzero), and ``uses_phase`` whether
-    W reads the phase gradients (a, drift_self or drift_cross nonzero);
-    ``D_diag`` and ``D_off`` split D into its diagonal and the rest. All
-    are fixed at construction. ``reduced`` is these tables with a = c = 0
-    (the tables themselves when both are zero already), from which the RK4
-    stage evaluates W and Wim while it takes the pair as a u'; it is built
-    once, when first read.
+    the array kernel of W reads the phase gradients (drift_self or
+    drift_cross nonzero); ``D_diag`` and ``D_off`` split D into its
+    diagonal and the rest. All are fixed at construction.
     """
 
     const: np.ndarray  # (q,)
-    a: np.ndarray  # (q,)
     cubic: np.ndarray  # (q, q)
     drift_self: np.ndarray  # (q, q)
     drift_cross: np.ndarray  # (q, q)
@@ -79,44 +76,27 @@ class CoefficientTables:
     nonzero: frozenset = field(init=False, repr=False, compare=False)
     has_flux: bool = field(init=False, repr=False, compare=False)
     uses_phase: bool = field(init=False, repr=False, compare=False)
+    a: np.ndarray = field(init=False, repr=False, compare=False)  # (q,)
     D_diag: np.ndarray = field(init=False, repr=False, compare=False)  # (q,)
     D_off: np.ndarray = field(init=False, repr=False, compare=False)  # (q, q)
 
     def __post_init__(self) -> None:
         nonzero = frozenset(n for n in _RANKS if np.count_nonzero(getattr(self, n)))
-        if nonzero & {"a", "c"}:
-            broken = np.flatnonzero(self.a + 2.0 * self.c)
-            if broken.size:
-                k = broken[0]
-                raise ValueError(
-                    f"tables a and c must satisfy a + 2 c = 0: species {k + 1} has "
-                    f"a = {float(self.a[k])!r}, c = {float(self.c[k])!r}"
-                )
         object.__setattr__(self, "nonzero", nonzero)
         object.__setattr__(self, "has_flux", bool(nonzero & {"c", "D"}))
-        object.__setattr__(
-            self, "uses_phase", bool(nonzero & {"a", "drift_self", "drift_cross"})
-        )
+        object.__setattr__(self, "uses_phase", bool(nonzero & {"drift_self", "drift_cross"}))
+        object.__setattr__(self, "a", -2.0 * self.c)
         diag = np.diag(self.D)
         object.__setattr__(self, "D_diag", diag)
         object.__setattr__(self, "D_off", self.D - np.diag(diag))
 
     @classmethod
     def of(cls, q: int, **tables: np.ndarray) -> "CoefficientTables":
-        """Tables for q species; every table not given is zero."""
-        return cls(**{name: tables.get(name, np.zeros((q,) * rank))
-                      for name, rank in _RANKS.items()})
-
-    @property
-    def reduced(self) -> "CoefficientTables":
-        # not self cached: that would make every table set a reference
-        # cycle, freed only by the cyclic garbage collector
-        return self._without_drift if "a" in self.nonzero else self
-
-    @cached_property
-    def _without_drift(self) -> "CoefficientTables":
-        zero = np.zeros_like(self.a)
-        return replace(self, a=zero, c=zero)
+        """Tables for q species; every table not given is zero, and a name
+        that is not a table raises a TypeError naming it."""
+        missing = {name: np.zeros((q,) * rank)
+                   for name, rank in _RANKS.items() if name not in tables}
+        return cls(**tables, **missing)
 
     @property
     def q(self) -> int:
@@ -187,9 +167,7 @@ class DriftCubicSpec(_TableSpec):
 
     def _lower(self, q: int) -> CoefficientTables:
         cubic = np.diag(self.gamma) - 2.0 * self.gamma
-        c = -0.5 * self.delta
-        # a = -2 c is delta itself unless halving a subnormal delta rounds
-        return CoefficientTables.of(q, a=-2.0 * c, cubic=cubic, c=c)
+        return CoefficientTables.of(q, cubic=cubic, c=-0.5 * self.delta)
 
 
 @dataclass(frozen=True)
@@ -220,15 +198,14 @@ def _check_spec_fields(spec: FamilySpec, q: int) -> None:
 def eval_W_parts(
     tables: CoefficientTables, rho: np.ndarray, dS: np.ndarray | None
 ) -> np.ndarray:
-    """Real part W_k (or R_k of transformed tables) from density and
-    phase-gradient samples; ``dS`` is read only when ``tables.uses_phase``.
-    Each term is freed before the next, and the drift_self product is
-    formed in place, so at most two (q, n) temporaries exist besides W."""
+    """Real part W_k (or R_k of transformed tables) less the drift a_k
+    dS_k/dx, from density and phase-gradient samples; ``dS`` is read only
+    when ``tables.uses_phase``. Each term is freed before the next, and the
+    drift_self product is formed in place, so at most two (q, n)
+    temporaries exist besides W."""
     on = tables.nonzero
     W = np.empty(rho.shape)
     W[:] = tables.const[:, None]
-    if "a" in on:
-        W += tables.a[:, None] * dS
     if "cubic" in on:
         W += tables.cubic @ rho
     if "drift_self" in on:
@@ -253,21 +230,18 @@ def eval_flux_rate(tables: CoefficientTables, rho: np.ndarray) -> np.ndarray:
 def eval_Wim_parts(
     tables: CoefficientTables, rho: np.ndarray, drho: np.ndarray | None
 ) -> np.ndarray:
-    """Imaginary part (1/rho_k) dF_k/dx from density samples and gradients;
-    ``drho`` is read only when ``tables.has_flux``. The diagonal of D enters
-    as 2 D_kk drho_k/dx, not via rho_k drho_k/dx / rho_k (one rounding less).
+    """The D part (1/rho_k) d(rho_k sum_j D_kj rho_j)/dx of Wim_k, without
+    the drift c_k drho_k/dx / rho_k, from density samples and gradients;
+    ``drho`` is read only when D is nonzero. The diagonal of D enters as
+    2 D_kk drho_k/dx, not via rho_k drho_k/dx / rho_k (one rounding less).
     Each sum and product is taken in place, in the order of the expression
-    2 D_kk drho_k + (D_off drho)_k + ((D_off rho)_k + c_k) drho_k / rho_k.
+    2 D_kk drho_k + (D_off drho)_k + (D_off rho)_k drho_k / rho_k.
     """
-    if not tables.has_flux:
-        return np.zeros_like(rho)
     if "D" not in tables.nonzero:
-        return tables.c[:, None] * drho / rho
+        return np.zeros_like(rho)
     Wim = 2.0 * tables.D_diag[:, None] * drho
     Wim += tables.D_off @ drho
     rate = tables.D_off @ rho
-    if "c" in tables.nonzero:
-        rate += tables.c[:, None]
     rate *= drho
     rate /= rho
     Wim += rate
@@ -283,7 +257,11 @@ def eval_W(spec, h: HydroFields) -> np.ndarray:
     """Real nonlinearity W_k of a family spec, or R_k of a
     ``TransformedSpec``, evaluated on hydrodynamic fields."""
     _check_spec_fields(spec, h.q)
-    return eval_W_parts(spec.tables, h.rho, phase_gradient(h))
+    tables, dS = spec.tables, phase_gradient(h)
+    W = eval_W_parts(tables, h.rho, dS)
+    if "c" in tables.nonzero:
+        W += tables.a[:, None] * dS
+    return W
 
 
 def eval_Wim(spec: FamilySpec, h: HydroFields) -> np.ndarray:
@@ -293,7 +271,11 @@ def eval_Wim(spec: FamilySpec, h: HydroFields) -> np.ndarray:
         raise VacuumError(
             "density below floor where the nonlinearity divides by rho"
         )
-    return eval_Wim_parts(spec.tables, h.rho, derivative(h.rho, h.grid))
+    tables, drho = spec.tables, derivative(h.rho, h.grid)
+    Wim = eval_Wim_parts(tables, h.rho, drho)
+    if "c" in tables.nonzero:
+        Wim += tables.c[:, None] * drho / h.rho
+    return Wim
 
 
 def eval_F(spec: FamilySpec, h: HydroFields) -> np.ndarray:

@@ -11,26 +11,25 @@ purely real R_k. The spec alone says which system a state belongs to.
 
 The linear drift pair of the tables, a_k dS_k/dx in W and c_k (drho_k/dx)
 / rho_k in Wim, is the drift a_k phi_k' of the field, since the tables
-have a + 2c = 0: for u = sqrt(rho) exp(i S_u),
+store it once, as c, with a = -2c: for u = sqrt(rho) exp(i S_u),
 i a (dS_u/dx + kappa) u - c (drho/dx / rho) u = a (u' + i kappa u).
-So a stage evaluates W and Wim from the tables less that pair
-(``CoefficientTables.reduced``) and adds a (u' + i kappa u), with no
-phase and no division by rho for the pair.
+So a stage evaluates W and Wim with the array kernels, which leave that
+pair out, and adds a (u' + i kappa u), with no phase and no division by
+rho for the pair.
 
-Every stage reads rho, and dS/dx and drho/dx where the reduced tables use
-them, afresh from the stage's fields, so branch-cut artifacts never
-accumulate in dS/dx. The stage's spectral rows share one stacked in-place
-FFT pair (``grid._spectral_pair``, numpy's pocketfft ufuncs without the
-np.fft wrapper), and the stack holds exactly the rows the stage reads:
-the q data rows (the Laplacian), q density rows when the reduced tables
-have a flux (D nonzero: drho/dx), q periodic phase rows when their W
-reads dS/dx (drift_self or drift_cross nonzero: the unwrapped phases
-of a jump-only unwrap, ``fields._unwrap_rows``, less their winding
-ramps), and q u' rows when a is nonzero, which take the data rows'
-spectrum and need no forward transform of their own. That is 3q rows for
-a derivative-family psi, 2q for its phi and for a drift-cubic psi, and q
-for a drift-cubic phi and the linear system. The per-species scalars of a
-stage (the vacuum guard's minimum and peak densities, the winding and
+Every stage reads rho, and dS/dx and drho/dx where the kernels use them,
+afresh from the stage's fields, so branch-cut artifacts never accumulate
+in dS/dx. The stage's spectral rows share one stacked in-place FFT pair
+(``grid._spectral_pair``, numpy's pocketfft ufuncs without the np.fft
+wrapper), and the stack holds exactly the rows the stage reads
+(``_stack_blocks``): the q data rows (the Laplacian), q density rows when
+D is nonzero (drho/dx), q periodic phase rows when W reads dS/dx
+(drift_self or drift_cross nonzero: the unwrapped phases of a jump-only
+unwrap, ``fields._unwrap_rows``, less their winding ramps), and q u' rows
+when c is nonzero, which take the data rows' spectrum and need no forward
+transform of their own. That is 3q rows for a derivative-family psi, 2q
+for its phi and for a drift-cubic psi, and q for a drift-cubic phi and
+the linear system. The per-species scalars of a stage (the vacuum guard's minimum and peak densities, the winding and
 ramp slope of ``fields._split_winding``) are q Python floats, since at
 desk scale a stage costs about as much per numpy call as per array
 element. ``step`` allocates two (q, n) stage buffers and the stack once
@@ -152,12 +151,16 @@ def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
     return 2.0 * math.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
 
 
+def _stack_blocks(tables: CoefficientTables) -> tuple[bool, bool, bool]:
+    # which blocks of q rows a stage stacks after its q data rows: density
+    # rows when D is nonzero, phase rows when W reads dS/dx (drift_self,
+    # drift_cross) and u' rows when the drift pair (c) is nonzero
+    on = tables.nonzero
+    return "D" in on, tables.uses_phase, "c" in on
+
+
 def _stack_rows(tables: CoefficientTables, q: int) -> int:
-    # the q data rows, then q density rows when the reduced tables have a
-    # flux (D), q phase rows when they read dS/dx (drift_self, drift_cross)
-    # and q u' rows when the tables have the drift pair (a, c)
-    stage = tables.reduced
-    return q * (1 + stage.has_flux + stage.uses_phase + ("a" in tables.nonzero))
+    return q * (1 + sum(_stack_blocks(tables)))
 
 
 def _tendency(
@@ -178,21 +181,20 @@ def _tendency(
     product, so the result has the bytes of a fresh ``out``.
 
     The drift pair (a, c) of the tables enters as a_k (u_k' + i kappa_k
-    u_k), and W and Wim are those of ``tables.reduced``. The q data rows,
-    then the q density rows when those have a flux, then the q periodic
-    phase rows (the unwrapped phases less their integer-winding ramp) when
-    their W reads dS/dx, then the q u' rows when a is nonzero share one
-    stacked FFT pair in ``work``, a complex array of at least
-    ``_stack_rows`` rows (fresh when not given); the u' rows take the
-    spectrum of the data rows. W and Wim are evaluated after the pair.
+    u_k), and W and Wim are the array kernels', which leave it out. The q
+    data rows, then the q density rows when D is nonzero, then the q
+    periodic phase rows (the unwrapped phases less their integer-winding
+    ramp) when W reads dS/dx, then the q u' rows when c is nonzero
+    (``_stack_blocks``) share one stacked FFT pair in ``work``, a complex
+    array of at least ``_stack_rows`` rows (fresh when not given); the u'
+    rows take the spectrum of the data rows. W and Wim are evaluated after the pair.
     Raises VacuumError when any node falls below the relative floor and
     the tables have a nonzero entry: Wim divides by rho and a spectral
     evaluation of a near-vacuum phase would contaminate every node (the
     guard is kept where the stage does neither, as for drift-cubic psi).
     """
     q, n = data.shape
-    stage = tables.reduced
-    flux, phase, drift = stage.has_flux, stage.uses_phase, "a" in tables.nonzero
+    flux, phase, drift = _stack_blocks(tables)
     size = _stack_rows(tables, q)
     rows = np.empty((size, n), dtype=complex) if work is None else work[:size]
     rows[:q] = data
@@ -234,8 +236,8 @@ def _tendency(
     # every product and sum below has the operands of the expression in its
     # comment, so the in-place form gives the same bytes
     lap, Ak = rows[:q], A.values[:, None]
-    if not stage.nonzero:
-        # 1j * (Ak * lap)
+    if tables.nonzero <= {"c"}:
+        # the kernels' W and Wim vanish: 1j * (Ak * lap)
         np.multiply(Ak, lap, out=out)
         np.multiply(1j, out, out=out)
     else:
@@ -246,7 +248,7 @@ def _tendency(
             np.add(dS, slope[:, None], out=dS)
             if kappa is not None:
                 dS += kappa[:, None]
-        W = eval_W_parts(stage, rho, dS)
+        W = eval_W_parts(tables, rho, dS)
         del dS
         if flux:
             # 1j * (Ak * lap) + (1j * W - Wim) * data, the nonlinear term
@@ -254,7 +256,7 @@ def _tendency(
             # complex times 1j is 1j * W, and Wim is taken from the real
             # parts alone, since b - 0.0 is b bit for bit; so neither is
             # cast through a complex buffer
-            Wim = eval_Wim_parts(stage, rho, rows[q:2 * q].real)
+            Wim = eval_Wim_parts(tables, rho, rows[q:2 * q].real)
             nl = rows[q:2 * q]
             nl[...] = W
             nl *= 1j

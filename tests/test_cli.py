@@ -535,8 +535,11 @@ def test_convergence_at_roundoff_reports_unmeasurable_order(tmp_path):
         "convergence", str(CONFIGS / "linear_plane_wave.json"), "--output-dir", str(tmp_path)
     )
     assert res.returncode == 2
-    e1 = float(read_csv(tmp_path / "convergence.csv")[1][1])
+    first = read_csv(tmp_path / "convergence.csv")[1]
+    e1 = float(first[1])
     assert e1 < 1e-13
+    # no order is written where the command says none can be measured
+    assert first[2] == ""
     assert "order cannot be measured at this dt" in res.stderr
     assert f"{e1:.3e}" in res.stderr
     assert "below 3.5" not in res.stderr

@@ -1,5 +1,4 @@
-import gc
-import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from cnls_gauge import (
     eval_W,
     eval_Wim,
     make_grid,
+    phase_gradient,
     to_hydro,
 )
 
@@ -247,39 +247,73 @@ def test_q1_tables_may_be_scalars():
             assert got.shape == want.shape and np.array_equal(got, want), name
 
 
-def test_tables_reject_a_drift_pair_with_a_plus_2c_nonzero():
-    # the RK4 stage takes the pair (a, c) as the drift a u', which is the
-    # pair only when a + 2c = 0
-    with pytest.raises(ValueError, match=r"a \+ 2 c = 0: species 2 has a = 1\.0, c = 0\.0"):
-        CoefficientTables.of(2, a=np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="species 1 has a = 0.0, c = -0.25"):
-        CoefficientTables.of(1, c=np.array([-0.25]))
-    tables = CoefficientTables.of(2, a=np.array([0.6, -2.0]), c=np.array([-0.3, 1.0]))
-    assert tables.reduced.nonzero == frozenset()
+def test_tables_store_the_drift_pair_once_as_c():
+    # a = -2c is derived, so no table set holds a broken pair, and a name
+    # that is not a table (a among them) is an error, not dropped
+    tables = CoefficientTables.of(2, c=np.array([-0.3, 1.0]))
+    assert tables.a.tobytes() == np.array([0.6, -2.0]).tobytes()
+    assert tables.nonzero == {"c"}
+    with pytest.raises(TypeError, match="'a'"):
+        CoefficientTables.of(2, a=np.array([0.6, -2.0]))
+    with pytest.raises(TypeError, match="'cubik'"):
+        CoefficientTables.of(2, cubik=np.eye(2))
+
+
+def test_tables_of_builds_only_the_missing_defaults(monkeypatch):
+    built, zeros = [], np.zeros
+
+    def counting_zeros(shape, *args, **kwargs):
+        built.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", counting_zeros)
+    CoefficientTables.of(2, const=np.ones(2), cubic=np.eye(2), c=np.ones(2))
+    # drift_self, drift_cross, quartic and D
+    assert sorted(built) == [(2, 2), (2, 2), (2, 2), (2, 2, 2)]
 
 
 def test_drift_cubic_pair_holds_for_a_subnormal_delta():
-    # halving 1e-310 rounds, so a is -2c rather than delta itself
+    # c = -delta/2 is stored; halving 1e-310 rounds, so the derived a is
+    # -2c rather than delta itself, and the pair still cancels exactly
     spec = DriftCubicSpec(delta=[1e-310, 5e-324, -3.7], gamma=[0.1, 0.2, 0.3])
     t = spec.tables
+    assert t.a.tobytes() == (-2.0 * t.c).tobytes()
     assert np.all(t.a + 2.0 * t.c == 0.0)
+    assert t.a[0] != 1e-310
     assert t.a[2] == -3.7 and t.c[2] == 1.85
 
 
-@pytest.mark.parametrize("build", [
-    lambda: DriftCubicSpec(delta=[0.5, -0.3], gamma=[0.2, 0.1]),
-    lambda: DerivativeSpec(beta=0.3, gamma=-0.1, delta=0.5, lam=[0.2]),
-], ids=["drift_cubic", "derivative"])
-def test_tables_and_their_reduced_set_are_freed_by_reference_counting(build):
-    # a table set that referred to itself would live on until the cycle
-    # collector ran, holding its arrays through a march
-    tables = build().tables
-    refs = [weakref.ref(tables), weakref.ref(tables.reduced)]
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del tables
-        assert [ref() for ref in refs] == [None, None]
-    finally:
-        if enabled:
-            gc.enable()
+def every_table_spec(rng, q):
+    """A stand-in spec whose seven tables are all nonzero; no spec type has
+    c and D nonzero together."""
+    shapes = {"const": (q,), "cubic": (q, q), "drift_self": (q, q),
+              "drift_cross": (q, q), "quartic": (q, q, q), "c": (q,), "D": (q, q)}
+    tables = CoefficientTables.of(
+        q, **{name: rng.uniform(-1.0, 1.0, shape) for name, shape in shapes.items()}
+    )
+    assert tables.nonzero == set(shapes)
+    return SimpleNamespace(q=q, tables=tables)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_entry_points_with_every_table_nonzero(grid256, q):
+    rng = np.random.default_rng(40 + q)
+    spec = every_table_spec(rng, q)
+    t = spec.tables
+    h = band_limited_hydro(rng, grid256, q)
+    # Wim_k = (1/rho_k) dF_k/dx with F_k = rho_k (c_k + sum_j D_kj rho_j)
+    resid = derivative(eval_F(spec, h), grid256) / h.rho - eval_Wim(spec, h)
+    assert np.abs(resid).max() < 1e-10
+    # W_k as the README writes it, with the drift a_k = -2 c_k
+    rho, dS = h.rho, phase_gradient(h)
+    want = np.empty_like(rho)
+    for k in range(q):
+        w = t.const[k] - 2.0 * t.c[k] * dS[k]
+        for j in range(q):
+            w = w + t.cubic[k, j] * rho[j]
+            w = w + t.drift_self[k, j] * rho[j] * dS[k]
+            w = w + t.drift_cross[k, j] * rho[j] * dS[j]
+            for i in range(q):
+                w = w + t.quartic[k, j, i] * rho[j] * rho[i]
+        want[k] = w
+    assert np.abs(eval_W(spec, h) - want).max() < 1e-12

@@ -257,8 +257,7 @@ def test_eval_W_parts_starts_from_the_constant_rows():
     a = rng.standard_normal(q)
     for tables in (
         CoefficientTables.of(q, const=const),
-        CoefficientTables.of(q, const=const, a=a, c=-0.5 * a,
-                             cubic=rng.standard_normal((q, q))),
+        CoefficientTables.of(q, const=const, c=-0.5 * a, cubic=rng.standard_normal((q, q))),
         random_derivative_spec(rng, q).tables,
     ):
         got = eval_W_parts(tables, rho, dS)
@@ -354,8 +353,6 @@ def test_second_derivative_and_antiderivative_are_byte_identical(shape):
 def _reference_W(tables, rho, dS):
     on = tables.nonzero
     W = np.broadcast_to(tables.const[:, None], rho.shape).copy()
-    if "a" in on:
-        W += tables.a[:, None] * dS
     if "cubic" in on:
         W += tables.cubic @ rho
     if "drift_self" in on:
@@ -368,15 +365,10 @@ def _reference_W(tables, rho, dS):
 
 
 def _reference_Wim(tables, rho, drho):
-    if "D" not in tables.nonzero:
-        return tables.c[:, None] * drho / rho
     diag = np.diag(tables.D)
     off = tables.D - np.diag(diag)
     Wim = 2.0 * diag[:, None] * drho + off @ drho
-    rate = off @ rho
-    if "c" in tables.nonzero:
-        rate += tables.c[:, None]
-    Wim += rate * drho / rho
+    Wim += (off @ rho) * drho / rho
     return Wim
 
 
@@ -392,15 +384,20 @@ def _hydro_tendency(fields, tables, A):
     if not tables.nonzero:
         return 1j * (Ak * lap)
     rho = data.real**2 + data.imag**2
+    drift = "c" in tables.nonzero
     dS = None
-    if tables.uses_phase:
+    if tables.uses_phase or drift:
         dS = _reference_phase_gradient(np.unwrap(np.angle(data), axis=-1), grid)
         if kappa is not None:
             dS += kappa[:, None]
     W = _reference_W(tables, rho, dS)
+    if drift:
+        W += tables.a[:, None] * dS
     if tables.has_flux:
         drho = _reference_transform(rho, grid._ik).real
-        Wim = _reference_Wim(tables, rho, drho)
+        Wim = _reference_Wim(tables, rho, drho) if "D" in tables.nonzero else 0.0
+        if drift:
+            Wim = Wim + tables.c[:, None] * drho / rho
         return 1j * (Ak * lap) + (1j * W - Wim) * data
     return 1j * (Ak * lap + W * data)
 
@@ -416,7 +413,7 @@ def _reference_tendency(fields, tables, A):
         for name in ("const", "cubic", "drift_self", "drift_cross", "quartic", "D")
     })
     out = _hydro_tendency(fields, reduced, A)
-    if "a" in tables.nonzero:
+    if "c" in tables.nonzero:
         kappa = fields.kappa if fields.kappa.any() else None
         ik = grid._ik if kappa is None else grid._ik + 1j * kappa[:, None]
         out = out + tables.a[:, None] * _reference_transform(data, ik)
@@ -463,8 +460,7 @@ def test_stage_with_every_row_block_is_byte_identical_to_reference(kappa):
     # stack holds data, density, phase and u' rows, 4q in all
     grid, A, states = _states("derivative", q=2, seed=5)
     _, spec, data = states[0]
-    a = np.array([0.7, -0.4])
-    tables = replace(spec.tables, a=a, c=-0.5 * a)
+    tables = replace(spec.tables, c=np.array([-0.35, 0.2]))
     kap = kappa * np.array([1.0, -1.0])
     fields = ComplexFieldSet(data, grid, kappa=kap)
     got = _tendency(data, grid, tables, A, 0.0, kap if kappa else None)
@@ -474,7 +470,7 @@ def test_stage_with_every_row_block_is_byte_identical_to_reference(kappa):
 
 @pytest.mark.parametrize("kappa", [0.0, 0.37])
 def test_drift_stage_matches_the_hydro_formula(kappa):
-    # a (u' + i kappa u) is i a dS/dx u - c (drho/dx / rho) u when a + 2c = 0
+    # a (u' + i kappa u) is i a dS/dx u - c (drho/dx / rho) u, as a = -2c
     for seed in range(3):
         grid, A, states = _states("drift_cubic", q=2 + seed % 2, seed=seed)
         _, spec, data = states[0]

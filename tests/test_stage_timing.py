@@ -1,9 +1,17 @@
-"""Smoke test of tools/stage_timing.py at n = 32 with one repeat, both families."""
+"""Smoke test of tools/stage_timing.py at n = 32 with one repeat, both
+families, and a check that its FFT pair is the stage's."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import cnls_gauge
+import cnls_gauge.grid as grid_module
+import cnls_gauge.solver as solver
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_timing.py"
 
@@ -28,3 +36,33 @@ def test_one_json_line_per_cell_with_every_layer():
         # of 3q rows (derivative) or 2q rows (drift-cubic: data and u')
         stack = 3 if row["family"] == "derivative" else 2
         assert row["step_peak_b_per_qn"] >= 16.0 * (3 + stack)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_fft_pair_stacks_the_rows_of_the_stage(monkeypatch, q):
+    # the timed pair must run on the stage's stack: as many rows, and as
+    # many u' rows (copies) that take the data rows' spectrum
+    spec = importlib.util.spec_from_file_location("stage_timing", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    seen = {"tool": [], "stage": []}
+    real = grid_module._spectral_pair
+
+    def recorder(who):
+        def record(rows, symbol, q=None, tail=None, copies=0):
+            seen[who].append((rows.shape[0], copies))
+            return real(rows, symbol, q, tail, copies)
+
+        return record
+
+    monkeypatch.setattr(grid_module, "_spectral_pair", recorder("tool"))
+    monkeypatch.setattr(solver, "_spectral_pair", recorder("stage"))
+    for family in tool.FAMILIES:
+        seen["tool"].clear()
+        seen["stage"].clear()
+        calls = tool.layer_calls(cnls_gauge, 32, q, family)
+        calls["fft_pair"]()
+        calls["tendency"]()
+        assert seen["tool"] == seen["stage"], family
+    # the drift-cubic stage of the last family has q u' rows
+    assert seen["stage"] == [(2 * q, q)]

@@ -93,24 +93,25 @@ def make_state(cg, n: int, q: int, family: str):
     return cg.SimState(0.0, cg.ComplexFieldSet(data, grid), spec, A)
 
 
-def time_cell(cg, n: int, q: int, family: str, repeats: int) -> dict:
-    """One JSON-ready row of per-call minima for the cell (n, q, family)."""
+def layer_calls(cg, n: int, q: int, family: str) -> dict:
+    """The timed calls of the cell (n, q, family), by layer name. The FFT
+    pair stacks the row blocks that the family's stage stacks
+    (``solver._stack_blocks``)."""
     from cnls_gauge.grid import _spectral_pair
-    from cnls_gauge.solver import _stack_rows, _tendency, step
+    from cnls_gauge.solver import _stack_blocks, _stack_rows, _tendency, step
 
     state = make_state(cg, n, q, family)
     grid, tables, A = state.fields.grid, state.spec.tables, state.A
     data = state.fields.data
-    size = _stack_rows(tables, q)
-    copies = q if "a" in tables.nonzero else 0  # the u' rows, never read
-    read = size - copies
-    source = np.concatenate([data, np.abs(data) ** 2, np.angle(data)])[:read]
-    source = source.astype(complex)
+    flux, phase, drift = _stack_blocks(tables)
+    size, copies = _stack_rows(tables, q), q * drift  # the u' rows, never read
+    source = [data] + [np.abs(data) ** 2] * flux + [np.angle(data)] * phase
+    source = np.concatenate(source).astype(complex)
     work, out = np.empty((size, n), dtype=complex), np.empty_like(data)
     dt = 0.5 * cg.stability_bound(grid, A)
 
     def fft_pair():
-        work[:read] = source
+        work[:size - copies] = source
         _spectral_pair(work, grid._neg_k2, q, grid._ik, copies)
 
     def tendency():
@@ -119,8 +120,14 @@ def time_cell(cg, n: int, q: int, family: str, repeats: int) -> dict:
     def one_step():
         step(state, dt)
 
+    return {"fft_pair": fft_pair, "tendency": tendency, "step": one_step}
+
+
+def time_cell(cg, n: int, q: int, family: str, repeats: int) -> dict:
+    """One JSON-ready row of per-call minima for the cell (n, q, family)."""
+    calls = layer_calls(cg, n, q, family)
     row = {"n": n, "q": q, "family": family}
-    for name, call in (("fft_pair", fft_pair), ("tendency", tendency), ("step", one_step)):
+    for name, call in calls.items():
         call()  # grid symbols and FFT plans are cached on first use
         timer = timeit.Timer(call)
         number, _ = timer.autorange()
@@ -128,7 +135,7 @@ def time_cell(cg, n: int, q: int, family: str, repeats: int) -> dict:
         row[f"{name}_calls"] = number
     tracemalloc.start()
     try:
-        one_step()
+        calls["step"]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
