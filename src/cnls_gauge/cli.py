@@ -31,6 +31,7 @@ from .report import (
     EXIT_CODES,
     EquivalenceRun,
     exit_code,
+    make_output_dir,
     run_convergence,
     run_equivalence,
     run_sweep_command,
@@ -48,14 +49,12 @@ __all__ = [
 
 
 def write_snapshot(path_base: Path, fields: ComplexFieldSet, t: float) -> None:
-    """Raw little-endian float64 ``fields.samples()``, (re, im) interleaved
-    row-major, plus a plain-text sidecar with shape, time and byte order."""
+    """Raw little-endian complex128 ``fields.samples()``, which is (re, im)
+    float64 pairs row-major, plus a plain-text sidecar with shape, time and
+    byte order."""
     q, n = fields.data.shape
-    data = fields.samples()
-    interleaved = np.empty((q, n, 2), dtype="<f8")
-    interleaved[..., 0] = data.real
-    interleaved[..., 1] = data.imag
-    path_base.with_suffix(".raw").write_bytes(interleaved.tobytes())
+    samples = fields.samples().astype("<c16", copy=False)
+    path_base.with_suffix(".raw").write_bytes(samples.tobytes())
     sidecar = (
         f"shape={q},{n}\n"
         f"time={float(t)!r}\n"
@@ -67,15 +66,14 @@ def write_snapshot(path_base: Path, fields: ComplexFieldSet, t: float) -> None:
 
 
 def read_snapshot(path_base: Path) -> tuple[np.ndarray, float]:
-    """Inverse of write_snapshot; returns (complex data, time)."""
+    """Inverse of write_snapshot, bit for bit; returns (complex data, time)."""
     meta = {}
     for line in path_base.with_suffix(".txt").read_text(encoding="utf-8").splitlines():
         key, _, value = line.partition("=")
         meta[key] = value
     q, n = (int(v) for v in meta["shape"].split(","))
-    flat = np.frombuffer(path_base.with_suffix(".raw").read_bytes(), dtype="<f8")
-    interleaved = flat.reshape(q, n, 2)
-    return interleaved[..., 0] + 1j * interleaved[..., 1], float(meta["time"])
+    data = np.fromfile(path_base.with_suffix(".raw"), dtype="<c16").reshape(q, n)
+    return data, float(meta["time"])
 
 
 # --- simulate ------------------------------------------------------------
@@ -89,7 +87,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     # held only in this list until evolve takes it: the march then frees
     # the initial fields after its first step.
     initial = [SimState(t=0.0, fields=cfg.build_initial(grid), spec=spec, A=A)]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir)
 
     snap_index = 0
 
@@ -141,7 +139,7 @@ def cmd_transform(cfg: RunConfig, out_dir: Path) -> int:
     A = cfg.build_dispersion()
     spec = cfg.build_family_spec()
     tspec = cfg.build_transformed_spec(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir)
     write_csv(
         out_dir / "transformed_coefficients.csv",
         ["table", "k", "j", "i", "value"],
@@ -193,7 +191,7 @@ def cmd_classify(texts: dict[str, str]) -> int:
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, tolerance: float) -> int:
     result = run_equivalence(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir)
     q = cfg.q
     header = (
         ["t"]
@@ -219,8 +217,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, tolerance: float) -> int:
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: Path) -> int:
-    grid = cfg.build_grid()
-    bound = stability_bound(grid, cfg.build_dispersion())
+    bound = stability_bound(cfg.build_grid(), cfg.build_dispersion())
     if cfg.dt > bound:
         print(
             f"warning: dt={cfg.dt!r} exceeds the stability bound {bound:.6g}",
@@ -228,20 +225,15 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path) -> int:
         )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dts, errors, order = run_convergence(cfg)
-    # each step may add about one rounding error of the field's magnitude
-    peak = float(np.abs(cfg.build_initial(grid).data).max())
-    roundoff = cfg.n_steps * np.finfo(float).eps * peak
-    at_roundoff = errors[0] <= roundoff
-    out_dir.mkdir(parents=True, exist_ok=True)
+        dts, errors, order, roundoff = run_convergence(cfg)
+    make_output_dir(out_dir)
     rows = [
-        # an order taken from two roundoff differences is left blank
-        [dts[0], errors[0], "" if at_roundoff else order],
+        [dts[0], errors[0], "" if order is None else order],
         [dts[1], errors[1], ""],
         [dts[2], "", ""],
     ]
     write_csv(out_dir / "convergence.csv", ["dt", "diff_to_half_dt", "observed_order"], rows)
-    if at_roundoff:
+    if order is None:
         print(
             f"order cannot be measured at this dt: the dt vs dt/2 difference "
             f"{errors[0]:.3e} is at roundoff (<= {roundoff:.3e})",

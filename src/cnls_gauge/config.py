@@ -405,8 +405,12 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("<path>", f"cannot read {path!r}") from None
+    except OSError as err:
+        raise ConfigError("<path>", f"cannot read {path!r}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(
+            "<path>", f"cannot read {path!r}: not UTF-8 text ({err.reason})"
+        ) from None
     except json.JSONDecodeError as err:
         raise ConfigError("<json>", f"invalid JSON in {path!r}: {err}") from None
     return RunConfig.from_dict(raw)

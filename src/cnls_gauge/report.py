@@ -1,7 +1,12 @@
 """Experiment drivers on the solver's march loop: the gauge-equivalence
 run (psi and gauged phi systems side by side), the dt self-convergence
-study, and parameter sweeps over both; their CSV writer; and the one map
-from a failure to its exit code.
+study, and parameter sweeps over both; their CSV writer; the output
+directory's creation; and the one map from a failure to its exit code.
+
+The self-convergence study alone decides whether its order can be
+measured: where the dt vs dt/2 difference is at roundoff it gives no
+order, and ``convergence`` and ``verify --sweep`` both report that as a
+blank cell.
 
 Each sweep row reruns both experiments at one value of a numeric config
 key and records the final norm drift, the final equivalence gap and the
@@ -24,7 +29,7 @@ from .gauge import apply_gauge, compute_generator, phase_relation_residual
 from .solver import BlowUpError, SimState, _march, _norms_of
 
 __all__ = [
-    "EXIT_CODES", "exit_code", "write_csv",
+    "EXIT_CODES", "exit_code", "write_csv", "make_output_dir",
     "EquivalenceRun", "run_equivalence", "run_convergence",
     "SweepRow", "SweepResult", "sweep", "write_sweep_csv", "run_sweep_command",
 ]
@@ -50,6 +55,17 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([c if isinstance(c, str) else repr(float(c)) for c in row])
+
+
+def make_output_dir(out_dir: Path) -> None:
+    """Create ``out_dir`` and its parents; a path that cannot be a directory
+    is a ConfigError naming ``output_dir``."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(
+            "output_dir", f"cannot create {str(out_dir)!r}: {err.strerror}"
+        ) from None
 
 
 # --- gauge equivalence ------------------------------------------------------
@@ -129,11 +145,17 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
 # --- dt self-convergence ----------------------------------------------------
 
 
-def run_convergence(cfg: RunConfig) -> tuple[list[float], list[float], float]:
+def run_convergence(
+    cfg: RunConfig,
+) -> tuple[list[float], list[float], float | None, float]:
     """Self-convergence study at dt, dt/2, dt/4.
 
-    Returns (dts, [e1, e2], order) where e1 = sup|u(dt) - u(dt/2)|,
+    Returns (dts, [e1, e2], order, roundoff) where e1 = sup|u(dt) - u(dt/2)|,
     e2 = sup|u(dt/2) - u(dt/4)| at t_end and order = log2(e1/e2).
+    roundoff = n_steps * eps * peak|u0| bounds the rounding error of the dt
+    march, each step adding about one rounding error of the field's
+    magnitude; where e1 is at or below it the two differences are roundoff
+    and order is None, as no order can be measured.
     """
     spec = cfg.build_family_spec()
     if cfg.system == "phi":
@@ -144,6 +166,7 @@ def run_convergence(cfg: RunConfig) -> tuple[list[float], list[float], float]:
         spec=spec,
         A=cfg.build_dispersion(),
     )
+    roundoff = cfg.n_steps * np.finfo(float).eps * float(np.abs(initial.fields.data).max())
 
     dts = [cfg.dt, cfg.dt / 2.0, cfg.dt / 4.0]
     finals = []
@@ -153,8 +176,11 @@ def run_convergence(cfg: RunConfig) -> tuple[list[float], list[float], float]:
         finals.append(final.fields.data)
     e1 = float(np.abs(finals[0] - finals[1]).max())
     e2 = float(np.abs(finals[1] - finals[2]).max())
-    order = float(np.log2(e1 / e2)) if e2 != 0.0 else float("inf")
-    return dts, [e1, e2], order
+    if e1 <= roundoff:
+        order = None
+    else:
+        order = float(np.log2(e1 / e2)) if e2 != 0.0 else float("inf")
+    return dts, [e1, e2], order, roundoff
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -217,11 +243,11 @@ def _set_key(raw: dict, axis: str, value: float) -> None:
         raise ConfigError(axis, "not a valid config key path")
 
 
-def _metrics(cfg: RunConfig) -> tuple[float, float, float]:
+def _metrics(cfg: RunConfig) -> tuple[float, float, float | None]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         eq = run_equivalence(cfg)
-        _, _, order = run_convergence(cfg)
+        _, _, order, _ = run_convergence(cfg)
     drift = float(abs(eq.final_norm_drift).max())
     return drift, eq.final_density_diff, order
 
@@ -271,6 +297,6 @@ def run_sweep_command(cfg: RunConfig, sweep_arg: str, out_dir: Path) -> int:
     if not values:
         raise ConfigError("--sweep", "no sweep values given")
     result = sweep(cfg, key, values)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir)
     write_sweep_csv(result, out_dir / "sweep.csv")
     return 0

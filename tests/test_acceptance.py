@@ -303,8 +303,8 @@ def test_criterion_11_solver_order():
 
     cfg_psi = RunConfig.from_dict({**raw, "system": "psi"})
     cfg_phi = RunConfig.from_dict({**raw, "system": "phi"})
-    _, _, order_psi = run_convergence(cfg_psi)
-    _, _, order_phi = run_convergence(cfg_phi)
+    _, _, order_psi, _ = run_convergence(cfg_psi)
+    _, _, order_phi, _ = run_convergence(cfg_phi)
     ok = order_psi >= 3.5 and order_phi >= 3.5
     report(
         11, ok,

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnls_gauge.cli import main, read_snapshot
+from cnls_gauge import ComplexFieldSet, make_grid
+from cnls_gauge.cli import main, read_snapshot, write_snapshot
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -268,6 +269,23 @@ def test_simulate_snapshots_roundtrip(tmp_path):
     assert "byte_order=little" in sidecar
 
 
+def test_snapshot_roundtrip_is_bit_exact(tmp_path):
+    # signed zeros and infinite parts come back as written, with no warning
+    data = np.array([
+        [complex(-0.0, 1.0), complex(1.0, np.inf), complex(-np.inf, -0.0), 0.5 - 0.25j],
+        [complex(0.0, -0.0), complex(np.inf, -np.inf), complex(-0.0, -0.0), 3.0 + 4.0j],
+    ])
+    fields = ComplexFieldSet(np.tile(data, 2), make_grid(8, 0.0, 2 * np.pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_snapshot(tmp_path / "snap", fields, 0.125)
+        back, t = read_snapshot(tmp_path / "snap")
+    assert t == 0.125
+    assert back.dtype == np.complex128 and back.shape == (2, 8)
+    assert back.tobytes() == fields.data.astype("<c16").tobytes()
+    assert (tmp_path / "snap.raw").read_bytes() == fields.data.astype("<c16").tobytes()
+
+
 def test_simulate_determinism(tmp_path):
     cfg = write_config(tmp_path, small_linear_config(tmp_path, out_name="a"))
     cfg2 = write_config(
@@ -493,6 +511,17 @@ def test_verify_sweep_writes_csv(tmp_path):
     assert all(r[4] == "ok" for r in rows[1:])
 
 
+def test_verify_sweep_leaves_an_order_at_roundoff_blank(tmp_path):
+    # the plane wave's dt and dt/2 runs agree to roundoff at either A, where
+    # convergence measures no order; the rows still pass
+    out = tmp_path / "out"
+    args = ["verify", str(CONFIGS / "linear_plane_wave.json"), "--output-dir", str(out)]
+    assert main([*args, "--sweep", "A=1.0,2.0"]) == 0
+    rows = read_csv(out / "sweep.csv")
+    assert [r[0] for r in rows[1:]] == ["1.0", "2.0"]
+    assert [r[3:6] for r in rows[1:]] == [["", "ok", "0"], ["", "ok", "0"]]
+
+
 def test_verify_sweep_bad_key_exits_1(tmp_path):
     cfg = write_config(tmp_path, small_family_a_config(tmp_path))
     res = run_cli("verify", str(cfg), "--sweep", "dt")
@@ -564,6 +593,44 @@ def test_dump_config_roundtrip(tmp_path):
 def test_missing_config_file_exits_1(tmp_path):
     res = run_cli("simulate", str(tmp_path / "nope.json"))
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("kind, message", [
+    pytest.param("directory", "Is a directory", id="directory"),
+    pytest.param("not_utf8", "not UTF-8 text", id="not_utf8"),
+])
+def test_unreadable_config_path_exits_1(tmp_path, capsys, kind, message):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'\xff\xfe{"q": 1}')
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key '<path>': cannot read") and message in err
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["simulate"], id="simulate"),
+    pytest.param(["transform"], id="transform"),
+    pytest.param(["verify"], id="verify"),
+    pytest.param(["convergence"], id="convergence"),
+    pytest.param(["verify", "--sweep", "dt=2.5e-4"], id="sweep"),
+])
+@pytest.mark.parametrize("under, message", [
+    pytest.param(False, "File exists", id="a_file"),
+    pytest.param(True, "Not a directory", id="under_a_file"),
+])
+def test_output_dir_that_cannot_be_made_exits_1(tmp_path, capsys, args, under, message):
+    cfg = write_config(tmp_path, small_family_a_config(tmp_path, dt=2.5e-4, t_end=2.5e-3))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n", encoding="utf-8")
+    out = blocker / "out" if under else blocker
+    assert main([args[0], str(cfg), *args[1:], "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key 'output_dir': cannot create {str(out)!r}: {message}\n"
+    )
+    assert blocker.read_text(encoding="utf-8") == "a file\n"
 
 
 def test_shipped_configs_parse():

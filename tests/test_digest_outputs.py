@@ -45,12 +45,13 @@ def test_digest_lists_every_command_file_and_exit_code(tmp_path):
     lines = tool.digest({"a": path})
     assert [l for l in lines if l.startswith("== ")] == [
         f"== {command} a" for command in tool.COMMANDS
-    ]
+    ] + ["== verify --sweep dt=0.001 a"]
     assert lines[lines.index("== simulate a") + 1] == "exit 0"
+    assert lines[lines.index("== verify --sweep dt=0.001 a") + 1] == "exit 0"
     files = [l.split("  ")[1] for l in lines if len(l.split("  ")[0]) == 64]
     assert "diagnostics.csv" in files and "equivalence.csv" in files
     assert "transformed_coefficients.csv" in files and "convergence.csv" in files
-    assert "snapshot_000000.raw" in files
+    assert "snapshot_000000.raw" in files and "sweep.csv" in files
     # deterministic, and moved by a change in the initial data
     assert tool.digest({"a": path}) == lines
     other = tool.digest({"a": _config(tmp_path, "b.json", amplitude=1.001)})
@@ -67,9 +68,19 @@ def test_digest_prints_warnings_without_file_and_line(tmp_path):
     assert f"stderr| UserWarning: dt={dt!r} exceeds the stability bound" in "\n".join(stderr)
     assert not any(".py:" in l for l in stderr)
     # the registry is reset per command, as in a fresh process: simulate and
-    # verify each report the warning once
+    # verify each report the warning once, and the sweep, which silences
+    # solver warnings, not at all
+    assert f"== verify --sweep dt={dt!r} warn" in lines
     assert sum("UserWarning: dt=" in l for l in stderr) == 2
     assert tool.digest({"warn": path}) == lines
+
+
+def test_digest_of_a_config_that_does_not_load(tmp_path):
+    tool = _load_tool()
+    lines = tool.digest({"missing": tmp_path / "missing.json"})
+    headers = [l for l in lines if l.startswith("== ")]
+    assert headers[-1] == "== verify --sweep dt= missing"
+    assert [lines[lines.index(h) + 1] for h in headers] == ["exit 1"] * len(headers)
 
 
 def test_workload_configs_cover_every_benchmark_workload(tmp_path):

@@ -69,7 +69,7 @@ def test_single_value_sweep_matches_direct_run():
     row = result.rows[0]
     assert row.status == "ok"
     direct = run_equivalence(base)
-    _, _, order = run_convergence(base)
+    _, _, order, _ = run_convergence(base)
     assert row.equivalence_gap == direct.final_density_diff
     assert row.norm_drift == float(abs(direct.final_norm_drift).max())
     assert row.observed_order == order

@@ -5,7 +5,8 @@ Run from anywhere, with any extra config paths:
 
     python3 tools/digest_outputs.py [CONFIG.json ...] > digest.txt
 
-It runs ``simulate``, ``transform``, ``verify`` and ``convergence`` through
+It runs ``simulate``, ``transform``, ``verify``, ``convergence`` and a
+one-row ``verify --sweep dt=DT`` at the config's own ``dt`` through
 ``cnls_gauge.cli.main`` (imported from this checkout's ``src/``) on every
 shipped config in ``configs/``, on the seed-1 config of each benchmark
 workload in ``perfbench/workloads.py`` (written to a temporary file as the
@@ -68,12 +69,25 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"{category.__name__}: {message}", file=sys.stderr)
 
 
-def digest_command(cli, command: str, name: str, path: Path) -> list[str]:
-    """Lines describing one command's run on the config at ``path``."""
+def runs(cli, path: Path) -> list[list[str]]:
+    """The arguments after the config path of every run on ``path``, the
+    command first: each of COMMANDS, then a one-row sweep at the config's own
+    dt (``dt=`` where the config does not load, which then fails as the other
+    commands do)."""
+    try:
+        own_dt = repr(cli.load_config(str(path)).dt)
+    except (OSError, ValueError):
+        own_dt = ""
+    return [[command] for command in COMMANDS] + [["verify", "--sweep", f"dt={own_dt}"]]
+
+
+def digest_command(cli, args: list[str], name: str, path: Path) -> list[str]:
+    """Lines describing one run, ``args`` as in ``runs``, on the config at
+    ``path``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
-        argv = [command, str(path), "--output-dir", str(out_dir)]
+        argv = [args[0], str(path), *args[1:], "--output-dir", str(out_dir)]
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             warnings.simplefilter("default")
@@ -81,7 +95,7 @@ def digest_command(cli, command: str, name: str, path: Path) -> list[str]:
             code = cli.main(argv)
         files = sorted(p for p in out_dir.rglob("*") if p.is_file()) \
             if out_dir.is_dir() else []
-        lines = [f"== {command} {name}", f"exit {code}"]
+        lines = [f"== {' '.join(args)} {name}", f"exit {code}"]
         lines += [f"stdout| {line}" for line in stdout.getvalue().splitlines()]
         lines += [f"stderr| {line}" for line in stderr.getvalue().splitlines()]
         lines += [
@@ -92,12 +106,12 @@ def digest_command(cli, command: str, name: str, path: Path) -> list[str]:
 
 
 def digest(configs: dict[str, Path]) -> list[str]:
-    """Digest lines of every command on every config (name -> path), in order."""
+    """Digest lines of every run on every config (name -> path), in order."""
     cli = _import_cli()
     lines: list[str] = []
     for name, path in configs.items():
-        for command in COMMANDS:
-            lines += digest_command(cli, command, name, path)
+        for args in runs(cli, path):
+            lines += digest_command(cli, args, name, path)
     return lines
 
 
