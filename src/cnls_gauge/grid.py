@@ -4,11 +4,12 @@ All operators act on the last axis of their input, so a stacked (q, n)
 family of fields is processed in one call. Grids are power-of-two sized
 for predictable FFT behaviour.
 
-Every FFT pair (the operators below and the RK4 stage's stacked pair in
-``solver``) goes through ``_spectral_pair``, which calls numpy's pocketfft
-ufuncs directly, with the factors and axes that ``np.fft.fft`` and
-``np.fft.ifft`` pass them, so the results have np.fft's bytes without its
-Python wrapper. Fields are transformed in double precision (complex128).
+Every FFT pair (the operators below, the RK4 stage's stacked pair and the
+split step's linear flows in ``solver``) goes through ``_spectral_pair``,
+which calls numpy's pocketfft ufuncs directly, with the factors and axes
+that ``np.fft.fft`` and ``np.fft.ifft`` pass them, so the results have
+np.fft's bytes without its Python wrapper. Fields are transformed in
+double precision (complex128).
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ class Grid1D:
     def _neg_k2(self) -> np.ndarray:
         # Second-derivative symbol -k^2.
         return -(self.k**2)
+
+    @cached_property
+    def _propagators(self) -> dict:
+        # The split step's linear-flow propagators by (A, kappa, dt), filled
+        # by solver._flows: a command builds one grid, so it builds them once.
+        return {}
 
 
 def make_grid(n_points: int, x_min: float, x_max: float) -> Grid1D:

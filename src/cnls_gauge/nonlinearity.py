@@ -60,10 +60,12 @@ class CoefficientTables:
     -c_k (drho_k/dx / rho_k) u_k, sum to the drift a_k u_k' of the field.
 
     ``nonzero`` names the tables holding a nonzero entry, ``has_flux`` is
-    whether Wim can be nonzero (c or D nonzero), and ``uses_phase`` whether
+    whether Wim can be nonzero (c or D nonzero), ``uses_phase`` whether
     the array kernel of W reads the phase gradients (drift_self or
-    drift_cross nonzero); ``D_diag`` and ``D_off`` split D into its
-    diagonal and the rest. All are fixed at construction.
+    drift_cross nonzero), and ``density_only`` whether some table is
+    nonzero and every nonzero one is const, cubic or quartic, so that
+    Wim = 0 and W reads rho alone; ``D_diag`` and ``D_off`` split D into
+    its diagonal and the rest. All are fixed at construction.
     """
 
     const: np.ndarray  # (q,)
@@ -76,6 +78,7 @@ class CoefficientTables:
     nonzero: frozenset = field(init=False, repr=False, compare=False)
     has_flux: bool = field(init=False, repr=False, compare=False)
     uses_phase: bool = field(init=False, repr=False, compare=False)
+    density_only: bool = field(init=False, repr=False, compare=False)
     a: np.ndarray = field(init=False, repr=False, compare=False)  # (q,)
     D_diag: np.ndarray = field(init=False, repr=False, compare=False)  # (q,)
     D_off: np.ndarray = field(init=False, repr=False, compare=False)  # (q, q)
@@ -85,6 +88,9 @@ class CoefficientTables:
         object.__setattr__(self, "nonzero", nonzero)
         object.__setattr__(self, "has_flux", bool(nonzero & {"c", "D"}))
         object.__setattr__(self, "uses_phase", bool(nonzero & {"drift_self", "drift_cross"}))
+        object.__setattr__(
+            self, "density_only", bool(nonzero) and nonzero <= {"const", "cubic", "quartic"}
+        )
         object.__setattr__(self, "a", -2.0 * self.c)
         diag = np.diag(self.D)
         object.__setattr__(self, "D_diag", diag)

@@ -26,11 +26,11 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .fields import VacuumError, to_hydro
 from .gauge import apply_gauge, compute_generator, phase_relation_residual
-from .solver import BlowUpError, SimState, _march, _norms_of
+from .solver import BlowUpError, SimState, SystemSpec, _march, _norms_of
 
 __all__ = [
     "EXIT_CODES", "exit_code", "write_csv", "make_output_dir",
-    "EquivalenceRun", "run_equivalence", "run_convergence",
+    "EquivalenceRun", "run_equivalence", "convergence_spec", "run_convergence",
     "SweepRow", "SweepResult", "sweep", "write_sweep_csv", "run_sweep_command",
 ]
 
@@ -145,6 +145,15 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
 # --- dt self-convergence ----------------------------------------------------
 
 
+def convergence_spec(cfg: RunConfig) -> SystemSpec:
+    """The spec of the system the self-convergence study marches: the
+    family spec, or its transformed tables for ``system: "phi"``."""
+    spec = cfg.build_family_spec()
+    if cfg.system == "phi":
+        spec = cfg.build_transformed_spec(spec)
+    return spec
+
+
 def run_convergence(
     cfg: RunConfig,
 ) -> tuple[list[float], list[float], float | None, float]:
@@ -157,9 +166,7 @@ def run_convergence(
     magnitude; where e1 is at or below it the two differences are roundoff
     and order is None, as no order can be measured.
     """
-    spec = cfg.build_family_spec()
-    if cfg.system == "phi":
-        spec = cfg.build_transformed_spec(spec)
+    spec = convergence_spec(cfg)
     initial = SimState(
         t=0.0,
         fields=cfg.build_initial(cfg.build_grid()),

@@ -1,4 +1,5 @@
-"""1-D periodic time evolution by spectral method of lines with RK4.
+"""1-D periodic time evolution: a Yoshida-4 split step where the
+nonlinear flow is exact, spectral method of lines with RK4 elsewhere.
 
 One system form is evolved,
 
@@ -8,6 +9,16 @@ with W and Wim read from the state's coefficient tables. For the original
 fields psi they are a family spec's; for the gauge-transformed fields phi
 they are a ``TransformedSpec``'s, whose Wim vanishes and whose W is the
 purely real R_k. The spec alone says which system a state belongs to.
+
+``step`` picks the method from the tables alone. Tables that are
+``density_only`` (every nonzero table const, cubic or quartic: Wim = 0
+and W = P(rho)) give a nonlinear flow u <- exp(i tau P(rho)) u that keeps
+rho, so it is exact, and the linear flow is exact in Fourier space. They
+take the split step (``_split_step``): Yoshida's triple jump of Strang
+steps, fourth order, norm-preserving and without a step bound. Every
+drift-cubic phi takes it. Every other system (drift-cubic psi, c != 0;
+derivative psi; a phi whose W reads dS/dx; the linear system) takes RK4,
+which the rest of this docstring describes.
 
 The linear drift pair of the tables, a_k dS_k/dx in W and c_k (drho_k/dx)
 / rho_k in Wim, is the drift a_k phi_k' of the field, since the tables
@@ -163,6 +174,24 @@ def _stack_rows(tables: CoefficientTables, q: int) -> int:
     return q * (1 + sum(_stack_blocks(tables)))
 
 
+def _vacuum_guard(rho: np.ndarray, t: float, floor: float) -> None:
+    """Raise VacuumError, at time t and numbering species from 1, when a
+    species is identically zero or has a node below ``floor`` times its
+    peak density."""
+    # compared as Python floats: q scalars cost less than numpy calls on them
+    peaks, lows = rho.max(axis=-1).tolist(), rho.min(axis=-1).tolist()
+    if any(peak <= 0.0 for peak in peaks):
+        k = [peak <= 0.0 for peak in peaks].index(True)
+        raise VacuumError(
+            f"species is identically zero (all-vacuum): species {k + 1} at t={t}", t=t
+        )
+    if any(low < floor * peak for low, peak in zip(lows, peaks)):
+        k = [low < floor * peak for low, peak in zip(lows, peaks)].index(True)
+        raise VacuumError(
+            f"density below floor during evolution: species {k + 1} at t={t}", t=t
+        )
+
+
 def _tendency(
     data: np.ndarray,
     grid: Grid1D,
@@ -207,18 +236,7 @@ def _tendency(
         )
     if tables.nonzero:
         rho = data.real**2 + data.imag**2
-        # compared as Python floats: q scalars cost less than numpy calls on them
-        peaks, lows = rho.max(axis=-1).tolist(), rho.min(axis=-1).tolist()
-        if any(peak <= 0.0 for peak in peaks):
-            k = [peak <= 0.0 for peak in peaks].index(True)
-            raise VacuumError(
-                f"species is identically zero (all-vacuum): species {k + 1} at t={t}", t=t
-            )
-        if any(low < floor * peak for low, peak in zip(lows, peaks)):
-            k = [low < floor * peak for low, peak in zip(lows, peaks)].index(True)
-            raise VacuumError(
-                f"density below floor during evolution: species {k + 1} at t={t}", t=t
-            )
+        _vacuum_guard(rho, t, floor)
         if flux:
             rows[q:2 * q] = rho
         if phase:
@@ -295,10 +313,89 @@ def rhs(state: SimState) -> ComplexFieldSet:
     return ComplexFieldSet(data=out, grid=f.grid, kappa=f.kappa)
 
 
-def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
-    """One classical RK4 step; warns when |dt| exceeds the advisory bound.
+# Yoshida's triple jump of Strang steps at w1 dt, w0 dt, w1 dt: the three
+# linear flows take these fractions of dt, and the four kicks the half sums
+# of neighbouring flows
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = 1.0 - 2.0 * _W1
+_KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
 
-    The result has the bytes of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4). A step
+
+def _flows(
+    grid: Grid1D, A: DispersionMatrix, kappa: np.ndarray | None, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The propagators exp(-i A_k (k + kappa_k)^2 tau) of the split step's
+    three linear flows, tau = w1 dt, w0 dt, w1 dt: built once per
+    (A, kappa, dt) and kept on the grid (``Grid1D._propagators``)."""
+    key = (A.values.tobytes(), None if kappa is None else kappa.tobytes(), dt)
+    cache = grid._propagators
+    flows = cache.get(key)
+    if flows is None:
+        symbol = grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)
+        outer, inner = (
+            np.exp(1j * ((w * dt * A.values)[:, None] * symbol)) for w in (_W1, _W0)
+        )
+        flows = (outer, inner, outer)
+        if len(cache) >= 8:  # stepping one grid with many keys keeps 8 at most
+            cache.clear()
+        cache[key] = flows
+    return flows
+
+
+def _split_step(state: SimState, dt: float, max_abs: float | None) -> SimState:
+    """One Yoshida-4 split step of a state whose tables are ``density_only``:
+    four kicks u <- exp(i tau P(rho)) u, P = W of the tables, at tau = dt
+    times ``_KICKS``, and between them the three linear flows of ``_flows``,
+    u <- ifft(exp(-i A (k + kappa)^2 tau) fft(u)). A kick keeps rho, so it
+    is the exact flow of i P(rho) u; the step keeps every norm to roundoff
+    and has no step bound. It holds its result and one complex (q, n)
+    phase buffer, besides a kick's rho and the temporaries of W."""
+    grid, tables, A, t = state.fields.grid, state.spec.tables, state.A, state.t
+    flows = _flows(grid, A, _shift(state.fields), dt)
+    phase = np.empty(state.fields.data.shape, dtype=complex)
+    u = state.fields.data.copy()
+    for i, kick in enumerate(_KICKS):
+        if i:
+            _spectral_pair(u, flows[i - 1])
+        rho = u.real**2 + u.imag**2
+        _vacuum_guard(rho, t, DEFAULT_FLOOR)
+        # (cos(tau P) + 1j sin(tau P)) * u, in the phase buffer and u
+        theta = eval_W_parts(tables, rho, None)
+        del rho
+        theta *= kick * dt
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        del theta
+        np.multiply(phase, u, out=u)
+    del phase
+    return _checked(state, u, dt, max_abs)
+
+
+def _checked(state: SimState, new: np.ndarray, dt: float, max_abs: float | None) -> SimState:
+    # the state at t + dt, once its fields are finite and within max_abs
+    t_new = state.t + dt
+    if not np.isfinite(new).all():
+        raise BlowUpError(f"non-finite field at t={t_new}", t=t_new)
+    if max_abs is not None and np.abs(new).max() > max_abs:
+        raise BlowUpError(f"field magnitude exceeded blow-up threshold at t={t_new}", t=t_new)
+    return SimState(
+        t=t_new,
+        fields=ComplexFieldSet(data=new, grid=state.fields.grid, kappa=state.fields.kappa),
+        spec=state.spec,
+        A=state.A,
+    )
+
+
+def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
+    """One step of size dt (nonzero) to t + dt; a BlowUpError when the
+    result is not finite or exceeds ``max_abs``.
+
+    Tables that are ``density_only`` (Wim = 0, W reads rho alone) take the
+    fourth-order split step of ``_split_step``. Every other system takes
+    one classical RK4 step, which warns when |dt| exceeds the advisory
+    ``stability_bound``.
+
+    The RK4 result has the bytes of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4). A step
     allocates two (q, n) buffers and the stack of the rows its stages read
     (``_stack_rows``), then its result.
     The k's enter a running sum ((k1 + 2 k2) + 2 k3) + k4 in one buffer;
@@ -314,6 +411,8 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
+    if state.spec.tables.density_only:
+        return _split_step(state, dt, max_abs)
     grid = state.fields.grid
     bound = stability_bound(grid, state.A)
     if abs(dt) > bound:
@@ -347,18 +446,7 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     # heap top that glibc trims and the next step faults back in (writing
     # the result into acc cost about 250 minor faults per q = 2, n = 4096
     # step).
-    new = np.add(y, acc)
-    t_new = state.t + dt
-    if not np.isfinite(new).all():
-        raise BlowUpError(f"non-finite field at t={t_new}", t=t_new)
-    if max_abs is not None and np.abs(new).max() > max_abs:
-        raise BlowUpError(f"field magnitude exceeded blow-up threshold at t={t_new}", t=t_new)
-    return SimState(
-        t=t_new,
-        fields=ComplexFieldSet(data=new, grid=grid, kappa=state.fields.kappa),
-        spec=state.spec,
-        A=A,
-    )
+    return _checked(state, np.add(y, acc), dt, max_abs)
 
 
 def current(spec: SystemSpec, fields: ComplexFieldSet, A: DispersionMatrix) -> np.ndarray:

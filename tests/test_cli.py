@@ -558,6 +558,21 @@ def test_convergence_above_bound_exits_2(tmp_path):
     assert "stability bound" in res.stderr
 
 
+@pytest.mark.parametrize("system, warns", [("phi", False), ("psi", True)])
+def test_convergence_warns_only_for_an_rk4_march(tmp_path, system, warns):
+    # family_a_verify's phi tables are density-only, so its march takes the
+    # split step, which has no step bound; its psi march is RK4
+    from cnls_gauge import RunConfig, stability_bound
+
+    payload = json.loads((CONFIGS / "family_a_verify.json").read_text())
+    payload.update(dt=2e-4, t_end=2e-3, sample_every=10, system=system,
+                   output_dir=str(tmp_path / "out"))
+    cfg = RunConfig.from_dict(payload)
+    assert cfg.dt > stability_bound(cfg.build_grid(), cfg.build_dispersion())
+    res = run_cli("convergence", str(write_config(tmp_path, payload)))
+    assert ("stability bound" in res.stderr) == warns, res.stderr
+
+
 def test_convergence_at_roundoff_reports_unmeasurable_order(tmp_path):
     # the linear plane wave's dt and dt/2 runs agree to roundoff
     res = run_cli(

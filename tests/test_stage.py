@@ -1,7 +1,7 @@
-"""The RK4 stage, the RK4 step, the grid operators and the stage's helpers
-(the jump-only unwrap, the winding split on Python floats, the vacuum
-guard, the spectral pair on numpy's pocketfft ufuncs) reproduce the plain
-numpy formulation byte for byte. A numpy that moves or changes the private
+"""The RK4 stage, the RK4 step, the split step, the grid operators and the
+stage's helpers (the jump-only unwrap, the winding split on Python floats,
+the vacuum guard, the spectral pair on numpy's pocketfft ufuncs) reproduce
+the plain numpy formulation byte for byte. A numpy that moves or changes the private
 pocketfft module fails here."""
 
 import tracemalloc
@@ -605,11 +605,49 @@ def test_step_is_byte_identical_to_textbook_rk4(family, kappa, dt):
     for seed in range(2):
         grid, A, states = _states(family, q=2 + seed, seed=seed)
         for tag, spec, data in states:
+            if spec.tables.density_only:
+                continue  # a split step (drift-cubic phi): the Yoshida test below
             q = data.shape[0]
             kap = kappa * np.linspace(1.0, -1.0, q)
             state = SimState(0.0, ComplexFieldSet(data, grid, kappa=kap), spec, A)
             got = step(state, dt).fields.data
             assert got.tobytes() == _textbook_step(state, dt).tobytes(), (tag, q)
+
+
+def _textbook_yoshida(state, dt):
+    """Yoshida's triple jump of Strang steps in plain expressions: kicks
+    exp(i tau W(rho)) u at tau = dt w1/2, dt (w1 + w0)/2 (twice) and
+    dt w1/2, and between them the linear flows
+    ifft(exp(-i A (k + kappa)^2 tau) fft(u)) at tau = w1 dt, w0 dt, w1 dt."""
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    f, tables, A = state.fields, state.spec.tables, state.A.values
+    symbol = -((f.grid.k + f.kappa[:, None]) ** 2)
+
+    def kick(u, w):
+        theta = (w * dt) * _reference_W(tables, u.real**2 + u.imag**2, None)
+        return (np.cos(theta) + 1j * np.sin(theta)) * u
+
+    def flow(u, w):
+        return _reference_transform(u, np.exp(1j * ((w * dt * A)[:, None] * symbol)))
+
+    u = kick(f.data, 0.5 * w1)
+    u = kick(flow(u, w1), 0.5 * (w1 + w0))
+    u = kick(flow(u, w0), 0.5 * (w0 + w1))
+    return kick(flow(u, w1), 0.5 * w1)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.37])
+@pytest.mark.parametrize("dt", [2e-5, -2e-5])
+def test_split_step_is_byte_identical_to_textbook_yoshida(kappa, dt):
+    for seed in range(2):
+        grid, A, (_, (tag, spec, data)) = _states("drift_cubic", q=2 + seed, seed=seed)
+        assert tag == "phi" and spec.tables.density_only
+        q = data.shape[0]
+        kap = kappa * np.linspace(1.0, -1.0, q)
+        state = SimState(0.0, ComplexFieldSet(data, grid, kappa=kap), spec, A)
+        got = step(state, dt).fields.data
+        assert got.tobytes() == _textbook_yoshida(state, dt).tobytes(), q
 
 
 def test_step_overflow_of_a_doubled_stage_raises_at_the_next_stage():
@@ -663,14 +701,16 @@ def _peak_per_qn(call, state):
     return peak / state.fields.data.size
 
 
-@pytest.mark.parametrize("system", ["psi", "phi"])
+@pytest.mark.parametrize("system", ["psi", "phi", "split"])
 def test_step_peak_memory(system):
     """One step at q = 2, n = 4096 holds at most 120 bytes per q*n at once:
     its stage buffers (two (q, n) complex arrays and a stack of at most 3q
     rows) are allocated once per step, not once per stage, and a stage
     holds at most four real (q, n) arrays besides them (rho and three
-    temporaries)."""
-    peak = _peak_per_qn(lambda s: step(s, 1e-7), _wide_state(system))
+    temporaries). A split step (drift-cubic phi) holds its result, one
+    complex phase buffer, and a kick's rho and W with its temporaries."""
+    state = _wide_state("phi", "drift_cubic") if system == "split" else _wide_state(system)
+    peak = _peak_per_qn(lambda s: step(s, 1e-7), state)
     assert peak <= 120.0, peak
 
 

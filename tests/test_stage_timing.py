@@ -1,5 +1,5 @@
-"""Smoke test of tools/stage_timing.py at n = 32 with one repeat, both
-families, and a check that its FFT pair is the stage's."""
+"""Smoke test of tools/stage_timing.py at n = 32 with one repeat, every
+family, and a check that its FFT pair is the stage's."""
 
 import importlib.util
 import json
@@ -24,10 +24,17 @@ def test_one_json_line_per_cell_with_every_layer():
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     assert [(r["n"], r["q"], r["family"]) for r in rows] == [
-        (32, 1, "derivative"), (32, 1, "drift_cubic"),
-        (32, 2, "derivative"), (32, 2, "drift_cubic"),
+        (32, 1, "derivative"), (32, 1, "drift_cubic"), (32, 1, "drift_cubic_phi"),
+        (32, 2, "derivative"), (32, 2, "drift_cubic"), (32, 2, "drift_cubic_phi"),
     ]
-    for row in rows:
+    split = [row for row in rows if row["family"] == "drift_cubic_phi"]
+    for row, deriv in zip(split, rows[::3]):
+        # the split step: timed alone, holding its result and one phase
+        # buffer, and no more than a derivative RK4 step
+        assert row["step_us"] > 0.0 and row["step_calls"] >= 1
+        assert "tendency_us" not in row and "fft_pair_us" not in row
+        assert 32.0 <= row["step_peak_b_per_qn"] <= deriv["step_peak_b_per_qn"]
+    for row in (row for row in rows if row["family"] != "drift_cubic_phi"):
         for layer in ("fft_pair", "tendency", "step"):
             assert row[f"{layer}_us"] > 0.0 and row[f"{layer}_calls"] >= 1
         # a step is four tendencies and more

@@ -1,18 +1,23 @@
-"""Per-layer timing of the RK4 march: one FFT pair, one stage tendency and
-one step, for each grid size n, species count q and family.
+"""Per-layer timing of the march: one FFT pair, one stage tendency and one
+step of the RK4 march, and one split step, for each grid size n, species
+count q and family.
 
 Run from anywhere:
 
     python3 tools/stage_timing.py [--n 256 1024 4096] [--q 1 2 3] [--repeats 7]
 
 The package is imported from this checkout's ``src/``. Each cell (n, q)
-builds two seeded psi states whose species all wind once, and prints one
+builds three seeded states whose species all wind once, and prints one
 JSON line for each, with its ``family``:
 
-- ``derivative``: every stage transforms 3q rows (data, density and
-  phase);
-- ``drift_cubic``: every stage forward-transforms the q data rows and
-  inverse-transforms 2q (the Laplacian and the drift u').
+- ``derivative``: a psi state, every RK4 stage of which transforms 3q rows
+  (data, density and phase);
+- ``drift_cubic``: a psi state, every RK4 stage of which forward-transforms
+  the q data rows and inverse-transforms 2q (the Laplacian and the drift
+  u');
+- ``drift_cubic_phi``: the phi state of the drift-cubic tables, whose
+  density-only tables take the split step (four kicks and three q-row
+  linear flows); its line has the step alone.
 
 Each line gives the min over ``repeats`` of the mean time of one call, in
 microseconds:
@@ -22,7 +27,7 @@ microseconds:
   reads into its buffer;
 - ``tendency_us``: ``solver._tendency`` into buffers allocated once, as
   ``solver.step`` calls it;
-- ``step_us``: ``solver.step`` at half the step bound.
+- ``step_us``: ``solver.step`` at half the RK4 step bound.
 
 Each line also gives ``step_peak_b_per_qn``, the most memory one step holds
 at once (``tracemalloc`` peak of one ``solver.step`` after a warm-up step,
@@ -67,13 +72,14 @@ def _import_package():
     return cnls_gauge
 
 
-FAMILIES = ("derivative", "drift_cubic")
+FAMILIES = ("derivative", "drift_cubic")  # the RK4 stages
+SPLIT_FAMILY = "drift_cubic_phi"  # the split step
 
 
 def make_state(cg, n: int, q: int, family: str):
-    """A psi state of the family on [0, 2 pi), seeded by (n, q): a
-    derivative-family one with nonzero flux and phase tables, or a
-    drift-cubic one."""
+    """A state of the family on [0, 2 pi), seeded by (n, q): a
+    derivative-family psi state with nonzero flux and phase tables, a
+    drift-cubic psi state, or a phi state of the drift-cubic tables."""
     rng = np.random.default_rng([n, q])
     grid = cg.make_grid(n, 0.0, 2.0 * np.pi)
     A = cg.DispersionMatrix(rng.choice([-1.0, 1.0], q) * rng.uniform(0.5, 2.0, q))
@@ -88,27 +94,35 @@ def make_state(cg, n: int, q: int, family: str):
         spec = cg.DriftCubicSpec(
             delta=0.5 * rng.uniform(-1.0, 1.0, q), gamma=0.5 * rng.uniform(-1.0, 1.0, q)
         )
+    if family == SPLIT_FAMILY:
+        spec = cg.transformed_spec(spec, A)
     x, k = grid.x, np.arange(q)[:, None]
     data = (1.0 + 0.2 * np.cos(x + k)) * np.exp(1j * (x + 0.3 * np.sin(2.0 * x + k)))
     return cg.SimState(0.0, cg.ComplexFieldSet(data, grid), spec, A)
 
 
 def layer_calls(cg, n: int, q: int, family: str) -> dict:
-    """The timed calls of the cell (n, q, family), by layer name. The FFT
-    pair stacks the row blocks that the family's stage stacks
-    (``solver._stack_blocks``)."""
+    """The timed calls of the cell (n, q, family), by layer name: the step
+    alone for the split family. The FFT pair stacks the row blocks that the
+    family's stage stacks (``solver._stack_blocks``)."""
     from cnls_gauge.grid import _spectral_pair
     from cnls_gauge.solver import _stack_blocks, _stack_rows, _tendency, step
 
     state = make_state(cg, n, q, family)
     grid, tables, A = state.fields.grid, state.spec.tables, state.A
+    dt = 0.5 * cg.stability_bound(grid, A)
+
+    def one_step():
+        step(state, dt)
+
+    if family == SPLIT_FAMILY:
+        return {"step": one_step}
     data = state.fields.data
     flux, phase, drift = _stack_blocks(tables)
     size, copies = _stack_rows(tables, q), q * drift  # the u' rows, never read
     source = [data] + [np.abs(data) ** 2] * flux + [np.angle(data)] * phase
     source = np.concatenate(source).astype(complex)
     work, out = np.empty((size, n), dtype=complex), np.empty_like(data)
-    dt = 0.5 * cg.stability_bound(grid, A)
 
     def fft_pair():
         work[:size - copies] = source
@@ -116,9 +130,6 @@ def layer_calls(cg, n: int, q: int, family: str) -> dict:
 
     def tendency():
         _tendency(data, grid, tables, A, 0.0, out=out, work=work)
-
-    def one_step():
-        step(state, dt)
 
     return {"fft_pair": fft_pair, "tendency": tendency, "step": one_step}
 
@@ -155,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     cg = _import_package()
     for n in args.n:
         for q in args.q:
-            for family in FAMILIES:
+            for family in (*FAMILIES, SPLIT_FAMILY):
                 print(json.dumps(time_cell(cg, n, q, family, args.repeats)), flush=True)
     return 0
 
