@@ -21,7 +21,7 @@ vector fluxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import ClassVar
 
 import numpy as np
@@ -276,6 +276,22 @@ def curl_residual_2d(
     return float(np.abs(dvy_dx - dvx_dy).max())
 
 
+# An entry of a transformed table below this many eps of the largest term
+# that formed it is the rounding residue of terms that cancel (the case
+# builders' tables leave up to 2 eps) and is zeroed.
+_RESIDUE_EPS = 8.0
+
+
+def _cancelled(total: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """``total`` with each nonzero entry that lies below _RESIDUE_EPS eps of
+    the largest magnitude among ``terms`` (broadcast against it) set to 0.
+    A non-finite entry is kept: its terms are not all finite."""
+    scale = reduce(np.maximum, [np.abs(term) for term in terms])
+    limit = _RESIDUE_EPS * np.finfo(float).eps * scale
+    total[(total != 0.0) & (np.abs(total) < limit)] = 0.0
+    return total
+
+
 def transformed_spec(spec: FamilySpec, A: DispersionMatrix) -> TransformedSpec:
     """Transformed coefficient tables of any spec, from its lowered tables.
 
@@ -292,25 +308,34 @@ def transformed_spec(spec: FamilySpec, A: DispersionMatrix) -> TransformedSpec:
     since the tables' drift is a = -2c: the linear drift a + 2c of R and
     its cubic term -(a_k + 2 c_k) D_kj/A_k vanish, and the constant
     -(a_k c_k + c_k^2)/A_k is c_k^2/A_k.
+
+    An entry below _RESIDUE_EPS eps of the largest of its terms is zeroed:
+    where the terms cancel, as for the case builders, the tables are then
+    exactly zero, so which tables are nonzero, and with them the
+    integrator that ``solver.step`` picks, does not depend on rounding.
     """
     t = spec.tables
     if A.q != t.q:
         raise ValueError(f"dispersion size {A.q} does not match spec q={t.q}")
     Ak = A.values
     c_over_A = t.c / Ak
+    twice_D = 2.0 * t.D
+    cross_D = twice_D * (Ak[None, :] / Ak[:, None])
+    self_c = t.drift_self * c_over_A[:, None]
+    cross_c = t.drift_cross * c_over_A[None, :]
+    self_DD = (
+        t.D[:, :, None] * (t.D[:, None, :] + t.drift_self[:, None, :]) / Ak[:, None, None]
+    )
+    cross_DD = t.drift_cross[:, :, None] * t.D[None, :, :] / Ak[None, :, None]
+    const_c = t.c**2 / Ak
     return TransformedSpec(
-        drift_self=t.drift_self + 2.0 * t.D,
-        drift_cross=t.drift_cross - 2.0 * t.D * (Ak[None, :] / Ak[:, None]),
-        cubic=t.cubic
-        - t.drift_self * c_over_A[:, None]
-        - t.drift_cross * c_over_A[None, :],
-        quartic=t.quartic
-        - (
-            t.D[:, :, None] * (t.D[:, None, :] + t.drift_self[:, None, :])
-            / Ak[:, None, None]
-            + t.drift_cross[:, :, None] * t.D[None, :, :] / Ak[None, :, None]
+        drift_self=_cancelled(t.drift_self + twice_D, t.drift_self, twice_D),
+        drift_cross=_cancelled(t.drift_cross - cross_D, t.drift_cross, cross_D),
+        cubic=_cancelled(t.cubic - self_c - cross_c, t.cubic, self_c, cross_c),
+        quartic=_cancelled(
+            t.quartic - (self_DD + cross_DD), t.quartic, self_DD, cross_DD
         ),
-        const_shift=t.const + t.c**2 / Ak,
+        const_shift=_cancelled(t.const + const_c, t.const, const_c),
     )
 
 

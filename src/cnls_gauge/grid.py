@@ -91,12 +91,6 @@ class Grid1D:
         # Second-derivative symbol -k^2.
         return -(self.k**2)
 
-    @cached_property
-    def _propagators(self) -> dict:
-        # The split step's linear-flow propagators by (A, kappa, dt), filled
-        # by solver._flows: a command builds one grid, so it builds them once.
-        return {}
-
 
 def make_grid(n_points: int, x_min: float, x_max: float) -> Grid1D:
     """Build a periodic grid; n_points must be a power of two >= 8."""

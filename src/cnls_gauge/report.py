@@ -101,12 +101,12 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
     gen0 = compute_generator(spec, h0, A)
     anchor = gen0.anchor
     norms0 = _norms_of(psi0)
-    marches = zip(
+    marches = [
         _march(SimState(t=0.0, fields=psi0, spec=spec, A=A), cfg.dt, cfg.n_steps,
                cfg.sample_every),
         _march(SimState(t=0.0, fields=apply_gauge(psi0, gen0), spec=tspec, A=A),
                cfg.dt, cfg.n_steps, cfg.sample_every),
-    )
+    ]
     # the marches alone hold the initial states, and free them at their
     # first steps; the t = 0 sample takes the set-up's to_hydro and
     # generator of psi0 from this list before the first step
@@ -129,11 +129,23 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
         dens_rows.append(np.abs(h_phi.rho - h_psi.rho).max(axis=-1))
         phase_rows.append(phase_relation_residual(h_psi, h_phi, gen_t))
 
-    for (psi, sampled), (phi, _) in marches:
-        if sampled:
+    # The marches yield at different steps (a split phi march only at each
+    # sample and one step after it), so they are kept in step by time:
+    # whichever is behind advances, psi at a tie, so that psi's first step
+    # is the first step of the command. Both sample at the same steps.
+    states = [next(march) for march in marches]
+    while True:
+        (psi, sampled), (phi, _) = states
+        if psi.t == phi.t and sampled:
             sample(psi, phi)
+        behind = int(phi.t < psi.t)
+        del psi, phi
+        try:
+            states[behind] = next(marches[behind])
+        except StopIteration:
+            break
 
-    drift = (_norms_of(psi.fields) - norms0) / norms0
+    drift = (_norms_of(states[0][0].fields) - norms0) / norms0
     return EquivalenceRun(
         times=times,
         density_diff=np.array(dens_rows),

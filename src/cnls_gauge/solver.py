@@ -16,9 +16,16 @@ and W = P(rho)) give a nonlinear flow u <- exp(i tau P(rho)) u that keeps
 rho, so it is exact, and the linear flow is exact in Fourier space. They
 take the split step (``_split_step``): Yoshida's triple jump of Strang
 steps, fourth order, norm-preserving and without a step bound. Every
-drift-cubic phi takes it. Every other system (drift-cubic psi, c != 0;
-derivative psi; a phi whose W reads dS/dx; the linear system) takes RK4,
-which the rest of this docstring describes.
+drift-cubic phi takes it.
+
+``step(state, dt, count=m)`` takes m steps in one call, and a split call
+merges the kicks where two steps meet: 3m + 1 kicks, against 4m for m
+calls. The march (``_march``) gives a split state the first step after
+each sample as a call of its own and the rest of the interval as one.
+
+Every other system (drift-cubic psi, c != 0; derivative psi; a phi whose
+W reads dS/dx; the linear system) takes RK4, one step per call of the
+march, which the rest of this docstring describes.
 
 The linear drift pair of the tables, a_k dS_k/dx in W and c_k (drho_k/dx)
 / rho_k in Wim, is the drift a_k phi_k' of the field, since the tables
@@ -315,87 +322,101 @@ def rhs(state: SimState) -> ComplexFieldSet:
 
 # Yoshida's triple jump of Strang steps at w1 dt, w0 dt, w1 dt: the three
 # linear flows take these fractions of dt, and the four kicks the half sums
-# of neighbouring flows
+# of neighbouring flows. Between two steps of one call, the last kick of
+# the first and the first kick of the second merge into one kick of w1 dt.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 _KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
+_MERGED = (*_KICKS[1:3], _W1)
 
 
 def _flows(
     grid: Grid1D, A: DispersionMatrix, kappa: np.ndarray | None, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The propagators exp(-i A_k (k + kappa_k)^2 tau) of the split step's
-    three linear flows, tau = w1 dt, w0 dt, w1 dt: built once per
-    (A, kappa, dt) and kept on the grid (``Grid1D._propagators``)."""
-    key = (A.values.tobytes(), None if kappa is None else kappa.tobytes(), dt)
-    cache = grid._propagators
-    flows = cache.get(key)
-    if flows is None:
-        symbol = grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)
-        outer, inner = (
-            np.exp(1j * ((w * dt * A.values)[:, None] * symbol)) for w in (_W1, _W0)
-        )
-        flows = (outer, inner, outer)
-        if len(cache) >= 8:  # stepping one grid with many keys keeps 8 at most
-            cache.clear()
-        cache[key] = flows
-    return flows
+    outer and inner linear flows, tau = w1 dt and w0 dt."""
+    symbol = grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)
+    return tuple(
+        np.exp(1j * ((w * dt * A.values)[:, None] * symbol)) for w in (_W1, _W0)
+    )
 
 
-def _split_step(state: SimState, dt: float, max_abs: float | None) -> SimState:
-    """One Yoshida-4 split step of a state whose tables are ``density_only``:
-    four kicks u <- exp(i tau P(rho)) u, P = W of the tables, at tau = dt
-    times ``_KICKS``, and between them the three linear flows of ``_flows``,
-    u <- ifft(exp(-i A (k + kappa)^2 tau) fft(u)). A kick keeps rho, so it
-    is the exact flow of i P(rho) u; the step keeps every norm to roundoff
-    and has no step bound. It holds its result and one complex (q, n)
-    phase buffer, besides a kick's rho and the temporaries of W."""
-    grid, tables, A, t = state.fields.grid, state.spec.tables, state.A, state.t
-    flows = _flows(grid, A, _shift(state.fields), dt)
+def _split_step(
+    state: SimState, dt: float, max_abs: float | None, count: int
+) -> SimState:
+    """``count`` Yoshida-4 split steps of a state whose tables are
+    ``density_only``. A step is four kicks u <- exp(i tau P(rho)) u,
+    P = W of the tables, at tau = dt times ``_KICKS``, and between them
+    the three linear flows u <- ifft(exp(-i A (k + kappa)^2 tau) fft(u))
+    of ``_flows``, built once per call. A kick keeps rho, so it is the
+    exact flow of i P(rho) u; a step keeps every norm to roundoff and has
+    no step bound.
+
+    As a kick keeps rho, the last kick of one step and the first of the
+    next read the same P(rho), and inside a call they merge into one kick
+    of w1 dt. A kick's vacuum guard runs at the start time of its step; a
+    merged kick's at that of the step whose last kick it replaces. Each
+    step is checked as ``step`` checks it (finite, within ``max_abs``) at
+    its end time, its start time plus dt; a merged kick changes only the
+    phase, so that check reads the step's end up to the rounding of |u|.
+    The call holds its result, one complex (q, n) phase buffer and the two
+    propagators, besides a kick's rho and the temporaries of W."""
+    grid, tables, t = state.fields.grid, state.spec.tables, state.t
+    outer, inner = _flows(grid, state.A, _shift(state.fields), dt)
     phase = np.empty(state.fields.data.shape, dtype=complex)
     u = state.fields.data.copy()
-    for i, kick in enumerate(_KICKS):
-        if i:
-            _spectral_pair(u, flows[i - 1])
+
+    def kick(w: float, t: float) -> None:
         rho = u.real**2 + u.imag**2
         _vacuum_guard(rho, t, DEFAULT_FLOOR)
         # (cos(tau P) + 1j sin(tau P)) * u, in the phase buffer and u
         theta = eval_W_parts(tables, rho, None)
         del rho
-        theta *= kick * dt
+        theta *= w * dt
         np.cos(theta, out=phase.real)
         np.sin(theta, out=phase.imag)
         del theta
         np.multiply(phase, u, out=u)
-    del phase
-    return _checked(state, u, dt, max_abs)
+
+    kick(_KICKS[0], t)
+    for j in range(count):
+        kicks = _KICKS[1:] if j == count - 1 else _MERGED
+        for flow, w in zip((outer, inner, outer), kicks):
+            _spectral_pair(u, flow)
+            kick(w, t)
+        t = t + dt
+        _check(u, t, max_abs)
+    return _at(state, u, t)
 
 
-def _checked(state: SimState, new: np.ndarray, dt: float, max_abs: float | None) -> SimState:
-    # the state at t + dt, once its fields are finite and within max_abs
-    t_new = state.t + dt
+def _check(new: np.ndarray, t: float, max_abs: float | None) -> None:
+    # a BlowUpError at t unless the fields are finite and within max_abs
     if not np.isfinite(new).all():
-        raise BlowUpError(f"non-finite field at t={t_new}", t=t_new)
+        raise BlowUpError(f"non-finite field at t={t}", t=t)
     if max_abs is not None and np.abs(new).max() > max_abs:
-        raise BlowUpError(f"field magnitude exceeded blow-up threshold at t={t_new}", t=t_new)
-    return SimState(
-        t=t_new,
-        fields=ComplexFieldSet(data=new, grid=state.fields.grid, kappa=state.fields.kappa),
-        spec=state.spec,
-        A=state.A,
-    )
+        raise BlowUpError(f"field magnitude exceeded blow-up threshold at t={t}", t=t)
 
 
-def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
-    """One step of size dt (nonzero) to t + dt; a BlowUpError when the
-    result is not finite or exceeds ``max_abs``.
+def _at(state: SimState, new: np.ndarray, t: float) -> SimState:
+    # the state's system with the fields ``new`` at time t
+    fields = ComplexFieldSet(data=new, grid=state.fields.grid, kappa=state.fields.kappa)
+    return SimState(t=t, fields=fields, spec=state.spec, A=state.A)
+
+
+def step(
+    state: SimState, dt: float, max_abs: float | None = None, count: int = 1
+) -> SimState:
+    """``count`` steps of size dt (nonzero) to t + count dt, the time
+    advanced by adding dt once per step; a BlowUpError when the fields
+    after a step are not finite or exceed ``max_abs``.
 
     Tables that are ``density_only`` (Wim = 0, W reads rho alone) take the
-    fourth-order split step of ``_split_step``. Every other system takes
-    one classical RK4 step, which warns when |dt| exceeds the advisory
-    ``stability_bound``.
+    fourth-order split step of ``_split_step``, whose ``count`` steps share
+    their propagators and merge the kicks where two steps meet. Every
+    other system takes classical RK4 steps, one after another, and warns
+    once when |dt| exceeds the advisory ``stability_bound``.
 
-    The RK4 result has the bytes of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4). A step
+    An RK4 step's result has the bytes of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4). A step
     allocates two (q, n) buffers and the stack of the rows its stages read
     (``_stack_rows``), then its result.
     The k's enter a running sum ((k1 + 2 k2) + 2 k3) + k4 in one buffer;
@@ -411,17 +432,26 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
     if state.spec.tables.density_only:
-        return _split_step(state, dt, max_abs)
-    grid = state.fields.grid
-    bound = stability_bound(grid, state.A)
+        return _split_step(state, dt, max_abs, count)
+    bound = stability_bound(state.fields.grid, state.A)
     if abs(dt) > bound:
         warnings.warn(
             f"dt={dt!r} exceeds the stability bound {bound:.6g}", stacklevel=2
         )
+    for _ in range(count):
+        state = _rk4_step(state, dt, max_abs)
+    return state
+
+
+def _rk4_step(state: SimState, dt: float, max_abs: float | None) -> SimState:
+    # one classical RK4 step, as ``step`` describes it
     y = state.fields.data
     q, n = y.shape
-    tables, A, t, kappa = state.spec.tables, state.A, state.t, _shift(state.fields)
+    grid, tables, A, t = state.fields.grid, state.spec.tables, state.A, state.t
+    kappa = _shift(state.fields)
     acc = np.empty((q, n), dtype=complex)
     k = np.empty((q, n), dtype=complex)
     work = np.empty((_stack_rows(tables, q), n), dtype=complex)
@@ -446,7 +476,9 @@ def step(state: SimState, dt: float, max_abs: float | None = None) -> SimState:
     # heap top that glibc trims and the next step faults back in (writing
     # the result into acc cost about 250 minor faults per q = 2, n = 4096
     # step).
-    return _checked(state, np.add(y, acc), dt, max_abs)
+    new, t_new = np.add(y, acc), t + dt
+    _check(new, t_new, max_abs)
+    return _at(state, new, t_new)
 
 
 def current(spec: SystemSpec, fields: ComplexFieldSet, A: DispersionMatrix) -> np.ndarray:
@@ -518,21 +550,32 @@ def _record(state: SimState, norms0: np.ndarray) -> DiagnosticsRecord:
 
 def _march(initial: SimState, dt: float, n_steps: int, sample_every: int):
     """Step ``initial`` n_steps times, yielding (state, sampled) for the
-    initial state and after every step.
+    initial state and after every ``step`` call.
 
     Sampled are step 0, every multiple of ``sample_every`` and step
-    ``n_steps``. Every step takes the blow-up threshold BLOWUP_FACTOR times
-    the initial peak magnitude. The generator holds ``initial`` only until
-    its first step, so a caller that keeps no reference of its own frees
-    the initial fields there.
+    ``n_steps``. An RK4 state takes one step per call, so the march yields
+    after every step. A split state (``density_only`` tables) takes the
+    first step after a sample as a call of its own and the rest of the
+    interval, m - 1 steps, as one merged call: 3m + 2 kicks for the m
+    steps, and the march yields each sample and the state one step after
+    it. Every step takes the blow-up threshold BLOWUP_FACTOR times the
+    initial peak magnitude. The generator holds ``initial`` only until its
+    first step, so a caller that keeps no reference of its own frees the
+    initial fields there.
     """
     peak0 = float(np.abs(initial.fields.data).max())
     max_abs = BLOWUP_FACTOR * peak0 if peak0 > 0 else None
+    merge = initial.spec.tables.density_only
     state = initial
     del initial
-    for i in range(n_steps + 1):
-        if i:
-            state = step(state, dt, max_abs=max_abs)
+    i = 0
+    yield state, True
+    while i < n_steps:
+        count = 1
+        if merge and i % sample_every:
+            count = min(n_steps, (i // sample_every + 1) * sample_every) - i
+        state = step(state, dt, max_abs=max_abs, count=count)
+        i += count
         yield state, i % sample_every == 0 or i == n_steps
 
 
@@ -551,7 +594,9 @@ def evolve(
     instantaneous continuity residual
     sup|2 Re(conj(u) u_t) + dj/dx| with u_t from ``rhs``. A sampled state
     is recorded once the following step exists (the final state after the
-    last step), so a step is always the first work of a march.
+    last step), so a step is always the first work of a march, and an
+    error raised before the next sample, inside a split state's merged
+    call too, finds every earlier sample recorded.
     ``on_sample``, when given, is called with each recorded state
     (snapshot hooks). A BlowUpError or VacuumError raised on the way
     carries the diagnostics collected so far as ``diagnostics``.

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from cnls_gauge import (
+    ComplexFieldSet,
     DispersionMatrix,
+    SimState,
     SpecialCase,
     case1_coeffs,
     case2_coeffs,
     case3_coeffs,
     classify_q1,
+    make_grid,
+    step,
     transformed_spec,
 )
 
@@ -179,3 +183,42 @@ def test_case3_current_coupling_random(q):
         assert np.abs(ts.quartic).max() < 1e-12
         # drift_cross expresses sum_j eta_kj J_j with J_j = 2 A_j rho_j dS_j
         assert np.abs(ts.drift_cross - 2.0 * A.values[None, :] * eta).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_case_phi_tables_are_exact_and_take_rk4(q, monkeypatch):
+    # transformed_spec zeroes the rounding residue of terms that cancel, so
+    # the tables a case's phi holds, and with them the integrator that
+    # step picks, do not depend on rounding: case 1's phi is the linear
+    # system, case 2's holds the diagonal of drift_self alone and case 3's
+    # drift_cross alone. None is density-only, so each takes RK4.
+    import cnls_gauge.solver as solver
+
+    def no_split(*args):
+        raise AssertionError("a case phi took the split step")
+
+    monkeypatch.setattr(solver, "_split_step", no_split)
+    rng = np.random.default_rng(70 + q)
+    grid = make_grid(16, 0.0, 2.0 * np.pi)
+    data = 1.0 + 0.1 * np.exp(1j * grid.x) * np.ones((q, 1))
+    # first the inputs whose case-1 and case-2 quartic residues were up to
+    # 5.6e-17 before the zeroing, then random ones
+    A = DispersionMatrix([1.0, 0.5][:q])
+    delta = np.array([[0.3, -0.2], [0.1, 0.25]])[:q, :q]
+    beta_diag, gamma = np.array([0.4, -0.3])[:q], np.array([[0.2, 0.1], [-0.3, 0.4]])[:q, :q]
+    for trial in range(50):
+        phis = {
+            frozenset(): transformed_spec(case1_coeffs(delta, A), A),
+            frozenset({"drift_self"}): transformed_spec(case2_coeffs(delta, beta_diag, A)[0], A),
+            frozenset({"drift_cross"}): transformed_spec(case3_coeffs(delta, gamma, A)[0], A),
+        }
+        for nonzero, tspec in phis.items():
+            assert tspec.tables.nonzero == nonzero, (trial, tspec.tables.nonzero)
+            assert not tspec.tables.density_only
+            if trial == 0:
+                step(SimState(0.0, ComplexFieldSet(data, grid), tspec, A), 1e-4)
+        drift_self = phis[frozenset({"drift_self"})].drift_self
+        assert not (drift_self - np.diag(np.diag(drift_self))).any()
+        A = DispersionMatrix(rng.choice([-1.0, 1.0], q) * rng.uniform(0.5, 2.0, q))
+        delta = rng.uniform(-1.5, 1.5, (q, q))
+        beta_diag, gamma = rng.uniform(-1.5, 1.5, q), rng.uniform(-1.5, 1.5, (q, q))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnls_gauge import ComplexFieldSet, make_grid
+from cnls_gauge import ComplexFieldSet, TransformedSpec, make_grid
 from cnls_gauge.cli import main, read_snapshot, write_snapshot
 
 REPO = Path(__file__).resolve().parents[1]
@@ -179,11 +179,22 @@ def test_command_steps_before_writing_any_output(tmp_path, monkeypatch, command,
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_march_frees_the_initial_fields_after_its_first_step(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("simulate", "family_b_sample.json"),
+        ("verify", "family_b_sample.json"),
+        ("verify", "family_a_verify.json"),  # RK4 psi beside a split phi
+    ],
+    ids=["simulate", "verify", "verify-split"],
+)
+def test_march_frees_the_initial_fields_after_its_first_step(
+    tmp_path, monkeypatch, command, config
+):
     # No command holds its initial fields (or, for verify, the gauged ones)
     # through a march: before either march takes its second step, their data
-    # is freed.
+    # is freed. A split phi march steps once after psi's first step, as an
+    # RK4 phi march does; psi's first step is the command's first step.
     import cnls_gauge.report as report
     import cnls_gauge.solver as solver
     from cnls_gauge.config import RunConfig
@@ -203,8 +214,10 @@ def test_march_frees_the_initial_fields_after_its_first_step(tmp_path, monkeypat
     monkeypatch.setattr(RunConfig, "build_initial", tracked(RunConfig.build_initial))
     monkeypatch.setattr(report, "apply_gauge", tracked(report.apply_gauge))
     real_step = solver.step
+    specs = []
 
     def step(state, *args, **kwargs):
+        specs.append(state.spec)
         if state.t > 0.0:
             assert refs and all(ref() is None for ref in refs)
             raise Sentinel
@@ -212,9 +225,9 @@ def test_march_frees_the_initial_fields_after_its_first_step(tmp_path, monkeypat
 
     monkeypatch.setattr(solver, "step", step)
     with pytest.raises(Sentinel):
-        main([command, str(CONFIGS / "family_b_sample.json"),
-              "--output-dir", str(tmp_path / "out")])
+        main([command, str(CONFIGS / config), "--output-dir", str(tmp_path / "out")])
     assert len(refs) == {"simulate": 1, "verify": 2}[command]
+    assert not isinstance(specs[0], TransformedSpec)
 
 
 def test_simulate_mismatched_dispersion_exits_1(tmp_path):

@@ -497,9 +497,9 @@ def test_evolve_takes_exactly_n_steps(grid128, monkeypatch):
     calls = []
     real_step = solver.step
 
-    def counting_step(state, dt, max_abs=None):
-        calls.append(dt)
-        return real_step(state, dt, max_abs=max_abs)
+    def counting_step(state, dt, max_abs=None, count=1):
+        calls.extend([dt] * count)  # steps, not calls
+        return real_step(state, dt, max_abs=max_abs, count=count)
 
     monkeypatch.setattr(solver, "step", counting_step)
     state = plane_wave_state(grid128, 1, LinearSpec(q=1), DispersionMatrix([1.0]))

@@ -18,6 +18,7 @@ from cnls_gauge import (
     VacuumError,
     apply_gauge,
     compute_generator,
+    evolve,
     integrate,
     load_config,
     make_grid,
@@ -139,3 +140,118 @@ def test_split_step_keeps_the_vacuum_guard_and_the_blow_up_checks():
     assert err.value.t == 0.3 + 1e-3
     with pytest.raises(ValueError, match="dt must be nonzero"):
         step(_drift_cubic_phi(ones), 0.0)
+
+
+# --- merged calls: count steps in one call ----------------------------------
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.37])
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_merged_call_equals_single_steps(m, kappa):
+    # one count = m call (its inner kicks merged) against m single steps,
+    # each byte-identical to a textbook Yoshida step
+    rng = np.random.default_rng(40)
+    q = 2
+    grid = make_grid(64, 0.0, 2.0 * np.pi)
+    A = random_dispersion(rng, q)
+    zeros = np.zeros((q, q))
+    spec = TransformedSpec(
+        drift_self=zeros, drift_cross=zeros,
+        cubic=rng.uniform(-1.0, 1.0, (q, q)),
+        quartic=rng.uniform(-1.0, 1.0, (q, q, q)),
+        const_shift=rng.uniform(-1.0, 1.0, q),
+    )
+    data = band_limited_state(rng, grid, q, phase_amp=2.0).data
+    fields = ComplexFieldSet(data, grid, kappa=kappa * np.array([1.0, -1.0]))
+    state, dt = SimState(0.3, fields, spec, A), 1e-2
+    single, t = state, 0.3
+    for _ in range(m):
+        single, t = step(single, dt), t + dt
+    merged = step(state, dt, count=m)
+    assert merged.t == single.t == t
+    gap = float(np.abs(merged.fields.data - single.fields.data).max())
+    assert gap <= 1e-13, gap
+    assert merged.fields.kappa.tobytes() == fields.kappa.tobytes()
+
+
+def test_step_count_must_be_positive(family_a):
+    for state in family_a:  # an RK4 psi and a split phi
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            step(state, 1e-3, count=0)
+
+
+def _node_state(node_step, dt):
+    """Free flow (P is const, so each kick is a global phase) of
+    u0 = 1 + exp(i t_node) cos x with A = 1: |u| at x = 0 grows towards 2,
+    and at t_node = node_step dt the density at x = pi vanishes."""
+    grid = make_grid(32, 0.0, 2.0 * np.pi)
+    zeros = np.zeros((1, 1))
+    spec = TransformedSpec(drift_self=zeros, drift_cross=zeros, cubic=zeros,
+                           quartic=np.zeros((1, 1, 1)), const_shift=[0.7])
+    data = 1.0 + np.exp(1j * node_step * dt) * np.cos(grid.x)
+    return SimState(0.0, ComplexFieldSet(data[None, :], grid), spec, DispersionMatrix([1.0]))
+
+
+def _error_of(call):
+    with pytest.raises((VacuumError, BlowUpError)) as err:
+        call()
+    return type(err.value), str(err.value), err.value.t
+
+
+def _single_steps(state, dt, max_abs=None, count=1):
+    # count calls of one step each, in place of one call of count steps
+    for _ in range(count):
+        state = step(state, dt, max_abs=max_abs)
+    return state
+
+
+def _time(n, dt):
+    # n steps from t = 0, dt added once per step as the march adds it
+    t = 0.0
+    for _ in range(n):
+        t += dt
+    return t
+
+
+def test_errors_inside_a_merged_call_match_single_steps():
+    dt = 1e-2
+    # the node opens at t_5, in the last flow of step 4: its last kick's
+    # guard (merged in the call) raises at that step's start time, t_4
+    state = _node_state(5, dt)
+    single = _error_of(lambda: _single_steps(state, dt, count=7))
+    assert single[0] is VacuumError and "species 1 at t=" in single[1]
+    assert single[2] == _time(4, dt)
+    assert _error_of(lambda: step(state, dt, count=7)) == single
+    # the peak |u| = 2 cos((t_node - t)/2) passes max_abs between t_4 and
+    # t_5: the end-of-step check of step 4 raises at t_5
+    state = _node_state(12, dt)
+    max_abs = np.cos(0.5 * dt * 8) + np.cos(0.5 * dt * 7)
+    single = _error_of(lambda: _single_steps(state, dt, max_abs, count=7))
+    assert single[0] is BlowUpError and "blow-up threshold" in single[1]
+    assert single[2] == _time(5, dt)
+    assert _error_of(lambda: step(state, dt, max_abs=max_abs, count=7)) == single
+
+
+def test_evolve_keeps_every_sample_before_an_error_in_a_merged_call(monkeypatch):
+    # sample_every = 5: the calls take steps 0, 1-4, 5 and 6-9; the node at
+    # t_8 raises in the call of steps 6-9, at t_7, and keeps the records of
+    # t_0 and t_5, taken once steps 1 and 6 exist, as single steps do
+    import cnls_gauge.solver as solver
+
+    dt = 1e-2
+    state = _node_state(8, dt)
+
+    def failure():
+        with pytest.raises(VacuumError) as err:
+            evolve(state, dt, 10 * dt, sample_every=5)
+        return err.value
+
+    merged = failure()
+    monkeypatch.setattr(solver, "step", _single_steps)
+    single = failure()
+    assert str(merged) == str(single) and merged.t == single.t == _time(7, dt)
+    assert [r.t for r in merged.diagnostics] == [0.0, _time(5, dt)]
+    for got, want in zip(merged.diagnostics, single.diagnostics, strict=True):
+        assert got.t == want.t
+        for name in ("norms", "norm_drift", "continuity_residual"):
+            assert np.allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-12)

@@ -708,7 +708,8 @@ def test_step_peak_memory(system):
     rows) are allocated once per step, not once per stage, and a stage
     holds at most four real (q, n) arrays besides them (rho and three
     temporaries). A split step (drift-cubic phi) holds its result, one
-    complex phase buffer, and a kick's rho and W with its temporaries."""
+    complex phase buffer, its two propagators, and a kick's rho and W with
+    its temporaries."""
     state = _wide_state("phi", "drift_cubic") if system == "split" else _wide_state(system)
     peak = _peak_per_qn(lambda s: step(s, 1e-7), state)
     assert peak <= 120.0, peak

@@ -29,9 +29,11 @@ def test_one_json_line_per_cell_with_every_layer():
     ]
     split = [row for row in rows if row["family"] == "drift_cubic_phi"]
     for row, deriv in zip(split, rows[::3]):
-        # the split step: timed alone, holding its result and one phase
-        # buffer, and no more than a derivative RK4 step
-        assert row["step_us"] > 0.0 and row["step_calls"] >= 1
+        # the split step: timed alone and in a merged call, holding its
+        # result, one phase buffer and its propagators, and no more than a
+        # derivative RK4 step
+        for layer in ("step", "merged_step"):
+            assert row[f"{layer}_us"] > 0.0 and row[f"{layer}_calls"] >= 1
         assert "tendency_us" not in row and "fft_pair_us" not in row
         assert 32.0 <= row["step_peak_b_per_qn"] <= deriv["step_peak_b_per_qn"]
     for row in (row for row in rows if row["family"] != "drift_cubic_phi"):

@@ -17,7 +17,7 @@ JSON line for each, with its ``family``:
   u');
 - ``drift_cubic_phi``: the phi state of the drift-cubic tables, whose
   density-only tables take the split step (four kicks and three q-row
-  linear flows); its line has the step alone.
+  linear flows); its line has the step alone, and a merged call.
 
 Each line gives the min over ``repeats`` of the mean time of one call, in
 microseconds:
@@ -27,7 +27,11 @@ microseconds:
   reads into its buffer;
 - ``tendency_us``: ``solver._tendency`` into buffers allocated once, as
   ``solver.step`` calls it;
-- ``step_us``: ``solver.step`` at half the RK4 step bound.
+- ``step_us``: ``solver.step`` at half the RK4 step bound;
+- ``merged_step_us`` (split family only): the same steps taken
+  ``MERGED_STEPS`` at a time, ``solver.step(..., count=MERGED_STEPS)``,
+  per step: 3 kicks a step and 1 more a call, against 4 kicks a step and
+  the propagators and checks of a call for ``step_us``.
 
 Each line also gives ``step_peak_b_per_qn``, the most memory one step holds
 at once (``tracemalloc`` peak of one ``solver.step`` after a warm-up step,
@@ -74,6 +78,7 @@ def _import_package():
 
 FAMILIES = ("derivative", "drift_cubic")  # the RK4 stages
 SPLIT_FAMILY = "drift_cubic_phi"  # the split step
+MERGED_STEPS = 40  # steps of one merged call: the interval between two samples
 
 
 def make_state(cg, n: int, q: int, family: str):
@@ -103,8 +108,8 @@ def make_state(cg, n: int, q: int, family: str):
 
 def layer_calls(cg, n: int, q: int, family: str) -> dict:
     """The timed calls of the cell (n, q, family), by layer name: the step
-    alone for the split family. The FFT pair stacks the row blocks that the
-    family's stage stacks (``solver._stack_blocks``)."""
+    and a merged call for the split family. The FFT pair stacks the row
+    blocks that the family's stage stacks (``solver._stack_blocks``)."""
     from cnls_gauge.grid import _spectral_pair
     from cnls_gauge.solver import _stack_blocks, _stack_rows, _tendency, step
 
@@ -116,7 +121,10 @@ def layer_calls(cg, n: int, q: int, family: str) -> dict:
         step(state, dt)
 
     if family == SPLIT_FAMILY:
-        return {"step": one_step}
+        return {
+            "step": one_step,
+            "merged_step": lambda: step(state, dt, count=MERGED_STEPS),
+        }
     data = state.fields.data
     flux, phase, drift = _stack_blocks(tables)
     size, copies = _stack_rows(tables, q), q * drift  # the u' rows, never read
@@ -142,7 +150,9 @@ def time_cell(cg, n: int, q: int, family: str, repeats: int) -> dict:
         call()  # grid symbols and FFT plans are cached on first use
         timer = timeit.Timer(call)
         number, _ = timer.autorange()
-        row[f"{name}_us"] = round(min(timer.repeat(repeats, number)) / number * 1e6, 3)
+        steps = MERGED_STEPS if name == "merged_step" else 1
+        best = min(timer.repeat(repeats, number)) / (number * steps)
+        row[f"{name}_us"] = round(best * 1e6, 3)
         row[f"{name}_calls"] = number
     tracemalloc.start()
     try:
