@@ -115,23 +115,16 @@ def _spectral_pair(
     symbol: np.ndarray,
     q: int | None = None,
     tail: np.ndarray | None = None,
-    copies: int = 0,
 ) -> np.ndarray:
     """In place on complex ``rows``: every row becomes ifft(symbol * fft(row)),
     with the bytes of ``np.fft.ifft(symbol * np.fft.fft(row))``. Given q,
     only the first q rows take ``symbol`` and every later row takes
-    ``tail``, with one product for all of them. Given ``copies``, the last
-    ``copies`` rows are not read: they take the spectrum of the first
-    ``copies`` rows, so each ends as ifft(tail * fft(row)) of its source
-    row, with no forward transform of its own. Returns rows.
+    ``tail``, with one product for all of them. Returns rows.
 
     The forward factor is 1 and the inverse 1/n, the factors np.fft passes
     for its default norm.
     """
-    read = rows[:rows.shape[0] - copies]
-    _pocketfft.fft(read, 1.0, axes=_LAST_AXIS, out=read)
-    if copies:
-        rows[-copies:] = rows[:copies]
+    _pocketfft.fft(rows, 1.0, axes=_LAST_AXIS, out=rows)
     # symbol first, as in symbol * fft(row): the operand order decides the
     # sign of a NaN that a non-finite row produces
     if q is None:

@@ -32,39 +32,40 @@ The linear drift pair of the tables, a_k dS_k/dx in W and c_k (drho_k/dx)
 store it once, as c, with a = -2c: for u = sqrt(rho) exp(i S_u),
 i a (dS_u/dx + kappa) u - c (drho/dx / rho) u = a (u' + i kappa u).
 So a stage evaluates W and Wim with the array kernels, which leave that
-pair out, and adds a (u' + i kappa u), with no phase and no division by
-rho for the pair.
+pair out, and takes the drift into the spectral symbol of its data rows
+(``_symbol``), A_k (-(k + kappa_k)^2) + a_k (k + kappa_k), which makes
+them A_k u'' - i a_k (u' + i kappa_k u), with no phase, no division by
+rho and no rows of its own for the pair.
 
 Every stage reads rho, and dS/dx and drho/dx where the kernels use them,
 afresh from the stage's fields, so branch-cut artifacts never accumulate
 in dS/dx. The stage's spectral rows share one stacked in-place FFT pair
 (``grid._spectral_pair``, numpy's pocketfft ufuncs without the np.fft
 wrapper), and the stack holds exactly the rows the stage reads
-(``_stack_blocks``): the q data rows (the Laplacian), q density rows when
-D is nonzero (drho/dx), q periodic phase rows when W reads dS/dx
-(drift_self or drift_cross nonzero: the unwrapped phases of a jump-only
-unwrap, ``fields._unwrap_rows``, less their winding ramps), and q u' rows
-when c is nonzero, which take the data rows' spectrum and need no forward
-transform of their own. That is 3q rows for a derivative-family psi, 2q
-for its phi and for a drift-cubic psi, and q for a drift-cubic phi and
-the linear system. The per-species scalars of a stage (the vacuum guard's minimum and peak densities, the winding and
-ramp slope of ``fields._split_winding``) are q Python floats, since at
-desk scale a stage costs about as much per numpy call as per array
-element. ``step`` allocates two (q, n) stage buffers and the stack once
-per step, and each stage writes its tendency over its own input. Besides
-those, a stage holds the real (q, n) density and at most three real
-(q, n) temporaries at once (such as W, Wim and a term being summed into
-Wim): dS/dx is formed in the phase rows, a u' in the u' rows, and the
-flux branch builds 1j W - Wim in the density rows with no complex cast
-of W or Wim. Every in-place product and sum keeps the operands of the
-plain expression (or, for a stage input, the same real number to round),
-and every scalar form the IEEE operations of the array one, so the
-results are the same to the last bit.
+(``_stack_blocks``): the q data rows (the Laplacian, with the drift when
+c is nonzero), q density rows when D is nonzero (drho/dx) and q periodic
+phase rows when W reads dS/dx (drift_self or drift_cross nonzero: the
+unwrapped phases of a jump-only unwrap, ``fields._unwrap_rows``, less
+their winding ramps). That is 3q rows for a derivative-family psi, 2q
+for its phi, and q for a drift-cubic psi or phi and the linear system.
+The per-species scalars of a stage (the vacuum guard's minimum and peak
+densities, the winding and ramp slope of ``fields._split_winding``) are q
+Python floats, since at desk scale a stage costs about as much per numpy
+call as per array element. ``step`` allocates two (q, n) stage buffers
+and the stack once per step, and each stage writes its tendency over its
+own input. Besides those, a stage holds the real (q, n) density and at
+most three real (q, n) temporaries at once (such as W, Wim and a term
+being summed into Wim): dS/dx is formed in the phase rows, and the flux
+branch builds 1j W - Wim in the density rows with no complex cast of W
+or Wim. Every in-place product and sum keeps the operands of the plain
+expression (or, for a stage input, the same real number to round), and
+every scalar form the IEEE operations of the array one, so the results
+are the same to the last bit.
 
 A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
-evolves its periodic u_k with the symbols -(k + kappa_k)^2 and, for u',
-i(k + kappa_k), and with dS_u/dx + kappa_k; at kappa = 0 that is exactly
-the unshifted stage.
+evolves its periodic u_k with -(k + kappa_k)^2 and k + kappa_k in the
+symbol and with dS_u/dx + kappa_k; at kappa = 0 that is exactly the
+unshifted stage.
 
 The continuity law d(rho_k)/dt + dj_k/dx = 0 has one current, ``current``:
 j_k = 2 (A_k Im(conj(phi_k) phi_k') + F_k), which is 2 (A_k rho_k dS_k/dx
@@ -169,16 +170,28 @@ def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
     return 2.0 * math.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
 
 
-def _stack_blocks(tables: CoefficientTables) -> tuple[bool, bool, bool]:
-    # which blocks of q rows a stage stacks after its q data rows: density
-    # rows when D is nonzero, phase rows when W reads dS/dx (drift_self,
-    # drift_cross) and u' rows when the drift pair (c) is nonzero
-    on = tables.nonzero
-    return "D" in on, tables.uses_phase, "c" in on
+def _stack_blocks(tables: CoefficientTables) -> tuple[bool, bool]:
+    # the blocks of q rows a stage stacks after its q data rows: density
+    # rows when D is nonzero, phase rows when W reads dS/dx
+    return "D" in tables.nonzero, tables.uses_phase
 
 
 def _stack_rows(tables: CoefficientTables, q: int) -> int:
     return q * (1 + sum(_stack_blocks(tables)))
+
+
+def _symbol(
+    grid: Grid1D, tables: CoefficientTables, A: DispersionMatrix, kappa: np.ndarray | None
+) -> np.ndarray:
+    """The spectral symbol of the data rows: -(k + kappa_k)^2 when the
+    drift pair c is zero, else A_k (-(k + kappa_k)^2) + a_k (k~ + kappa_k),
+    k~ the wavenumber with its Nyquist entry zeroed (``grid._ik``'s), which
+    makes the rows A_k u'' - i a_k (u' + i kappa_k u) and holds A itself."""
+    neg_k2 = grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)
+    if "c" not in tables.nonzero:
+        return neg_k2
+    k = grid._ik.imag if kappa is None else grid._ik.imag + kappa[:, None]
+    return A.values[:, None] * neg_k2 + tables.a[:, None] * k
 
 
 def _vacuum_guard(rho: np.ndarray, t: float, floor: float) -> None:
@@ -187,13 +200,14 @@ def _vacuum_guard(rho: np.ndarray, t: float, floor: float) -> None:
     peak density."""
     # compared as Python floats: q scalars cost less than numpy calls on them
     peaks, lows = rho.max(axis=-1).tolist(), rho.min(axis=-1).tolist()
-    if any(peak <= 0.0 for peak in peaks):
-        k = [peak <= 0.0 for peak in peaks].index(True)
+    species = range(len(peaks))
+    k = next((k for k in species if peaks[k] <= 0.0), None)
+    if k is not None:
         raise VacuumError(
             f"species is identically zero (all-vacuum): species {k + 1} at t={t}", t=t
         )
-    if any(low < floor * peak for low, peak in zip(lows, peaks)):
-        k = [low < floor * peak for low, peak in zip(lows, peaks)].index(True)
+    k = next((k for k in species if lows[k] < floor * peaks[k]), None)
+    if k is not None:
         raise VacuumError(
             f"density below floor during evolution: species {k + 1} at t={t}", t=t
         )
@@ -217,30 +231,24 @@ def _tendency(
     product, so the result has the bytes of a fresh ``out``.
 
     The drift pair (a, c) of the tables enters as a_k (u_k' + i kappa_k
-    u_k), and W and Wim are the array kernels', which leave it out. The q
-    data rows, then the q density rows when D is nonzero, then the q
+    u_k), through the data rows' symbol (``_symbol``), which then holds A
+    too, and W and Wim are the array kernels', which leave the pair out.
+    The q data rows, then the q density rows when D is nonzero, then the q
     periodic phase rows (the unwrapped phases less their integer-winding
-    ramp) when W reads dS/dx, then the q u' rows when c is nonzero
-    (``_stack_blocks``) share one stacked FFT pair in ``work``, a complex
-    array of at least ``_stack_rows`` rows (fresh when not given); the u'
-    rows take the spectrum of the data rows. W and Wim are evaluated after the pair.
+    ramp) when W reads dS/dx (``_stack_blocks``) share one stacked FFT
+    pair in ``work``, a complex array of at least ``_stack_rows`` rows
+    (fresh when not given). W and Wim are evaluated after the pair.
     Raises VacuumError when any node falls below the relative floor and
     the tables have a nonzero entry: Wim divides by rho and a spectral
     evaluation of a near-vacuum phase would contaminate every node (the
     guard is kept where the stage does neither, as for drift-cubic psi).
     """
     q, n = data.shape
-    flux, phase, drift = _stack_blocks(tables)
+    flux, phase = _stack_blocks(tables)
     size = _stack_rows(tables, q)
     rows = np.empty((size, n), dtype=complex) if work is None else work[:size]
     rows[:q] = data
-    symbol = grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)
-    tail = grid._ik
-    if drift and kappa is not None:
-        # the u' rows take the field's derivative symbol i(k + kappa_k)
-        tail = np.concatenate(
-            [np.broadcast_to(tail, (size - 2 * q, n)), tail + 1j * kappa[:, None]]
-        )
+    symbol = _symbol(grid, tables, A, kappa)
     if tables.nonzero:
         rho = data.real**2 + data.imag**2
         _vacuum_guard(rho, t, floor)
@@ -254,13 +262,14 @@ def _tendency(
             phase_rows = rows[q * (1 + flux):q * (2 + flux)]
             phase_rows[...] = periodic
             del periodic
-    _spectral_pair(rows, symbol, q, tail, copies=q * drift)
-    del symbol, tail
+    _spectral_pair(rows, symbol, q, grid._ik)
+    del symbol
     if out is None:
         out = np.empty((q, n), dtype=complex)
     # every product and sum below has the operands of the expression in its
-    # comment, so the in-place form gives the same bytes
-    lap, Ak = rows[:q], A.values[:, None]
+    # comment, so the in-place form gives the same bytes (a symbol holding A
+    # leaves the exact factor 1.0)
+    lap, Ak = rows[:q], 1.0 if "c" in tables.nonzero else A.values[:, None]
     if tables.nonzero <= {"c"}:
         # the kernels' W and Wim vanish: 1j * (Ak * lap)
         np.multiply(Ak, lap, out=out)
@@ -298,11 +307,6 @@ def _tendency(
             np.multiply(W, data, out=out)
             np.add(lap, out, out=out)
             np.multiply(1j, out, out=out)
-    if drift:
-        # ... + a * u', in the u' rows
-        du = rows[-q:]
-        np.multiply(tables.a[:, None], du, out=du)
-        np.add(out, du, out=out)
     if not np.isfinite(out).all():
         raise BlowUpError(f"non-finite value in right-hand side at t={t}", t=t)
     return out
@@ -330,12 +334,12 @@ _KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
 _MERGED = (*_KICKS[1:3], _W1)
 
 
-def _flows(
-    grid: Grid1D, A: DispersionMatrix, kappa: np.ndarray | None, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _flows(state: SimState, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """The propagators exp(-i A_k (k + kappa_k)^2 tau) of the split step's
     outer and inner linear flows, tau = w1 dt and w0 dt."""
-    symbol = grid._neg_k2 if kappa is None else -((grid.k + kappa[:, None]) ** 2)
+    # c = 0 in density-only tables: the symbol is -(k + kappa_k)^2
+    f, A = state.fields, state.A
+    symbol = _symbol(f.grid, state.spec.tables, A, _shift(f))
     return tuple(
         np.exp(1j * ((w * dt * A.values)[:, None] * symbol)) for w in (_W1, _W0)
     )
@@ -361,8 +365,8 @@ def _split_step(
     phase, so that check reads the step's end up to the rounding of |u|.
     The call holds its result, one complex (q, n) phase buffer and the two
     propagators, besides a kick's rho and the temporaries of W."""
-    grid, tables, t = state.fields.grid, state.spec.tables, state.t
-    outer, inner = _flows(grid, state.A, _shift(state.fields), dt)
+    tables, t = state.spec.tables, state.t
+    outer, inner = _flows(state, dt)
     phase = np.empty(state.fields.data.shape, dtype=complex)
     u = state.fields.data.copy()
 

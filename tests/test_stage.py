@@ -196,26 +196,6 @@ def test_transform_rows_one_product_matches_one_per_block():
         assert got.tobytes() == want.tobytes(), blocks
 
 
-@pytest.mark.parametrize("blocks", [2, 3])
-def test_transform_rows_copies_take_the_spectrum_of_the_head(blocks):
-    # the last q rows are written, not read: each ends as ifft(tail * fft)
-    # of its head row, as the drift rows of the stage do
-    grid = make_grid(64, 0.0, TWO_PI)
-    rng = np.random.default_rng(14)
-    q = 2
-    symbol = -((grid.k + np.array([0.37, -0.2])[:, None]) ** 2)
-    tail = np.concatenate([np.broadcast_to(grid._ik, ((blocks - 2) * q, 64)),
-                           grid._ik + 1j * np.array([0.37, -0.2])[:, None]])
-    shape = (blocks * q, 64)
-    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = [_reference_transform(rows[:q], symbol)]
-    want += [_reference_transform(rows[q:-q], grid._ik)] if blocks == 3 else []
-    want.append(_reference_transform(rows[:q], tail[-q:]))
-    rows[-q:] = np.nan  # never read
-    got = _spectral_pair(rows, symbol, q, tail, copies=q)
-    assert got.tobytes() == np.concatenate(want).tobytes()
-
-
 # --- the spectral pair against np.fft -----------------------------------------
 
 
@@ -372,15 +352,20 @@ def _reference_Wim(tables, rho, drho):
     return Wim
 
 
-def _hydro_tendency(fields, tables, A):
+def _hydro_tendency(fields, tables, A, symbol=None):
     """The stage written with one transform pair per quantity, np.unwrap
     and the W/Wim formulas of the full tables spelled out: the drift pair
-    (a, c) read through the unwrapped phase and drho/dx / rho."""
+    (a, c) read through the unwrapped phase and drho/dx / rho. Given
+    ``symbol``, the data rows take it in place of -(k + kappa)^2 and enter
+    with A = 1."""
     data, grid = fields.data, fields.grid
     kappa = fields.kappa if fields.kappa.any() else None
     shift = 0.0 if kappa is None else kappa[:, None]
-    lap = _reference_transform(data, -((grid.k + shift) ** 2))
-    Ak = A.values[:, None]
+    if symbol is None:
+        symbol, Ak = -((grid.k + shift) ** 2), A.values[:, None]
+    else:
+        Ak = 1.0
+    lap = _reference_transform(data, symbol)
     if not tables.nonzero:
         return 1j * (Ak * lap)
     rho = data.real**2 + data.imag**2
@@ -404,20 +389,21 @@ def _hydro_tendency(fields, tables, A):
 
 def _reference_tendency(fields, tables, A):
     """The stage written with one transform pair per quantity: the hydro
-    form of the tables less their drift pair (a, c), plus that pair as
-    a * u' with u' from the field's derivative symbol i(k + kappa)."""
-    data, grid = fields.data, fields.grid
-    q = data.shape[0]
+    form of the tables less their drift pair (a, c), which enters the data
+    rows' symbol as A (-(k + kappa)^2) + a (k~ + kappa), k~ the wavenumber
+    with its Nyquist entry zeroed: the rows are A u'' - i a (u' + i kappa
+    u), taken with A = 1."""
+    grid, q = fields.grid, fields.q
     reduced = CoefficientTables.of(q, **{
         name: getattr(tables, name)
         for name in ("const", "cubic", "drift_self", "drift_cross", "quartic", "D")
     })
-    out = _hydro_tendency(fields, reduced, A)
-    if "c" in tables.nonzero:
-        kappa = fields.kappa if fields.kappa.any() else None
-        ik = grid._ik if kappa is None else grid._ik + 1j * kappa[:, None]
-        out = out + tables.a[:, None] * _reference_transform(data, ik)
-    return out
+    if "c" not in tables.nonzero:
+        return _hydro_tendency(fields, reduced, A)
+    shift = fields.kappa[:, None] if fields.kappa.any() else 0.0
+    symbol = (A.values[:, None] * -((grid.k + shift) ** 2)
+              + tables.a[:, None] * (grid._ik.imag + shift))
+    return _hydro_tendency(fields, reduced, A, symbol)
 
 
 def _states(family, q=2, n=256, seed=0):
@@ -457,10 +443,11 @@ def test_stage_is_byte_identical_to_reference(family, kappa):
 @pytest.mark.parametrize("kappa", [0.0, 0.37])
 def test_stage_with_every_row_block_is_byte_identical_to_reference(kappa):
     # tables with the drift pair and derivative-family tables at once: the
-    # stack holds data, density, phase and u' rows, 4q in all
+    # stack holds data (with the drift), density and phase rows, 3q in all
     grid, A, states = _states("derivative", q=2, seed=5)
     _, spec, data = states[0]
     tables = replace(spec.tables, c=np.array([-0.35, 0.2]))
+    assert solver._stack_rows(tables, 2) == 6
     kap = kappa * np.array([1.0, -1.0])
     fields = ComplexFieldSet(data, grid, kappa=kap)
     got = _tendency(data, grid, tables, A, 0.0, kap if kappa else None)
@@ -479,6 +466,29 @@ def test_drift_stage_matches_the_hydro_formula(kappa):
         got = rhs(SimState(0.0, fields, spec, A)).data
         want = _hydro_tendency(fields, spec.tables, A)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), seed
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.37])
+def test_drift_stage_makes_one_pair_on_its_q_data_rows(monkeypatch, kappa):
+    # the drift rides in the data rows' symbol: the stage's one FFT pair
+    # reads exactly the q data rows, and no row is a copy of another
+    calls = []
+    real = solver._spectral_pair
+
+    def record(rows, symbol, *args):
+        calls.append((rows.copy(), symbol))
+        return real(rows, symbol, *args)
+
+    monkeypatch.setattr(solver, "_spectral_pair", record)
+    for seed in range(2):
+        grid, A, states = _states("drift_cubic", q=2 + seed, seed=seed)
+        _, spec, data = states[0]
+        kap = kappa * np.linspace(1.0, -1.0, data.shape[0])
+        calls.clear()
+        rhs(SimState(0.0, ComplexFieldSet(data, grid, kappa=kap), spec, A))
+        [(rows, symbol)] = calls
+        assert rows.tobytes() == data.tobytes(), seed
+        assert symbol.shape == data.shape, seed  # A_k and a_k per row
 
 
 def test_drift_cubic_stages_unwrap_no_phase(monkeypatch):
@@ -716,8 +726,8 @@ def test_step_peak_memory(system):
 
 
 def test_drift_cubic_step_holds_less_than_a_derivative_step():
-    # its stack has 2q rows (data, u') against 3q (data, density, phase):
-    # 16 bytes per q*n less
+    # its stack has q rows (data) against 3q (data, density, phase): 32
+    # bytes per q*n less, besides its (q, n) symbol
     drift = _peak_per_qn(lambda s: step(s, 1e-7), _wide_state("psi", "drift_cubic"))
     deriv = _peak_per_qn(lambda s: step(s, 1e-7), _wide_state("psi"))
     assert drift + 16.0 <= deriv, (drift, deriv)

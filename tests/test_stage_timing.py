@@ -42,15 +42,15 @@ def test_one_json_line_per_cell_with_every_layer():
         # a step is four tendencies and more
         assert row["step_us"] > row["tendency_us"] > 0.0
         # a step holds at least its result, two stage buffers and the stack
-        # of 3q rows (derivative) or 2q rows (drift-cubic: data and u')
-        stack = 3 if row["family"] == "derivative" else 2
+        # of 3q rows (derivative) or q rows (drift-cubic: data)
+        stack = 3 if row["family"] == "derivative" else 1
         assert row["step_peak_b_per_qn"] >= 16.0 * (3 + stack)
 
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_fft_pair_stacks_the_rows_of_the_stage(monkeypatch, q):
-    # the timed pair must run on the stage's stack: as many rows, and as
-    # many u' rows (copies) that take the data rows' spectrum
+    # the timed pair must run on the stage's stack: as many rows, with the
+    # stage's symbol
     spec = importlib.util.spec_from_file_location("stage_timing", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -58,9 +58,9 @@ def test_fft_pair_stacks_the_rows_of_the_stage(monkeypatch, q):
     real = grid_module._spectral_pair
 
     def recorder(who):
-        def record(rows, symbol, q=None, tail=None, copies=0):
-            seen[who].append((rows.shape[0], copies))
-            return real(rows, symbol, q, tail, copies)
+        def record(rows, symbol, q=None, tail=None):
+            seen[who].append((rows.shape[0], symbol.tobytes()))
+            return real(rows, symbol, q, tail)
 
         return record
 
@@ -73,5 +73,5 @@ def test_fft_pair_stacks_the_rows_of_the_stage(monkeypatch, q):
         calls["fft_pair"]()
         calls["tendency"]()
         assert seen["tool"] == seen["stage"], family
-    # the drift-cubic stage of the last family has q u' rows
-    assert seen["stage"] == [(2 * q, q)]
+    # the drift-cubic stage of the last family stacks its q data rows alone
+    assert [rows for rows, _ in seen["stage"]] == [q]

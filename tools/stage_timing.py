@@ -12,9 +12,8 @@ JSON line for each, with its ``family``:
 
 - ``derivative``: a psi state, every RK4 stage of which transforms 3q rows
   (data, density and phase);
-- ``drift_cubic``: a psi state, every RK4 stage of which forward-transforms
-  the q data rows and inverse-transforms 2q (the Laplacian and the drift
-  u');
+- ``drift_cubic``: a psi state, every RK4 stage of which transforms the q
+  data rows, whose symbol holds the dispersion and the drift;
 - ``drift_cubic_phi``: the phi state of the drift-cubic tables, whose
   density-only tables take the split step (four kicks and three q-row
   linear flows); its line has the step alone, and a merged call.
@@ -109,9 +108,10 @@ def make_state(cg, n: int, q: int, family: str):
 def layer_calls(cg, n: int, q: int, family: str) -> dict:
     """The timed calls of the cell (n, q, family), by layer name: the step
     and a merged call for the split family. The FFT pair stacks the row
-    blocks that the family's stage stacks (``solver._stack_blocks``)."""
+    blocks that the family's stage stacks (``solver._stack_blocks``), with
+    the stage's symbol (``solver._symbol``)."""
     from cnls_gauge.grid import _spectral_pair
-    from cnls_gauge.solver import _stack_blocks, _stack_rows, _tendency, step
+    from cnls_gauge.solver import _stack_blocks, _stack_rows, _symbol, _tendency, step
 
     state = make_state(cg, n, q, family)
     grid, tables, A = state.fields.grid, state.spec.tables, state.A
@@ -126,15 +126,15 @@ def layer_calls(cg, n: int, q: int, family: str) -> dict:
             "merged_step": lambda: step(state, dt, count=MERGED_STEPS),
         }
     data = state.fields.data
-    flux, phase, drift = _stack_blocks(tables)
-    size, copies = _stack_rows(tables, q), q * drift  # the u' rows, never read
+    flux, phase = _stack_blocks(tables)
+    size, symbol = _stack_rows(tables, q), _symbol(grid, tables, A, None)
     source = [data] + [np.abs(data) ** 2] * flux + [np.angle(data)] * phase
     source = np.concatenate(source).astype(complex)
     work, out = np.empty((size, n), dtype=complex), np.empty_like(data)
 
     def fft_pair():
-        work[:size - copies] = source
-        _spectral_pair(work, grid._neg_k2, q, grid._ik, copies)
+        work[...] = source
+        _spectral_pair(work, symbol, q, grid._ik)
 
     def tendency():
         _tendency(data, grid, tables, A, 0.0, out=out, work=work)
