@@ -56,6 +56,7 @@ from .classify import (
     case1_coeffs,
     case2_coeffs,
     case3_coeffs,
+    drift_cubic_wave,
 )
 from .solver import (
     SimState,
@@ -89,6 +90,7 @@ __all__ = [
     "curl_residual_2d", "transformed_spec", "eval_R_numeric",
     # classify
     "SpecialCase", "classify_q1", "case1_coeffs", "case2_coeffs", "case3_coeffs",
+    "drift_cubic_wave",
     # solver
     "SimState", "DiagnosticsRecord", "BlowUpError", "rhs", "step", "evolve",
     "current", "continuity_residual", "stability_bound",

@@ -1,4 +1,5 @@
-"""Recognition of named single-species cases and reduction-case builders.
+"""Recognition of named single-species cases, reduction-case builders and
+an exact drift-cubic travelling wave.
 
 For q = 1 the derivative family contains several classical equations,
 recognized from the scalar coefficients (beta, gamma, delta, lambda):
@@ -11,16 +12,24 @@ The three ``case*_coeffs`` builders produce derivative-family coefficient
 sets whose gauge transform collapses to, respectively, decoupled linear
 equations, decoupled current-coupled (Jackiw-like) equations, and a system
 coupled only through the transformed currents.
+
+``drift_cubic_wave`` is an answer that no march computes: the exact
+travelling dn wave of the q = 1 drift-cubic equation, against which the
+solver is checked.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import operator
 
 import numpy as np
 
-from .fields import DispersionMatrix
-from .nonlinearity import DerivativeSpec
+from .fields import ComplexFieldSet, DispersionMatrix
+from .grid import Grid1D
+from .nonlinearity import DerivativeSpec, DriftCubicSpec
+from .solver import SimState
 
 __all__ = [
     "SpecialCase",
@@ -28,6 +37,7 @@ __all__ = [
     "case1_coeffs",
     "case2_coeffs",
     "case3_coeffs",
+    "drift_cubic_wave",
     "DEFAULT_CLASSIFY_TOL",
 ]
 
@@ -157,3 +167,68 @@ def case3_coeffs(
     )
     eta = (gamma - 2.0 * delta * Ak[None, :] / Ak[:, None]) / (2.0 * Ak[None, :])
     return DerivativeSpec(beta=beta, gamma=gamma, delta=delta, lam=lam), eta
+
+
+def _dn_in_K(s: np.ndarray, m: float) -> tuple[float, np.ndarray]:
+    """K(m) and the Jacobi elliptic dn(K(m) s | m), 0 <= m < 1, which has
+    period 2 in s, by the arithmetic-geometric mean (Abramowitz & Stegun
+    16.4 and 17.6)."""
+    a, c, b = [1.0], [math.sqrt(m)], math.sqrt(1.0 - m)
+    while c[-1] > np.finfo(float).eps * a[-1]:
+        a0 = a[-1]
+        a.append(0.5 * (a0 + b))
+        c.append(0.5 * (a0 - b))
+        b = math.sqrt(a0 * b)
+    n = len(a) - 1
+    if n == 0:  # m = 0: dn = 1
+        return 0.5 * math.pi, np.ones_like(s)
+    # phi_n = 2^n a_n K s, with K = pi / (2 a_n)
+    phi = 2.0 ** (n - 1) * math.pi * s
+    for j in range(n, 0, -1):
+        phi = 0.5 * (phi + np.arcsin(c[j] / a[j] * np.sin(phi)))
+    # sn = sin(phi_0); dn = sqrt(1 - m sn^2), which is at least sqrt(1 - m)
+    # (A&S's cos(phi_0) / cos(phi_1 - phi_0) is 0/0 at s = 1)
+    return 0.5 * math.pi / a[-1], np.sqrt(1.0 - m * np.sin(phi) ** 2)
+
+
+def drift_cubic_wave(
+    grid: Grid1D,
+    t: float,
+    A: float,
+    delta: float,
+    amplitude: float,
+    kappa: int,
+    m: float,
+    p: int,
+) -> SimState:
+    """The exact travelling dn wave of the q = 1 drift-cubic equation
+    u_t = i A u'' + delta u' - i gamma |u|^2 u, as a psi state at time t:
+
+        u = a dn(b (x + delta t - 2 A k t), m) exp(i (k (x + delta t) - A k^2 t - omega t))
+
+    with a = ``amplitude``, k = 2 pi ``kappa`` / L the carrier wavenumber
+    (``kappa`` on a 2 pi box), b = 2 p K(m) / L, which fits p periods of
+    dn into the box, gamma = -2 A b^2 / a^2 and omega = -A b^2 (2 - m).
+    The drift is a Galilean shift x -> x + delta t, and under it the dn
+    profile solves A f'' = -omega f + gamma f^3. The density a^2 dn^2 is
+    at least (1 - m) a^2, so the wave keeps away from vacuum.
+    """
+    kappa, p = operator.index(kappa), operator.index(p)
+    if not (0.0 <= m < 1.0 and amplitude > 0.0 and p >= 1):
+        raise ValueError(
+            f"need 0 <= m < 1, amplitude > 0 and p >= 1, got m={m!r}, "
+            f"amplitude={amplitude!r}, p={p!r}"
+        )
+    if not (math.isfinite(A) and A != 0.0 and math.isfinite(delta)):
+        raise ValueError(f"need finite A != 0 and delta, got A={A!r}, delta={delta!r}")
+    L = grid.length
+    k = 2.0 * math.pi * kappa / L
+    xi = grid.x + delta * t
+    # dn(b z) = dn(K s) with s = 2 p z / L
+    K, dn = _dn_in_K(2.0 * p * (xi - 2.0 * A * k * t) / L, m)
+    b = 2.0 * p * K / L
+    gamma = -2.0 * A * b**2 / amplitude**2
+    omega = -A * b**2 * (2.0 - m)
+    u = amplitude * dn * np.exp(1j * (k * xi - (A * k**2 + omega) * t))
+    spec = DriftCubicSpec(delta=[delta], gamma=[gamma])
+    return SimState(t, ComplexFieldSet(u[None, :], grid), spec, DispersionMatrix([A]))

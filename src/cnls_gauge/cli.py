@@ -218,7 +218,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, tolerance: float) -> int:
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: Path) -> int:
-    # the bound is the RK4 step's: a split march (density_only tables) has none
+    # the bound is the RK4 step's: a split march (density_only tables, as
+    # drift-cubic psi and phi have) has none
     bound = stability_bound(cfg.build_grid(), cfg.build_dispersion())
     if cfg.dt > bound and not convergence_spec(cfg).tables.density_only:
         print(

@@ -63,8 +63,10 @@ class CoefficientTables:
     whether Wim can be nonzero (c or D nonzero), ``uses_phase`` whether
     the array kernel of W reads the phase gradients (drift_self or
     drift_cross nonzero), and ``density_only`` whether some table is
-    nonzero and every nonzero one is const, cubic or quartic, so that
-    Wim = 0 and W reads rho alone; ``D_diag`` and ``D_off`` split D into
+    nonzero and every nonzero one is const, cubic, quartic or the drift
+    pair c, so that the array kernels' W reads rho alone and their Wim is
+    zero (they leave the pair out: it is the linear drift a_k u_k' of the
+    field, not a function of rho); ``D_diag`` and ``D_off`` split D into
     its diagonal and the rest. All are fixed at construction.
     """
 
@@ -89,7 +91,8 @@ class CoefficientTables:
         object.__setattr__(self, "has_flux", bool(nonzero & {"c", "D"}))
         object.__setattr__(self, "uses_phase", bool(nonzero & {"drift_self", "drift_cross"}))
         object.__setattr__(
-            self, "density_only", bool(nonzero) and nonzero <= {"const", "cubic", "quartic"}
+            self, "density_only",
+            bool(nonzero) and nonzero <= {"const", "cubic", "quartic", "c"},
         )
         object.__setattr__(self, "a", -2.0 * self.c)
         diag = np.diag(self.D)

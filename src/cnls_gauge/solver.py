@@ -11,21 +11,24 @@ they are a ``TransformedSpec``'s, whose Wim vanishes and whose W is the
 purely real R_k. The spec alone says which system a state belongs to.
 
 ``step`` picks the method from the tables alone. Tables that are
-``density_only`` (every nonzero table const, cubic or quartic: Wim = 0
-and W = P(rho)) give a nonlinear flow u <- exp(i tau P(rho)) u that keeps
-rho, so it is exact, and the linear flow is exact in Fourier space. They
-take the split step (``_split_step``): Yoshida's triple jump of Strang
-steps, fourth order, norm-preserving and without a step bound. Every
-drift-cubic phi takes it.
+``density_only`` (every nonzero table const, cubic, quartic or the drift
+pair c) give a linear part, dispersion plus the drift a_k (u_k' + i
+kappa_k u_k) (see below), that is one Fourier symbol (``_symbol``), so
+its flow is exact in Fourier space, and a rest i P(rho) u, P = W of the
+array kernels (Wim = 0), whose flow u <- exp(i tau P(rho)) u keeps rho,
+so it is exact too. They take the split step (``_split_step``):
+Yoshida's triple jump of Strang steps, fourth order, norm-preserving and
+without a step bound. Every drift-cubic psi and phi takes it.
 
 ``step(state, dt, count=m)`` takes m steps in one call, and a split call
 merges the kicks where two steps meet: 3m + 1 kicks, against 4m for m
 calls. The march (``_march``) gives a split state the first step after
 each sample as a call of its own and the rest of the interval as one.
 
-Every other system (drift-cubic psi, c != 0; derivative psi; a phi whose
-W reads dS/dx; the linear system) takes RK4, one step per call of the
-march, which the rest of this docstring describes.
+Every other system (derivative psi; a phi whose W reads dS/dx; the
+linear system) takes RK4, one step per call of the march, which the rest
+of this docstring describes. ``rhs``, which the diagnostics read, is the
+RK4 stage's tendency for every system.
 
 The linear drift pair of the tables, a_k dS_k/dx in W and c_k (drho_k/dx)
 / rho_k in Wim, is the drift a_k phi_k' of the field, since the tables
@@ -35,7 +38,8 @@ So a stage evaluates W and Wim with the array kernels, which leave that
 pair out, and takes the drift into the spectral symbol of its data rows
 (``_symbol``), A_k (-(k + kappa_k)^2) + a_k (k + kappa_k), which makes
 them A_k u'' - i a_k (u' + i kappa_k u), with no phase, no division by
-rho and no rows of its own for the pair.
+rho and no rows of its own for the pair. A step builds that symbol once
+and hands it to its four stages.
 
 Every stage reads rho, and dS/dx and drho/dx where the kernels use them,
 afresh from the stage's fields, so branch-cut artifacts never accumulate
@@ -194,6 +198,12 @@ def _symbol(
     return A.values[:, None] * neg_k2 + tables.a[:, None] * k
 
 
+def _symbol_factor(tables: CoefficientTables, A: DispersionMatrix):
+    # the factor by which the data rows enter after their symbol: the exact
+    # 1.0 when ``_symbol`` holds A (drift pair nonzero), else A_k
+    return 1.0 if "c" in tables.nonzero else A.values[:, None]
+
+
 def _vacuum_guard(rho: np.ndarray, t: float, floor: float) -> None:
     """Raise VacuumError, at time t and numbering species from 1, when a
     species is identically zero or has a node below ``floor`` times its
@@ -223,6 +233,7 @@ def _tendency(
     floor: float = DEFAULT_FLOOR,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
+    symbol: np.ndarray | None = None,
 ) -> np.ndarray:
     """i A_k u_k'' + i (W_k + i Wim_k) u_k of one stage, u = ``data``,
     written to ``out`` (a complex (q, n) array, fresh when not given).
@@ -231,8 +242,9 @@ def _tendency(
     product, so the result has the bytes of a fresh ``out``.
 
     The drift pair (a, c) of the tables enters as a_k (u_k' + i kappa_k
-    u_k), through the data rows' symbol (``_symbol``), which then holds A
-    too, and W and Wim are the array kernels', which leave the pair out.
+    u_k), through the data rows' symbol (``_symbol``, built here when not
+    given), which then holds A too, and W and Wim are the array kernels',
+    which leave the pair out.
     The q data rows, then the q density rows when D is nonzero, then the q
     periodic phase rows (the unwrapped phases less their integer-winding
     ramp) when W reads dS/dx (``_stack_blocks``) share one stacked FFT
@@ -248,7 +260,8 @@ def _tendency(
     size = _stack_rows(tables, q)
     rows = np.empty((size, n), dtype=complex) if work is None else work[:size]
     rows[:q] = data
-    symbol = _symbol(grid, tables, A, kappa)
+    if symbol is None:
+        symbol = _symbol(grid, tables, A, kappa)
     if tables.nonzero:
         rho = data.real**2 + data.imag**2
         _vacuum_guard(rho, t, floor)
@@ -269,7 +282,7 @@ def _tendency(
     # every product and sum below has the operands of the expression in its
     # comment, so the in-place form gives the same bytes (a symbol holding A
     # leaves the exact factor 1.0)
-    lap, Ak = rows[:q], 1.0 if "c" in tables.nonzero else A.values[:, None]
+    lap, Ak = rows[:q], _symbol_factor(tables, A)
     if tables.nonzero <= {"c"}:
         # the kernels' W and Wim vanish: 1j * (Ak * lap)
         np.multiply(Ak, lap, out=out)
@@ -335,14 +348,13 @@ _MERGED = (*_KICKS[1:3], _W1)
 
 
 def _flows(state: SimState, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The propagators exp(-i A_k (k + kappa_k)^2 tau) of the split step's
-    outer and inner linear flows, tau = w1 dt and w0 dt."""
-    # c = 0 in density-only tables: the symbol is -(k + kappa_k)^2
-    f, A = state.fields, state.A
-    symbol = _symbol(f.grid, state.spec.tables, A, _shift(f))
-    return tuple(
-        np.exp(1j * ((w * dt * A.values)[:, None] * symbol)) for w in (_W1, _W0)
-    )
+    """The propagators exp(i tau A_k s_k) of the split step's outer and
+    inner linear flows, tau = w1 dt and w0 dt, s the data rows' symbol
+    (``_symbol``): -(k + kappa_k)^2, or, when the drift pair c is nonzero,
+    a symbol that holds A and the drift, which then enters with A = 1."""
+    f, A, tables = state.fields, state.A, state.spec.tables
+    symbol, Ak = _symbol(f.grid, tables, A, _shift(f)), _symbol_factor(tables, A)
+    return tuple(np.exp(1j * ((w * dt * Ak) * symbol)) for w in (_W1, _W0))
 
 
 def _split_step(
@@ -350,11 +362,11 @@ def _split_step(
 ) -> SimState:
     """``count`` Yoshida-4 split steps of a state whose tables are
     ``density_only``. A step is four kicks u <- exp(i tau P(rho)) u,
-    P = W of the tables, at tau = dt times ``_KICKS``, and between them
-    the three linear flows u <- ifft(exp(-i A (k + kappa)^2 tau) fft(u))
-    of ``_flows``, built once per call. A kick keeps rho, so it is the
-    exact flow of i P(rho) u; a step keeps every norm to roundoff and has
-    no step bound.
+    P = W of the array kernels (without the drift pair), at tau = dt
+    times ``_KICKS``, and between them the three linear flows, dispersion
+    and drift, u <- ifft(exp(i tau s) fft(u)) of ``_flows``, built once
+    per call. A kick keeps rho, so it is the exact flow of i P(rho) u; a
+    step keeps every norm to roundoff and has no step bound.
 
     As a kick keeps rho, the last kick of one step and the first of the
     next read the same P(rho), and inside a call they merge into one kick
@@ -414,21 +426,24 @@ def step(
     advanced by adding dt once per step; a BlowUpError when the fields
     after a step are not finite or exceed ``max_abs``.
 
-    Tables that are ``density_only`` (Wim = 0, W reads rho alone) take the
-    fourth-order split step of ``_split_step``, whose ``count`` steps share
-    their propagators and merge the kicks where two steps meet. Every
-    other system takes classical RK4 steps, one after another, and warns
+    Tables that are ``density_only`` (the kernels' Wim = 0 and W reads rho
+    alone; the drift pair, if any, rides in the linear flow), those of
+    every drift-cubic psi and phi, take the fourth-order split step of
+    ``_split_step``, whose ``count`` steps share their propagators and
+    merge the kicks where two steps meet. Every other system takes
+    classical RK4 steps (``_rk4_step``), one after another, and warns
     once when |dt| exceeds the advisory ``stability_bound``.
 
     An RK4 step's result has the bytes of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4). A step
-    allocates two (q, n) buffers and the stack of the rows its stages read
-    (``_stack_rows``), then its result.
+    allocates two (q, n) buffers, the stack of the rows its stages read
+    (``_stack_rows``) and, when the drift pair is nonzero or kappa is, its
+    data rows' symbol, then its result.
     The k's enter a running sum ((k1 + 2 k2) + 2 k3) + k4 in one buffer;
     the other holds each k_i, is doubled in place (exact) once it has been
     added, then becomes the next stage input y + (h/2)(2 k_i), which rounds
     the same real number as y + h k_i, and takes that stage's tendency in
     place. So until the result exists, the step holds two (q, n) arrays
-    besides y and the stack.
+    besides y, the stack and the symbol.
 
     One edge differs from the plain expression: a stage tendency above
     about 8.9e307 (so that 2 k_i overflows) raises the next stage's
@@ -459,9 +474,10 @@ def _rk4_step(state: SimState, dt: float, max_abs: float | None) -> SimState:
     acc = np.empty((q, n), dtype=complex)
     k = np.empty((q, n), dtype=complex)
     work = np.empty((_stack_rows(tables, q), n), dtype=complex)
+    symbol = _symbol(grid, tables, A, kappa)
 
     def tendency(u: np.ndarray, into: np.ndarray) -> None:
-        _tendency(u, grid, tables, A, t, kappa, out=into, work=work)
+        _tendency(u, grid, tables, A, t, kappa, out=into, work=work, symbol=symbol)
 
     tendency(y, acc)  # k1
     np.multiply(0.5 * dt, acc, out=k)

@@ -10,10 +10,14 @@ from cnls_gauge import (
     case2_coeffs,
     case3_coeffs,
     classify_q1,
+    derivative,
+    drift_cubic_wave,
     make_grid,
+    second_derivative,
     step,
     transformed_spec,
 )
+from cnls_gauge.classify import _dn_in_K
 
 
 def test_classify_jackiw():
@@ -222,3 +226,52 @@ def test_case_phi_tables_are_exact_and_take_rk4(q, monkeypatch):
         A = DispersionMatrix(rng.choice([-1.0, 1.0], q) * rng.uniform(0.5, 2.0, q))
         delta = rng.uniform(-1.5, 1.5, (q, q))
         beta_diag, gamma = rng.uniform(-1.5, 1.5, q), rng.uniform(-1.5, 1.5, (q, q))
+
+
+# --- the exact drift-cubic travelling wave ------------------------------------
+
+WAVE = dict(A=1.0, delta=1.0, amplitude=1.0, kappa=1, m=0.6, p=2)
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-10, 0.3, 0.6, 0.999])
+def test_dn_matches_scipy(m):
+    from scipy.special import ellipj, ellipk
+
+    s = np.linspace(-5.0, 5.0, 1001)  # odd integers included: dn(K) = sqrt(1 - m)
+    K, dn = _dn_in_K(s, m)
+    assert abs(K - ellipk(m)) <= 1e-15
+    err = float(np.abs(dn - ellipj(K * s, m)[2]).max())
+    assert err < 1e-14, err
+
+
+@pytest.mark.parametrize("A, delta, kappa", [(1.0, 1.0, 1), (-0.7, -0.4, -2)])
+def test_drift_cubic_wave_solves_its_equation(A, delta, kappa):
+    # u_t by a centered difference in t (error about 3e-8) against
+    # i A u'' + delta u' - i gamma |u|^2 u, spectral in x, with the gamma
+    # of the returned spec
+    grid = make_grid(128, 0.0, 2.0 * np.pi)
+    kwargs = {**WAVE, "A": A, "delta": delta, "kappa": kappa}
+    t, h = 0.3, 1e-4
+    state = drift_cubic_wave(grid, t, **kwargs)
+    u = state.fields.data[0]
+    u_t = (drift_cubic_wave(grid, t + h, **kwargs).fields.data[0]
+           - drift_cubic_wave(grid, t - h, **kwargs).fields.data[0]) / (2.0 * h)
+    assert state.t == t and state.A.values.tolist() == [A]
+    assert state.spec.delta.tolist() == [delta] and state.spec.tables.density_only
+    gamma = state.spec.gamma[0]
+    rhs = (1j * A * second_derivative(u, grid) + delta * derivative(u, grid)
+           - 1j * gamma * np.abs(u) ** 2 * u)
+    residual = float(np.abs(u_t - rhs).max())
+    assert residual < 1e-6, residual
+    # p = 2 dn periods: the density's minimum (1 - m) a^2 is reached twice
+    rho0 = np.abs(drift_cubic_wave(grid, 0.0, **kwargs).fields.data[0]) ** 2
+    assert abs(rho0.min() - 0.4) < 1e-15 and abs(rho0[32] - 0.4) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [dict(m=1.0), dict(m=-0.1), dict(amplitude=0.0),
+                                 dict(p=0), dict(p=1.5), dict(kappa=0.5),
+                                 dict(A=0.0), dict(delta=float("nan"))])
+def test_drift_cubic_wave_rejects_bad_parameters(bad):
+    grid = make_grid(16, 0.0, 2.0 * np.pi)
+    with pytest.raises((ValueError, TypeError)):
+        drift_cubic_wave(grid, 0.0, **{**WAVE, **bad})

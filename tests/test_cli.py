@@ -571,13 +571,18 @@ def test_convergence_above_bound_exits_2(tmp_path):
     assert "stability bound" in res.stderr
 
 
-@pytest.mark.parametrize("system, warns", [("phi", False), ("psi", True)])
-def test_convergence_warns_only_for_an_rk4_march(tmp_path, system, warns):
-    # family_a_verify's phi tables are density-only, so its march takes the
-    # split step, which has no step bound; its psi march is RK4
+@pytest.mark.parametrize("config, system, warns", [
+    pytest.param("family_a_verify", "phi", False, id="phi-False"),
+    pytest.param("family_a_verify", "psi", False, id="drift-psi-False"),
+    pytest.param("family_b_sample", "psi", True, id="psi-True"),
+])
+def test_convergence_warns_only_for_an_rk4_march(tmp_path, config, system, warns):
+    # family_a_verify's psi and phi tables are density-only, so their
+    # marches take the split step, which has no step bound; a
+    # derivative-family psi march is RK4
     from cnls_gauge import RunConfig, stability_bound
 
-    payload = json.loads((CONFIGS / "family_a_verify.json").read_text())
+    payload = json.loads((CONFIGS / f"{config}.json").read_text())
     payload.update(dt=2e-4, t_end=2e-3, sample_every=10, system=system,
                    output_dir=str(tmp_path / "out"))
     cfg = RunConfig.from_dict(payload)

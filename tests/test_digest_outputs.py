@@ -59,10 +59,16 @@ def test_digest_lists_every_command_file_and_exit_code(tmp_path):
 
 
 def test_digest_prints_warnings_without_file_and_line(tmp_path):
+    # a derivative-family config, whose psi and phi take RK4 and warn above
+    # the step bound (drift-cubic ones take the split step, which has none)
     tool = _load_tool()
     grid = make_grid(32, 0.0, 2 * np.pi)
     dt = 1.01 * stability_bound(grid, DispersionMatrix([1.0, 0.5]))
-    path = _config(tmp_path, "warn.json", dt=dt, t_end=2 * dt, sample_every=1)
+    derivative = {"family": "derivative", "beta": [[0.3, -0.2], [0.1, 0.4]],
+                  "gamma": [[-0.1, 0.2], [0.3, -0.4]], "delta": [[0.5, 0.2], [-0.3, 0.4]],
+                  "lambda": [[[0.2, 0.1], [0.0, -0.1]], [[0.1, 0.0], [-0.2, 0.3]]]}
+    path = _config(tmp_path, "warn.json", nonlinearity=derivative, dt=dt, t_end=2 * dt,
+                   sample_every=1)
     lines = tool.digest({"warn": path})
     stderr = [l for l in lines if l.startswith("stderr| ")]
     assert f"stderr| UserWarning: dt={dt!r} exceeds the stability bound" in "\n".join(stderr)

@@ -600,7 +600,8 @@ def test_family_b_equivalence_up_to_global_phase(grid128):
 
 
 def test_step_blow_up_inside_stage_carries_step_time(grid256):
-    spec = DriftCubicSpec(delta=[0.5, -0.3], gamma=[0.2, 0.1])
+    # an RK4 stage (derivative family) raises at the step's start time
+    spec = small_family_b()
     data = np.ones((2, 256), dtype=complex)
     data[0, 17] = np.nan
     state = SimState(

@@ -1,8 +1,10 @@
 """Gates of the split step that ``solver.step`` takes for density-only
-tables (Wim = 0, W reading rho alone): its fourth order, its agreement with
-the RK4 march of the original system, its norm conservation and its freedom
-from the RK4 step bound, each written so that a NaN fails it; and the
-checks the split step keeps from the RK4 path."""
+tables (the kernels' Wim = 0 and W reading rho alone, the drift pair in
+the linear flow): its fourth order, its agreement with an exact
+travelling wave and with an RK4 march of the original system, its norm
+conservation and its freedom from the RK4 step bound, each written so
+that a NaN fails it; and the checks the split step keeps from the RK4
+path."""
 
 import warnings
 
@@ -18,6 +20,7 @@ from cnls_gauge import (
     VacuumError,
     apply_gauge,
     compute_generator,
+    drift_cubic_wave,
     evolve,
     integrate,
     load_config,
@@ -26,6 +29,8 @@ from cnls_gauge import (
     step,
     to_hydro,
 )
+
+from cnls_gauge.solver import _rk4_step
 
 from conftest import band_limited_state, random_dispersion
 
@@ -41,15 +46,28 @@ def _march(state, dt, t_end):
 
 @pytest.fixture(scope="module")
 def family_a():
-    """The psi and gauged phi states of family_a_verify at t = 0."""
+    """The psi and gauged phi states of family_a_verify at t = 0; both take
+    the split step, psi with its drift in the linear flow."""
     cfg = load_config("configs/family_a_verify.json")
     grid, A = cfg.build_grid(), cfg.build_dispersion()
     spec = cfg.build_family_spec()
     psi0 = cfg.build_initial(grid)
     phi0 = apply_gauge(psi0, compute_generator(spec, to_hydro(psi0), A))
     tspec = cfg.build_transformed_spec(spec)
-    assert tspec.tables.density_only and not spec.tables.density_only
+    assert tspec.tables.density_only and spec.tables.density_only
+    assert "c" in spec.tables.nonzero and "c" not in tspec.tables.nonzero
     return SimState(0.0, psi0, spec, A), SimState(0.0, phi0, tspec, A)
+
+
+@pytest.fixture(scope="module")
+def rk4_psi_density(family_a):
+    """The densities of family_a_verify's psi at t = 0.25 from an RK4 march
+    at dt = 1.25e-4, stepped through ``solver._rk4_step`` (``step`` splits
+    that psi): the reference of a method independent of the split."""
+    psi, dt = family_a[0], 1.25e-4
+    for _ in range(int(round(T_END / dt))):
+        psi = _rk4_step(psi, dt, None)
+    return np.abs(psi.fields.data) ** 2
 
 
 def test_split_step_is_fourth_order(family_a):
@@ -68,13 +86,46 @@ def test_split_step_is_fourth_order(family_a):
     assert 12.0 <= ratio <= 20.0, (errors, ratio)
 
 
-def test_split_phi_at_16x_dt_matches_rk4_psi(family_a):
+def test_split_phi_at_16x_dt_matches_rk4_psi(family_a, rk4_psi_density):
     # phi split at 16 times the dt of the psi RK4 march keeps the densities
-    psi, phi = family_a
-    rho_psi = np.abs(_march(psi, 1.25e-4, T_END).fields.data) ** 2
-    rho_phi = np.abs(_march(phi, 2e-3, T_END).fields.data) ** 2
-    gap = float(np.abs(rho_phi - rho_psi).max())
+    rho_phi = np.abs(_march(family_a[1], 2e-3, T_END).fields.data) ** 2
+    gap = float(np.abs(rho_phi - rk4_psi_density).max())
     assert gap < 1e-10, gap
+
+
+def test_split_psi_at_16x_dt_matches_rk4_psi(family_a, rk4_psi_density):
+    # the same gate for psi's own split march, drift in the linear flow
+    rho_psi = np.abs(_march(family_a[0], 2e-3, T_END).fields.data) ** 2
+    gap = float(np.abs(rho_psi - rk4_psi_density).max())
+    assert gap < 1e-10, gap
+
+
+@pytest.mark.parametrize("A, delta, amplitude, kappa", [(1.0, 1.0, 1.0, 1), (0.5, 2.0, 1.2, 2)])
+def test_split_psi_matches_the_exact_dn_wave(A, delta, amplitude, kappa):
+    # drift-cubic psi (q = 1) against the exact travelling dn wave at t = 1:
+    # the density error at dt = 1e-2, 5e-3 and 2.5e-3 (2.4e-6, 1.5e-7 and
+    # 9.6e-9 at A = 1; 6.2e-8, 3.9e-9 and 2.4e-10 at A = 0.5, where a flow
+    # that scaled the drift symbol by A again would show) falls about
+    # 16-fold per halving, and stays far above the roundoff of the march
+    grid = make_grid(128, 0.0, 2.0 * np.pi)
+
+    def wave(t):
+        return drift_cubic_wave(grid, t, A=A, delta=delta, amplitude=amplitude,
+                                kappa=kappa, m=0.6, p=2)
+
+    state, t_end = wave(0.0), 1.0
+    assert state.spec.tables.density_only
+    rho = np.abs(wave(t_end).fields.data) ** 2
+    peak = float(np.abs(state.fields.data).max())
+    errors = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        err = float(np.abs(np.abs(_march(state, dt, t_end).fields.data) ** 2 - rho).max())
+        roundoff = round(t_end / dt) * EPS * peak
+        assert err >= 100.0 * roundoff, (dt, err, roundoff)
+        errors.append(err)
+    assert errors[-1] < 2e-8, errors
+    for ratio in (errors[0] / errors[1], errors[1] / errors[2]):
+        assert 12.0 <= ratio <= 20.0, (errors, ratio)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -175,7 +226,12 @@ def test_merged_call_equals_single_steps(m, kappa):
 
 
 def test_step_count_must_be_positive(family_a):
-    for state in family_a:  # an RK4 psi and a split phi
+    # an RK4 derivative-family psi, and family A's split psi and phi
+    cfg = load_config("configs/family_b_sample.json")
+    rk4 = SimState(0.0, cfg.build_initial(cfg.build_grid()), cfg.build_family_spec(),
+                   cfg.build_dispersion())
+    assert not rk4.spec.tables.density_only
+    for state in (rk4, *family_a):
         with pytest.raises(ValueError, match="count must be >= 1"):
             step(state, 1e-3, count=0)
 

@@ -612,34 +612,61 @@ def _textbook_step(state, dt):
 @pytest.mark.parametrize("kappa", [0.0, 0.37])
 @pytest.mark.parametrize("dt", [2e-5, -2e-5])
 def test_step_is_byte_identical_to_textbook_rk4(family, kappa, dt):
+    # density-only tables (drift-cubic psi and phi), which ``step`` splits
+    # (the Yoshida test below), take the RK4 step through ``_rk4_step``,
+    # whose stages share the drift symbol it builds once
     for seed in range(2):
         grid, A, states = _states(family, q=2 + seed, seed=seed)
         for tag, spec, data in states:
-            if spec.tables.density_only:
-                continue  # a split step (drift-cubic phi): the Yoshida test below
             q = data.shape[0]
             kap = kappa * np.linspace(1.0, -1.0, q)
             state = SimState(0.0, ComplexFieldSet(data, grid, kappa=kap), spec, A)
-            got = step(state, dt).fields.data
+            if spec.tables.density_only:
+                got = solver._rk4_step(state, dt, None).fields.data
+            else:
+                got = step(state, dt).fields.data
             assert got.tobytes() == _textbook_step(state, dt).tobytes(), (tag, q)
+
+
+def test_rk4_step_builds_its_symbol_once(monkeypatch):
+    # a shifted phi and a drift psi, whose symbols are fresh arrays: one
+    # build for the four stages of a step
+    built = []
+    real = solver._symbol
+    monkeypatch.setattr(solver, "_symbol", lambda *args: built.append(1) or real(*args))
+    for family, tag in (("derivative", "phi"), ("drift_cubic", "psi")):
+        grid, A, states = _states(family, q=2, seed=1)
+        spec, data = dict((t, (s, d)) for t, s, d in states)[tag]
+        fields = ComplexFieldSet(data, grid, kappa=np.array([0.37, -0.37]))
+        built.clear()
+        solver._rk4_step(SimState(0.0, fields, spec, A), 1e-5, None)
+        assert len(built) == 1, (family, tag)
 
 
 def _textbook_yoshida(state, dt):
     """Yoshida's triple jump of Strang steps in plain expressions: kicks
-    exp(i tau W(rho)) u at tau = dt w1/2, dt (w1 + w0)/2 (twice) and
-    dt w1/2, and between them the linear flows
-    ifft(exp(-i A (k + kappa)^2 tau) fft(u)) at tau = w1 dt, w0 dt, w1 dt."""
+    exp(i tau W(rho)) u, W without the drift pair, at tau = dt w1/2,
+    dt (w1 + w0)/2 (twice) and dt w1/2, and between them the linear flows
+    ifft(exp(i tau s) fft(u)) at tau = w1 dt, w0 dt, w1 dt, with
+    s = -A (k + kappa)^2 + a (k~ + kappa), k~ the wavenumber with its
+    Nyquist entry zeroed."""
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     w0 = 1.0 - 2.0 * w1
     f, tables, A = state.fields, state.spec.tables, state.A.values
-    symbol = -((f.grid.k + f.kappa[:, None]) ** 2)
+    k, kappa = f.grid.k, f.kappa[:, None]
+    k_drift = np.where(np.abs(k) == np.pi / f.grid.dx, 0.0, k)
+    if "c" in tables.nonzero:
+        symbol = A[:, None] * -((k + kappa) ** 2) + tables.a[:, None] * (k_drift + kappa)
+        scale = np.ones_like(A)
+    else:
+        symbol, scale = -((k + kappa) ** 2), A
 
     def kick(u, w):
         theta = (w * dt) * _reference_W(tables, u.real**2 + u.imag**2, None)
         return (np.cos(theta) + 1j * np.sin(theta)) * u
 
     def flow(u, w):
-        return _reference_transform(u, np.exp(1j * ((w * dt * A)[:, None] * symbol)))
+        return _reference_transform(u, np.exp(1j * ((w * dt * scale)[:, None] * symbol)))
 
     u = kick(f.data, 0.5 * w1)
     u = kick(flow(u, w1), 0.5 * (w1 + w0))
@@ -650,14 +677,16 @@ def _textbook_yoshida(state, dt):
 @pytest.mark.parametrize("kappa", [0.0, 0.37])
 @pytest.mark.parametrize("dt", [2e-5, -2e-5])
 def test_split_step_is_byte_identical_to_textbook_yoshida(kappa, dt):
+    # drift-cubic psi (the drift in the flow) and phi
     for seed in range(2):
-        grid, A, (_, (tag, spec, data)) = _states("drift_cubic", q=2 + seed, seed=seed)
-        assert tag == "phi" and spec.tables.density_only
-        q = data.shape[0]
-        kap = kappa * np.linspace(1.0, -1.0, q)
-        state = SimState(0.0, ComplexFieldSet(data, grid, kappa=kap), spec, A)
-        got = step(state, dt).fields.data
-        assert got.tobytes() == _textbook_yoshida(state, dt).tobytes(), q
+        grid, A, states = _states("drift_cubic", q=2 + seed, seed=seed)
+        for tag, spec, data in states:
+            assert spec.tables.density_only
+            q = data.shape[0]
+            kap = kappa * np.linspace(1.0, -1.0, q)
+            state = SimState(0.0, ComplexFieldSet(data, grid, kappa=kap), spec, A)
+            got = step(state, dt).fields.data
+            assert got.tobytes() == _textbook_yoshida(state, dt).tobytes(), (tag, q)
 
 
 def test_step_overflow_of_a_doubled_stage_raises_at_the_next_stage():
@@ -717,18 +746,21 @@ def test_step_peak_memory(system):
     its stage buffers (two (q, n) complex arrays and a stack of at most 3q
     rows) are allocated once per step, not once per stage, and a stage
     holds at most four real (q, n) arrays besides them (rho and three
-    temporaries). A split step (drift-cubic phi) holds its result, one
-    complex phase buffer, its two propagators, and a kick's rho and W with
-    its temporaries."""
+    temporaries). A split step (drift-cubic phi; its psi holds the same)
+    holds its result, one complex phase buffer, its two propagators, and a
+    kick's rho and W with its temporaries."""
     state = _wide_state("phi", "drift_cubic") if system == "split" else _wide_state(system)
     peak = _peak_per_qn(lambda s: step(s, 1e-7), state)
     assert peak <= 120.0, peak
 
 
 def test_drift_cubic_step_holds_less_than_a_derivative_step():
-    # its stack has q rows (data) against 3q (data, density, phase): 32
-    # bytes per q*n less, besides its (q, n) symbol
-    drift = _peak_per_qn(lambda s: step(s, 1e-7), _wide_state("psi", "drift_cubic"))
+    # the RK4 step of drift-cubic psi (which ``step`` splits): its stack has
+    # q rows (data) against 3q (data, density, phase), 32 bytes per q*n
+    # less, besides its (q, n) symbol, built once per step
+    drift = _peak_per_qn(
+        lambda s: solver._rk4_step(s, 1e-7, None), _wide_state("psi", "drift_cubic")
+    )
     deriv = _peak_per_qn(lambda s: step(s, 1e-7), _wide_state("psi"))
     assert drift + 16.0 <= deriv, (drift, deriv)
 

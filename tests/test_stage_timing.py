@@ -1,5 +1,5 @@
 """Smoke test of tools/stage_timing.py at n = 32 with one repeat, every
-family, and a check that its FFT pair is the stage's."""
+system, and a check that its FFT pair is the stage's."""
 
 import importlib.util
 import json
@@ -24,10 +24,10 @@ def test_one_json_line_per_cell_with_every_layer():
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     assert [(r["n"], r["q"], r["family"]) for r in rows] == [
-        (32, 1, "derivative"), (32, 1, "drift_cubic"), (32, 1, "drift_cubic_phi"),
-        (32, 2, "derivative"), (32, 2, "drift_cubic"), (32, 2, "drift_cubic_phi"),
+        (32, 1, "derivative"), (32, 1, "derivative_phi"), (32, 1, "drift_cubic"),
+        (32, 2, "derivative"), (32, 2, "derivative_phi"), (32, 2, "drift_cubic"),
     ]
-    split = [row for row in rows if row["family"] == "drift_cubic_phi"]
+    split = [row for row in rows if row["family"] == "drift_cubic"]
     for row, deriv in zip(split, rows[::3]):
         # the split step: timed alone and in a merged call, holding its
         # result, one phase buffer and its propagators, and no more than a
@@ -36,14 +36,14 @@ def test_one_json_line_per_cell_with_every_layer():
             assert row[f"{layer}_us"] > 0.0 and row[f"{layer}_calls"] >= 1
         assert "tendency_us" not in row and "fft_pair_us" not in row
         assert 32.0 <= row["step_peak_b_per_qn"] <= deriv["step_peak_b_per_qn"]
-    for row in (row for row in rows if row["family"] != "drift_cubic_phi"):
+    for row in (row for row in rows if row["family"] != "drift_cubic"):
         for layer in ("fft_pair", "tendency", "step"):
             assert row[f"{layer}_us"] > 0.0 and row[f"{layer}_calls"] >= 1
         # a step is four tendencies and more
         assert row["step_us"] > row["tendency_us"] > 0.0
         # a step holds at least its result, two stage buffers and the stack
-        # of 3q rows (derivative) or q rows (drift-cubic: data)
-        stack = 3 if row["family"] == "derivative" else 1
+        # of 3q rows (psi: data, density, phase) or 2q rows (phi: data, phase)
+        stack = 3 if row["family"] == "derivative" else 2
         assert row["step_peak_b_per_qn"] >= 16.0 * (3 + stack)
 
 
@@ -73,5 +73,5 @@ def test_fft_pair_stacks_the_rows_of_the_stage(monkeypatch, q):
         calls["fft_pair"]()
         calls["tendency"]()
         assert seen["tool"] == seen["stage"], family
-    # the drift-cubic stage of the last family stacks its q data rows alone
-    assert [rows for rows, _ in seen["stage"]] == [q]
+    # the phi stage of the last family stacks its data and phase rows
+    assert [rows for rows, _ in seen["stage"]] == [2 * q]

@@ -1,6 +1,6 @@
 """Per-layer timing of the march: one FFT pair, one stage tendency and one
 step of the RK4 march, and one split step, for each grid size n, species
-count q and family.
+count q and system.
 
 Run from anywhere:
 
@@ -10,13 +10,15 @@ The package is imported from this checkout's ``src/``. Each cell (n, q)
 builds three seeded states whose species all wind once, and prints one
 JSON line for each, with its ``family``:
 
-- ``derivative``: a psi state, every RK4 stage of which transforms 3q rows
-  (data, density and phase);
-- ``drift_cubic``: a psi state, every RK4 stage of which transforms the q
-  data rows, whose symbol holds the dispersion and the drift;
-- ``drift_cubic_phi``: the phi state of the drift-cubic tables, whose
-  density-only tables take the split step (four kicks and three q-row
-  linear flows); its line has the step alone, and a merged call.
+- ``derivative``: a derivative-family psi state, every RK4 stage of which
+  transforms 3q rows (data, density and phase);
+- ``derivative_phi``: the phi state of the derivative-family tables,
+  every RK4 stage of which transforms 2q rows (data and phase);
+- ``drift_cubic``: a drift-cubic psi state, whose density-only tables
+  take the split step (four kicks and three q-row linear flows, whose
+  symbol holds the dispersion and the drift); its line has the step
+  alone, and a merged call. A drift-cubic phi takes the same split step,
+  with a drift-free symbol.
 
 Each line gives the min over ``repeats`` of the mean time of one call, in
 microseconds:
@@ -27,7 +29,7 @@ microseconds:
 - ``tendency_us``: ``solver._tendency`` into buffers allocated once, as
   ``solver.step`` calls it;
 - ``step_us``: ``solver.step`` at half the RK4 step bound;
-- ``merged_step_us`` (split family only): the same steps taken
+- ``merged_step_us`` (split state only): the same steps taken
   ``MERGED_STEPS`` at a time, ``solver.step(..., count=MERGED_STEPS)``,
   per step: 3 kicks a step and 1 more a call, against 4 kicks a step and
   the propagators and checks of a call for ``step_us``.
@@ -75,19 +77,19 @@ def _import_package():
     return cnls_gauge
 
 
-FAMILIES = ("derivative", "drift_cubic")  # the RK4 stages
-SPLIT_FAMILY = "drift_cubic_phi"  # the split step
+FAMILIES = ("derivative", "derivative_phi")  # the RK4 stages
+SPLIT_FAMILY = "drift_cubic"  # the split step
 MERGED_STEPS = 40  # steps of one merged call: the interval between two samples
 
 
 def make_state(cg, n: int, q: int, family: str):
     """A state of the family on [0, 2 pi), seeded by (n, q): a
-    derivative-family psi state with nonzero flux and phase tables, a
-    drift-cubic psi state, or a phi state of the drift-cubic tables."""
+    derivative-family psi state with nonzero flux and phase tables, the
+    phi state of those tables, or a drift-cubic psi state."""
     rng = np.random.default_rng([n, q])
     grid = cg.make_grid(n, 0.0, 2.0 * np.pi)
     A = cg.DispersionMatrix(rng.choice([-1.0, 1.0], q) * rng.uniform(0.5, 2.0, q))
-    if family == "derivative":
+    if family in FAMILIES:
         spec = cg.DerivativeSpec(
             beta=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
             gamma=0.5 * rng.uniform(-1.0, 1.0, (q, q)),
@@ -98,7 +100,7 @@ def make_state(cg, n: int, q: int, family: str):
         spec = cg.DriftCubicSpec(
             delta=0.5 * rng.uniform(-1.0, 1.0, q), gamma=0.5 * rng.uniform(-1.0, 1.0, q)
         )
-    if family == SPLIT_FAMILY:
+    if family == "derivative_phi":
         spec = cg.transformed_spec(spec, A)
     x, k = grid.x, np.arange(q)[:, None]
     data = (1.0 + 0.2 * np.cos(x + k)) * np.exp(1j * (x + 0.3 * np.sin(2.0 * x + k)))
@@ -107,7 +109,7 @@ def make_state(cg, n: int, q: int, family: str):
 
 def layer_calls(cg, n: int, q: int, family: str) -> dict:
     """The timed calls of the cell (n, q, family), by layer name: the step
-    and a merged call for the split family. The FFT pair stacks the row
+    and a merged call for the split state. The FFT pair stacks the row
     blocks that the family's stage stacks (``solver._stack_blocks``), with
     the stage's symbol (``solver._symbol``)."""
     from cnls_gauge.grid import _spectral_pair
