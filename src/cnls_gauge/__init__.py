@@ -57,6 +57,7 @@ from .classify import (
     case2_coeffs,
     case3_coeffs,
     drift_cubic_wave,
+    case2_wave,
 )
 from .solver import (
     SimState,
@@ -90,7 +91,7 @@ __all__ = [
     "curl_residual_2d", "transformed_spec", "eval_R_numeric",
     # classify
     "SpecialCase", "classify_q1", "case1_coeffs", "case2_coeffs", "case3_coeffs",
-    "drift_cubic_wave",
+    "drift_cubic_wave", "case2_wave",
     # solver
     "SimState", "DiagnosticsRecord", "BlowUpError", "rhs", "step", "evolve",
     "current", "continuity_residual", "stability_bound",

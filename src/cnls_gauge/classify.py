@@ -1,5 +1,6 @@
 """Recognition of named single-species cases, reduction-case builders and
-an exact drift-cubic travelling wave.
+exact travelling waves of the drift-cubic equation and of case 2's
+transformed system.
 
 For q = 1 the derivative family contains several classical equations,
 recognized from the scalar coefficients (beta, gamma, delta, lambda):
@@ -13,8 +14,9 @@ sets whose gauge transform collapses to, respectively, decoupled linear
 equations, decoupled current-coupled (Jackiw-like) equations, and a system
 coupled only through the transformed currents.
 
-``drift_cubic_wave`` is an answer that no march computes: the exact
-travelling dn wave of the q = 1 drift-cubic equation, against which the
+``drift_cubic_wave`` and ``case2_wave`` are answers that no march
+computes: the exact travelling dn waves of the q = 1 drift-cubic equation
+and of the current-driven equations of case 2's phi, against which the
 solver is checked.
 """
 
@@ -27,6 +29,7 @@ import operator
 import numpy as np
 
 from .fields import ComplexFieldSet, DispersionMatrix
+from .gauge import TransformedSpec
 from .grid import Grid1D
 from .nonlinearity import DerivativeSpec, DriftCubicSpec
 from .solver import SimState
@@ -38,6 +41,7 @@ __all__ = [
     "case2_coeffs",
     "case3_coeffs",
     "drift_cubic_wave",
+    "case2_wave",
     "DEFAULT_CLASSIFY_TOL",
 ]
 
@@ -232,3 +236,56 @@ def drift_cubic_wave(
     u = amplitude * dn * np.exp(1j * (k * xi - (A * k**2 + omega) * t))
     spec = DriftCubicSpec(delta=[delta], gamma=[gamma])
     return SimState(t, ComplexFieldSet(u[None, :], grid), spec, DispersionMatrix([A]))
+
+
+def case2_wave(
+    grid: Grid1D,
+    t: float,
+    A: DispersionMatrix,
+    eta,
+    kappa,
+    m,
+    p,
+) -> SimState:
+    """The exact travelling dn waves of case 2's transformed system, the
+    decoupled phi_k,t = i A_k phi_k'' + i eta_k J_k phi_k with the current
+    J_k = 2 A_k Im(conj(phi_k) phi_k'), as a phi state at time t:
+
+        phi_k = a_k dn(b_k (x - v_k t), m_k) exp(i (k_k x - omega_k t))
+
+    with k_k = 2 pi ``kappa[k]`` / L the carrier wavenumber (an integer
+    mode, of the sign of eta_k), b_k = 2 p_k K(m_k) / L, which fits p_k
+    periods of dn into the box, v_k = 2 A_k k_k, a_k^2 = b_k^2 / (eta_k
+    k_k) and omega_k = A_k (k_k^2 - (2 - m_k) b_k^2); m and p are one
+    value per species or one for all. On the carrier the current is
+    2 A_k k_k rho_k, and the dn profile solves A f'' = (A k^2 - omega) f
+    - 2 eta A k f^3. The spec holds W_k = eta_k J_k as its one table,
+    drift_self = diag(2 eta_k A_k), the tables that ``transformed_spec``
+    gives ``case2_coeffs`` to roundoff.
+    """
+    q, L = A.q, grid.length
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    modes = [operator.index(k) for k in np.atleast_1d(kappa).tolist()]
+    ms = np.broadcast_to(np.asarray(m, dtype=float), (q,)).tolist()
+    ps = [operator.index(j) for j in np.broadcast_to(p, (q,)).tolist()]
+    if eta.shape != (q,) or len(modes) != q:
+        raise ValueError(f"eta and kappa need {q} entries, got {eta.shape} and {len(modes)}")
+    k = 2.0 * math.pi * np.array(modes, dtype=float) / L
+    if not (all(0.0 <= mk < 1.0 for mk in ms) and min(ps) >= 1 and (eta * k > 0.0).all()):
+        raise ValueError(
+            f"need 0 <= m < 1, p >= 1 and eta_k kappa_k > 0, got m={ms!r}, p={ps!r}, "
+            f"eta={eta.tolist()!r}, kappa={modes!r}"
+        )
+    phi = np.empty((q, grid.n_points), dtype=complex)
+    for j, (Aj, etaj, kj, mj, pj) in enumerate(zip(A.values.tolist(), eta.tolist(), k, ms, ps)):
+        # dn(b z) = dn(K s) with s = 2 p z / L
+        K, dn = _dn_in_K(2.0 * pj * (grid.x - 2.0 * Aj * kj * t) / L, mj)
+        b = 2.0 * pj * K / L
+        omega = Aj * (kj**2 - (2.0 - mj) * b**2)
+        phi[j] = b / math.sqrt(etaj * kj) * dn * np.exp(1j * (kj * grid.x - omega * t))
+    zeros = np.zeros((q, q))
+    spec = TransformedSpec(
+        drift_self=np.diag(2.0 * eta * A.values), drift_cross=zeros, cubic=zeros,
+        quartic=np.zeros((q, q, q)), const_shift=np.zeros(q),
+    )
+    return SimState(t, ComplexFieldSet(phi, grid), spec, A)

@@ -4,8 +4,9 @@ All operators act on the last axis of their input, so a stacked (q, n)
 family of fields is processed in one call. Grids are power-of-two sized
 for predictable FFT behaviour.
 
-Every FFT pair (the operators below, the RK4 stage's stacked pair and the
-split step's linear flows in ``solver``) goes through ``_spectral_pair``,
+Every FFT pair (the operators below, the RK4 stage's stacked pair, which
+may give one forward spectrum to two blocks of rows, and the split step's
+linear flows in ``solver``) goes through ``_spectral_pair``,
 which calls numpy's pocketfft ufuncs directly, with the factors and axes
 that ``np.fft.fft`` and ``np.fft.ifft`` pass them, so the results have
 np.fft's bytes without its Python wrapper. Fields are transformed in
@@ -115,16 +116,25 @@ def _spectral_pair(
     symbol: np.ndarray,
     q: int | None = None,
     tail: np.ndarray | None = None,
+    copies: int = 0,
 ) -> np.ndarray:
     """In place on complex ``rows``: every row becomes ifft(symbol * fft(row)),
     with the bytes of ``np.fft.ifft(symbol * np.fft.fft(row))``. Given q,
     only the first q rows take ``symbol`` and every later row takes
-    ``tail``, with one product for all of them. Returns rows.
+    ``tail``, with one product for all of them. Given ``copies``, the last
+    ``copies`` rows are not read: they take the spectrum of the first
+    ``copies`` rows, so each ends as ifft(tail * fft(row)) of its source
+    row, with no forward transform of its own. Returns rows.
 
     The forward factor is 1 and the inverse 1/n, the factors np.fft passes
     for its default norm.
     """
-    _pocketfft.fft(rows, 1.0, axes=_LAST_AXIS, out=rows)
+    if copies:
+        read = rows[:rows.shape[0] - copies]
+        _pocketfft.fft(read, 1.0, axes=_LAST_AXIS, out=read)
+        rows[-copies:] = rows[:copies]
+    else:
+        _pocketfft.fft(rows, 1.0, axes=_LAST_AXIS, out=rows)
     # symbol first, as in symbol * fft(row): the operand order decides the
     # sign of a NaN that a non-finite row produces
     if q is None:

@@ -47,11 +47,18 @@ in dS/dx. The stage's spectral rows share one stacked in-place FFT pair
 (``grid._spectral_pair``, numpy's pocketfft ufuncs without the np.fft
 wrapper), and the stack holds exactly the rows the stage reads
 (``_stack_blocks``): the q data rows (the Laplacian, with the drift when
-c is nonzero), q density rows when D is nonzero (drho/dx) and q periodic
-phase rows when W reads dS/dx (drift_self or drift_cross nonzero: the
-unwrapped phases of a jump-only unwrap, ``fields._unwrap_rows``, less
-their winding ramps). That is 3q rows for a derivative-family psi, 2q
-for its phi, and q for a drift-cubic psi or phi and the linear system.
+c is nonzero), q density rows when D is nonzero (drho/dx) and q phase
+rows when W reads dS/dx (drift_self or drift_cross nonzero). Beside
+density rows, the phase rows are periodic phases (the unwrapped phases
+of a jump-only unwrap, ``fields._unwrap_rows``, less their winding
+ramps), and dS/dx is their derivative plus the ramp slope. Without them
+the stage takes the field form: the phase rows are u' rows that take a
+copy of the data rows' forward spectrum, times ik~ (no forward
+transform of their own, no arctan2, unwrap or winding split), and dS/dx
+is (Re u Im u' - Im u Re u' + kappa rho) / rho, since rho dS/dx =
+Im(conj(phi) phi'). That is 3q rows for a derivative-family psi; 2q for
+its phi, q data rows plus q u' rows from one forward transform of q
+rows; and q for a drift-cubic psi or phi and the linear system.
 The per-species scalars of a stage (the vacuum guard's minimum and peak
 densities, the winding and ramp slope of ``fields._split_winding``) are q
 Python floats, since at desk scale a stage costs about as much per numpy
@@ -59,12 +66,12 @@ call as per array element. ``step`` allocates two (q, n) stage buffers
 and the stack once per step, and each stage writes its tendency over its
 own input. Besides those, a stage holds the real (q, n) density and at
 most three real (q, n) temporaries at once (such as W, Wim and a term
-being summed into Wim): dS/dx is formed in the phase rows, and the flux
-branch builds 1j W - Wim in the density rows with no complex cast of W
-or Wim. Every in-place product and sum keeps the operands of the plain
-expression (or, for a stage input, the same real number to round), and
-every scalar form the IEEE operations of the array one, so the results
-are the same to the last bit.
+being summed into Wim): dS/dx is formed in the phase rows' real parts,
+and the flux branch builds 1j W - Wim in the density rows with no
+complex cast of W or Wim. Every in-place product and sum keeps the
+operands of the plain expression (or, for a stage input, the same real
+number to round), and every scalar form the IEEE operations of the
+array one, so the results are the same to the last bit.
 
 A field phi_k = exp(i kappa_k (x - x_min)) u_k (``ComplexFieldSet.kappa``)
 evolves its periodic u_k with -(k + kappa_k)^2 and k + kappa_k in the
@@ -176,7 +183,9 @@ def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
 
 def _stack_blocks(tables: CoefficientTables) -> tuple[bool, bool]:
     # the blocks of q rows a stage stacks after its q data rows: density
-    # rows when D is nonzero, phase rows when W reads dS/dx
+    # rows when D is nonzero, phase rows when W reads dS/dx; phase rows
+    # without density rows are the field form's u' rows, which take the
+    # data rows' spectrum
     return "D" in tables.nonzero, tables.uses_phase
 
 
@@ -245,18 +254,26 @@ def _tendency(
     u_k), through the data rows' symbol (``_symbol``, built here when not
     given), which then holds A too, and W and Wim are the array kernels',
     which leave the pair out.
-    The q data rows, then the q density rows when D is nonzero, then the q
-    periodic phase rows (the unwrapped phases less their integer-winding
-    ramp) when W reads dS/dx (``_stack_blocks``) share one stacked FFT
-    pair in ``work``, a complex array of at least ``_stack_rows`` rows
-    (fresh when not given). W and Wim are evaluated after the pair.
+    The q data rows, then the q density rows when D is nonzero, then q
+    phase rows when W reads dS/dx (``_stack_blocks``) share one stacked
+    FFT pair in ``work``, a complex array of at least ``_stack_rows`` rows
+    (fresh when not given). Beside density rows the phase rows are the
+    unwrapped phases less their integer-winding ramp. Without them the
+    stage takes the field form: the phase rows are u' rows, which take a
+    copy of the data rows' forward spectrum (``copies``), so the pair
+    makes q forward and 2q inverse transforms, and dS/dx is
+    (Re u Im u' - Im u Re u' + kappa rho) / rho; the tables choose this
+    form, as they choose the split step. W and Wim are evaluated after
+    the pair.
     Raises VacuumError when any node falls below the relative floor and
-    the tables have a nonzero entry: Wim divides by rho and a spectral
-    evaluation of a near-vacuum phase would contaminate every node (the
-    guard is kept where the stage does neither, as for drift-cubic psi).
+    the tables have a nonzero entry: Wim and the field form's dS/dx divide
+    by rho, and a spectral evaluation of a near-vacuum phase would
+    contaminate every node (the guard is kept where the stage does none of
+    these, as for drift-cubic psi).
     """
     q, n = data.shape
     flux, phase = _stack_blocks(tables)
+    field = phase and not flux
     size = _stack_rows(tables, q)
     rows = np.empty((size, n), dtype=complex) if work is None else work[:size]
     rows[:q] = data
@@ -267,15 +284,15 @@ def _tendency(
         _vacuum_guard(rho, t, floor)
         if flux:
             rows[q:2 * q] = rho
-        if phase:
+        if phase and flux:
             # np.arctan2(imag, real) is np.angle(data) without its wrapper
             periodic, slope = _split_winding(
                 _unwrap_rows(np.arctan2(data.imag, data.real)), grid
             )
-            phase_rows = rows[q * (1 + flux):q * (2 + flux)]
+            phase_rows = rows[2 * q:3 * q]
             phase_rows[...] = periodic
             del periodic
-    _spectral_pair(rows, symbol, q, grid._ik)
+    _spectral_pair(rows, symbol, q, grid._ik, copies=q if field else 0)
     del symbol
     if out is None:
         out = np.empty((q, n), dtype=complex)
@@ -289,7 +306,19 @@ def _tendency(
         np.multiply(1j, out, out=out)
     else:
         dS = None
-        if phase:
+        if field:
+            # (Re u Im u' - Im u Re u' (+ kappa rho)) / rho, formed in the
+            # u' rows
+            du = rows[q:2 * q]
+            dS = du.real
+            cross = data.imag * dS
+            np.multiply(data.real, du.imag, out=dS)
+            np.subtract(dS, cross, out=dS)
+            del cross
+            if kappa is not None:
+                dS += kappa[:, None] * rho
+            np.divide(dS, rho, out=dS)
+        elif phase:
             # phase_rows.real + slope (+ kappa), formed in the phase rows
             dS = phase_rows.real
             np.add(dS, slope[:, None], out=dS)

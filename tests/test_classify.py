@@ -8,6 +8,7 @@ from cnls_gauge import (
     SpecialCase,
     case1_coeffs,
     case2_coeffs,
+    case2_wave,
     case3_coeffs,
     classify_q1,
     derivative,
@@ -275,3 +276,59 @@ def test_drift_cubic_wave_rejects_bad_parameters(bad):
     grid = make_grid(16, 0.0, 2.0 * np.pi)
     with pytest.raises((ValueError, TypeError)):
         drift_cubic_wave(grid, 0.0, **{**WAVE, **bad})
+
+
+# --- the exact travelling waves of case 2's phi --------------------------------
+
+CASE2 = dict(A=DispersionMatrix([1.0, -0.5]), eta=[0.5, -0.2], kappa=[6, -6], m=0.6, p=2)
+# one m and p per species
+CASE2_MIXED = dict(A=DispersionMatrix([1.0, 0.5]), eta=[0.5, 0.2], kappa=[1, 2],
+                   m=[0.6, 0.4], p=[1, 2])
+
+
+@pytest.mark.parametrize("wave", [CASE2, CASE2_MIXED])
+def test_case2_wave_solves_its_equation(wave):
+    # phi_t by a centered difference in t against i A phi'' + i eta J phi,
+    # J = 2 A Im(conj(phi) phi'), spectral in x
+    grid = make_grid(64, 0.0, 2.0 * np.pi)
+    t, h = 0.3, 1e-5
+    state = case2_wave(grid, t, **wave)
+    phi = state.fields.data
+    phi_t = (case2_wave(grid, t + h, **wave).fields.data
+             - case2_wave(grid, t - h, **wave).fields.data) / (2.0 * h)
+    A, eta = wave["A"].values[:, None], np.array(wave["eta"])[:, None]
+    J = 2.0 * A * np.imag(np.conj(phi) * derivative(phi, grid))
+    rhs = 1j * A * second_derivative(phi, grid) + 1j * eta * J * phi
+    residual = float(np.abs(phi_t - rhs).max())
+    assert residual < 1e-5 * np.abs(rhs).max(), residual
+    assert state.t == t and state.spec.tables.nonzero == frozenset({"drift_self"})
+    # at t = 0, p dn periods of density between a^2 (x = 0) and (1 - m) a^2
+    # (x = pi / (2 p)), a^2 = b^2 / (eta k), b = 2 p K / L
+    m, p = (np.broadcast_to(wave[name], (2,)) for name in ("m", "p"))
+    b = np.array([2.0 * pj * _dn_in_K(np.zeros(1), mj)[0] for mj, pj in zip(m, p)]) / (2.0 * np.pi)
+    a2 = b**2 / (np.array(wave["eta"]) * np.array(wave["kappa"]))
+    rho = np.abs(case2_wave(grid, 0.0, **wave).fields.data) ** 2
+    assert np.allclose(rho.max(axis=-1), a2, rtol=1e-14, atol=0.0)
+    assert np.allclose(rho.min(axis=-1), (1.0 - m) * a2, rtol=1e-14, atol=0.0)
+
+
+def test_case2_wave_tables_are_case2s_transformed_tables():
+    # the wave's W = eta J is the phi of case2_coeffs, to roundoff
+    A = CASE2["A"]
+    spec, eta = case2_coeffs([[0.3, -0.2], [0.1, 0.25]], [0.4, -0.3], A)
+    assert eta.tolist() == CASE2["eta"]
+    grid = make_grid(16, 0.0, 2.0 * np.pi)
+    wave = case2_wave(grid, 0.0, **CASE2).spec.tables
+    case2 = transformed_spec(spec, A).tables
+    assert wave.nonzero == case2.nonzero
+    assert np.allclose(wave.drift_self, case2.drift_self, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [dict(m=1.0), dict(m=-0.1), dict(p=0), dict(p=1.5),
+                                 dict(kappa=[6, 6]), dict(kappa=[0, -6]), dict(kappa=[6.5, -6]),
+                                 dict(eta=[0.5]), dict(eta=[float("nan"), -0.2]),
+                                 dict(m=[0.5, 1.0]), dict(p=[1, 0]), dict(p=[1, 2, 3])])
+def test_case2_wave_rejects_bad_parameters(bad):
+    grid = make_grid(16, 0.0, 2.0 * np.pi)
+    with pytest.raises((ValueError, TypeError)):
+        case2_wave(grid, 0.0, **{**CASE2, **bad})

@@ -196,6 +196,20 @@ def test_transform_rows_one_product_matches_one_per_block():
         assert got.tobytes() == want.tobytes(), blocks
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_spectral_pair_copies_are_transforms_of_their_source_rows(q):
+    # the last q rows, never read, end as ifft(ik fft(row)) of the first q
+    grid = make_grid(64, 0.0, TWO_PI)
+    rng = np.random.default_rng(10 + q)
+    data = rng.standard_normal((q, 64)) + 1j * rng.standard_normal((q, 64))
+    symbol = -((grid.k + np.linspace(0.37, -0.2, q)[:, None]) ** 2)
+    rows = np.full((2 * q, 64), np.nan, dtype=complex)
+    rows[:q] = data
+    _spectral_pair(rows, symbol, q, grid._ik, copies=q)
+    assert rows[:q].tobytes() == _reference_transform(data, symbol).tobytes()
+    assert rows[q:].tobytes() == _reference_transform(data, grid._ik).tobytes()
+
+
 # --- the spectral pair against np.fft -----------------------------------------
 
 
@@ -406,6 +420,29 @@ def _reference_tendency(fields, tables, A):
     return _hydro_tendency(fields, reduced, A, symbol)
 
 
+def _field_tendency(fields, tables, A):
+    """The field-form stage of tables that read dS/dx with D = 0, in
+    textbook np.fft: one forward transform of u, whose spectrum gives the
+    data rows (symbol -(k + kappa)^2) and u' (ik~, the Nyquist entry
+    zeroed), and dS/dx = (Re u Im u' - Im u Re u' + kappa rho) / rho."""
+    data, grid = fields.data, fields.grid
+    kappa = fields.kappa[:, None] if fields.kappa.any() else None
+    spectrum = np.fft.fft(data, axis=-1)
+    lap = np.fft.ifft(-((grid.k + (0.0 if kappa is None else kappa)) ** 2) * spectrum, axis=-1)
+    du = np.fft.ifft(grid._ik * spectrum, axis=-1)
+    rho = data.real**2 + data.imag**2
+    dS = data.real * du.imag - data.imag * du.real
+    if kappa is not None:
+        dS = dS + kappa * rho
+    dS = dS / rho
+    return 1j * (A.values[:, None] * lap + _reference_W(tables, rho, dS) * data)
+
+
+def _field_form(tables):
+    # the stage's test for its field form: phase rows and no density rows
+    return solver._stack_blocks(tables) == (False, True)
+
+
 def _states(family, q=2, n=256, seed=0):
     """The psi state of a family and the phi state of its transformed
     tables (the linear family has one), with phases that wind."""
@@ -429,6 +466,8 @@ def _states(family, q=2, n=256, seed=0):
 @pytest.mark.parametrize("family", ["linear", "drift_cubic", "derivative"])
 @pytest.mark.parametrize("kappa", [0.0, 0.37])
 def test_stage_is_byte_identical_to_reference(family, kappa):
+    # a derivative-family phi takes the field form (its own reference);
+    # every psi here, and the other families' phi, the hydro form
     for seed in range(3):
         grid, A, states = _states(family, q=2 + seed % 2, seed=seed)
         for tag, spec, data in states:
@@ -436,8 +475,82 @@ def test_stage_is_byte_identical_to_reference(family, kappa):
             kap = kappa * np.linspace(1.0, -1.0, q)
             fields = ComplexFieldSet(data, grid, kappa=kap)
             got = rhs(SimState(0.0, fields, spec, A)).data
-            want = _reference_tendency(fields, spec.tables, A)
+            field = _field_form(spec.tables)
+            assert field == (family == "derivative" and tag == "phi"), (family, tag)
+            reference = _field_tendency if field else _reference_tendency
+            want = reference(fields, spec.tables, A)
             assert got.tobytes() == want.tobytes(), (family, tag, seed)
+
+
+def _field_cases(q, seed):
+    """The winding phi of derivative-family tables, and a derivative psi
+    with D = 0 (drift_self, drift_cross and quartic alone): the two tables
+    that take the field form."""
+    grid, A, states = _states("derivative", q=q, seed=seed)
+    (_, psi, data), (_, phi, _) = states
+    no_flux = replace(psi.tables, D=np.zeros((q, q)))
+    cases = [(phi.tables, data), (no_flux, data)]
+    assert all(_field_form(tables) for tables, _ in cases)
+    return grid, A, cases
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("kappa", [0.0, 0.37])
+def test_field_stage_matches_the_hydro_formula(q, kappa):
+    # Im(conj(u) u') / rho is the unwrapped phase's derivative, winding
+    # ramp included, so the field form is the hydro stage up to rounding
+    for seed in range(3):
+        grid, A, cases = _field_cases(q, seed)
+        for tables, data in cases:
+            kap = kappa * np.linspace(1.0, -1.0, q)
+            fields = ComplexFieldSet(data, grid, kappa=kap)
+            got = _tendency(data, grid, tables, A, 0.0, kap if kappa else None)
+            want = _reference_tendency(fields, tables, A)
+            gap = float(np.abs(got - want).max())
+            assert gap <= 1e-13 * np.abs(want).max(), (seed, gap)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.37])
+def test_field_stage_makes_one_pair_that_copies_its_spectrum(monkeypatch, kappa):
+    # one pair on a 2q-row stack: the q data rows transformed forward, their
+    # spectrum copied to the q u' rows; no phase is taken or unwrapped
+    calls = []
+    real = solver._spectral_pair
+
+    def record(rows, symbol, *args, **kwargs):
+        calls.append((rows[:rows.shape[0] - kwargs.get("copies", 0)].copy(), rows.shape, kwargs))
+        return real(rows, symbol, *args, **kwargs)
+
+    def no_phase(*args):
+        raise AssertionError("phase taken")
+
+    monkeypatch.setattr(solver, "_spectral_pair", record)
+    monkeypatch.setattr(solver, "_unwrap_rows", no_phase)
+    monkeypatch.setattr(solver, "_split_winding", no_phase)
+    for q in (1, 2, 3):
+        grid, A, cases = _field_cases(q, seed=q)
+        for tables, data in cases:
+            kap = kappa * np.linspace(1.0, -1.0, q)
+            calls.clear()
+            _tendency(data, grid, tables, A, 0.0, kap if kappa else None)
+            [(read, shape, kwargs)] = calls
+            assert shape == (2 * q, grid.n_points) and kwargs == {"copies": q}
+            assert read.tobytes() == data.tobytes()
+
+
+def test_field_stage_keeps_the_vacuum_guard():
+    # the field form divides by rho: a phi node below the floor raises,
+    # naming the species and the time
+    grid, A, states = _states("derivative", q=2, seed=3)
+    _, spec, data = states[1]
+    assert _field_form(spec.tables)
+    node = data.copy()
+    node[1, 17] = 0.0
+    state = SimState(0.3, ComplexFieldSet(node, grid), spec, A)
+    for call in (rhs, lambda s: step(s, 1e-5)):
+        with pytest.raises(VacuumError, match="below floor during evolution: species 2 at t=0.3") as err:
+            call(state)
+        assert err.value.t == 0.3
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.37])
@@ -475,9 +588,9 @@ def test_drift_stage_makes_one_pair_on_its_q_data_rows(monkeypatch, kappa):
     calls = []
     real = solver._spectral_pair
 
-    def record(rows, symbol, *args):
-        calls.append((rows.copy(), symbol))
-        return real(rows, symbol, *args)
+    def record(rows, symbol, *args, **kwargs):
+        calls.append((rows.copy(), symbol, kwargs))
+        return real(rows, symbol, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_spectral_pair", record)
     for seed in range(2):
@@ -486,8 +599,8 @@ def test_drift_stage_makes_one_pair_on_its_q_data_rows(monkeypatch, kappa):
         kap = kappa * np.linspace(1.0, -1.0, data.shape[0])
         calls.clear()
         rhs(SimState(0.0, ComplexFieldSet(data, grid, kappa=kap), spec, A))
-        [(rows, symbol)] = calls
-        assert rows.tobytes() == data.tobytes(), seed
+        [(rows, symbol, kwargs)] = calls
+        assert rows.tobytes() == data.tobytes() and kwargs == {"copies": 0}, seed
         assert symbol.shape == data.shape, seed  # A_k and a_k per row
 
 

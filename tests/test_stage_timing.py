@@ -42,15 +42,15 @@ def test_one_json_line_per_cell_with_every_layer():
         # a step is four tendencies and more
         assert row["step_us"] > row["tendency_us"] > 0.0
         # a step holds at least its result, two stage buffers and the stack
-        # of 3q rows (psi: data, density, phase) or 2q rows (phi: data, phase)
+        # of 3q rows (psi: data, density, phase) or 2q rows (phi: data, u')
         stack = 3 if row["family"] == "derivative" else 2
         assert row["step_peak_b_per_qn"] >= 16.0 * (3 + stack)
 
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_fft_pair_stacks_the_rows_of_the_stage(monkeypatch, q):
-    # the timed pair must run on the stage's stack: as many rows, with the
-    # stage's symbol
+    # the timed pair must run on the stage's stack: as many rows and copied
+    # spectra, with the stage's symbol
     spec = importlib.util.spec_from_file_location("stage_timing", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -58,9 +58,9 @@ def test_fft_pair_stacks_the_rows_of_the_stage(monkeypatch, q):
     real = grid_module._spectral_pair
 
     def recorder(who):
-        def record(rows, symbol, q=None, tail=None):
-            seen[who].append((rows.shape[0], symbol.tobytes()))
-            return real(rows, symbol, q, tail)
+        def record(rows, symbol, q=None, tail=None, copies=0):
+            seen[who].append((rows.shape[0], copies, symbol.tobytes()))
+            return real(rows, symbol, q, tail, copies)
 
         return record
 
@@ -73,5 +73,6 @@ def test_fft_pair_stacks_the_rows_of_the_stage(monkeypatch, q):
         calls["fft_pair"]()
         calls["tendency"]()
         assert seen["tool"] == seen["stage"], family
-    # the phi stage of the last family stacks its data and phase rows
-    assert [rows for rows, _ in seen["stage"]] == [2 * q]
+    # the phi stage of the last family reads its q data rows and copies
+    # their spectrum to its q u' rows
+    assert [(rows, copies) for rows, copies, _ in seen["stage"]] == [(2 * q, q)]

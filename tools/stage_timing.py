@@ -13,7 +13,8 @@ JSON line for each, with its ``family``:
 - ``derivative``: a derivative-family psi state, every RK4 stage of which
   transforms 3q rows (data, density and phase);
 - ``derivative_phi``: the phi state of the derivative-family tables,
-  every RK4 stage of which transforms 2q rows (data and phase);
+  whose RK4 stage takes the field form: q data rows transformed forward,
+  their spectrum copied to q u' rows, and 2q rows transformed back;
 - ``drift_cubic``: a drift-cubic psi state, whose density-only tables
   take the split step (four kicks and three q-row linear flows, whose
   symbol holds the dispersion and the drift); its line has the step
@@ -24,8 +25,8 @@ Each line gives the min over ``repeats`` of the mean time of one call, in
 microseconds:
 
 - ``fft_pair_us``: the stacked pair that the family's stage runs,
-  ``grid._spectral_pair`` on its rows, including the copy of the rows it
-  reads into its buffer;
+  ``grid._spectral_pair`` on its rows (with the spectrum copies of the
+  field form), including the copy of the rows it reads into its buffer;
 - ``tendency_us``: ``solver._tendency`` into buffers allocated once, as
   ``solver.step`` calls it;
 - ``step_us``: ``solver.step`` at half the RK4 step bound;
@@ -111,7 +112,9 @@ def layer_calls(cg, n: int, q: int, family: str) -> dict:
     """The timed calls of the cell (n, q, family), by layer name: the step
     and a merged call for the split state. The FFT pair stacks the row
     blocks that the family's stage stacks (``solver._stack_blocks``), with
-    the stage's symbol (``solver._symbol``)."""
+    the stage's symbol (``solver._symbol``); a stage with phase rows and
+    no density rows (the field form) reads its q data rows and copies
+    their spectrum to the other q."""
     from cnls_gauge.grid import _spectral_pair
     from cnls_gauge.solver import _stack_blocks, _stack_rows, _symbol, _tendency, step
 
@@ -129,14 +132,15 @@ def layer_calls(cg, n: int, q: int, family: str) -> dict:
         }
     data = state.fields.data
     flux, phase = _stack_blocks(tables)
+    copies = q if phase and not flux else 0
     size, symbol = _stack_rows(tables, q), _symbol(grid, tables, A, None)
-    source = [data] + [np.abs(data) ** 2] * flux + [np.angle(data)] * phase
+    source = [data] + [np.abs(data) ** 2] * flux + [np.angle(data)] * (phase and flux)
     source = np.concatenate(source).astype(complex)
     work, out = np.empty((size, n), dtype=complex), np.empty_like(data)
 
     def fft_pair():
-        work[...] = source
-        _spectral_pair(work, symbol, q, grid._ik)
+        work[:size - copies] = source
+        _spectral_pair(work, symbol, q, grid._ik, copies=copies)
 
     def tendency():
         _tendency(data, grid, tables, A, 0.0, out=out, work=work)
