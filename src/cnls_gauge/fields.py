@@ -37,8 +37,8 @@ DEFAULT_FLOOR = 1e-12
 class VacuumError(ValueError):
     """Raised when a phase-based quantity is requested at vanishing density.
 
-    ``t`` is the start time of the step whose stage failed, for a failure
-    during a march; None otherwise.
+    ``t`` is, for a failure in a march (in a stage that divides by rho or
+    reads the phase), the start time of the step; None otherwise.
     """
 
     def __init__(self, message: str, t: float | None = None):

@@ -18,7 +18,8 @@ its flow is exact in Fourier space, and a rest i P(rho) u, P = W of the
 array kernels (Wim = 0), whose flow u <- exp(i tau P(rho)) u keeps rho,
 so it is exact too. They take the split step (``_split_step``):
 Yoshida's triple jump of Strang steps, fourth order, norm-preserving and
-without a step bound. Every drift-cubic psi and phi takes it.
+without a step bound. Every drift-cubic psi and phi takes it. Neither
+flow divides by rho or reads a phase, so it marches through nodes.
 
 ``step(state, dt, count=m)`` takes m steps in one call, and a split call
 merges the kicks where two steps meet: 3m + 1 kicks, against 4m for m
@@ -239,7 +240,6 @@ def _tendency(
     A: DispersionMatrix,
     t: float,
     kappa: np.ndarray | None = None,
-    floor: float = DEFAULT_FLOOR,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
     symbol: np.ndarray | None = None,
@@ -265,11 +265,9 @@ def _tendency(
     (Re u Im u' - Im u Re u' + kappa rho) / rho; the tables choose this
     form, as they choose the split step. W and Wim are evaluated after
     the pair.
-    Raises VacuumError when any node falls below the relative floor and
-    the tables have a nonzero entry: Wim and the field form's dS/dx divide
-    by rho, and a spectral evaluation of a near-vacuum phase would
-    contaminate every node (the guard is kept where the stage does none of
-    these, as for drift-cubic psi).
+    Only a stack with density or phase rows runs ``_vacuum_guard`` (at t,
+    ``DEFAULT_FLOOR``): Wim and the field form's dS/dx divide by rho, and a
+    spectral near-vacuum phase would contaminate every node.
     """
     q, n = data.shape
     flux, phase = _stack_blocks(tables)
@@ -281,7 +279,8 @@ def _tendency(
         symbol = _symbol(grid, tables, A, kappa)
     if tables.nonzero:
         rho = data.real**2 + data.imag**2
-        _vacuum_guard(rho, t, floor)
+        if flux or phase:
+            _vacuum_guard(rho, t, DEFAULT_FLOOR)
         if flux:
             rows[q:2 * q] = rho
         if phase and flux:
@@ -399,8 +398,8 @@ def _split_step(
 
     As a kick keeps rho, the last kick of one step and the first of the
     next read the same P(rho), and inside a call they merge into one kick
-    of w1 dt. A kick's vacuum guard runs at the start time of its step; a
-    merged kick's at that of the step whose last kick it replaces. Each
+    of w1 dt. Neither a kick nor a flow divides by rho or reads a phase,
+    so a node or an all-zero species marches like any other state. Each
     step is checked as ``step`` checks it (finite, within ``max_abs``) at
     its end time, its start time plus dt; a merged kick changes only the
     phase, so that check reads the step's end up to the rounding of |u|.
@@ -411,9 +410,8 @@ def _split_step(
     phase = np.empty(state.fields.data.shape, dtype=complex)
     u = state.fields.data.copy()
 
-    def kick(w: float, t: float) -> None:
+    def kick(w: float) -> None:
         rho = u.real**2 + u.imag**2
-        _vacuum_guard(rho, t, DEFAULT_FLOOR)
         # (cos(tau P) + 1j sin(tau P)) * u, in the phase buffer and u
         theta = eval_W_parts(tables, rho, None)
         del rho
@@ -423,12 +421,12 @@ def _split_step(
         del theta
         np.multiply(phase, u, out=u)
 
-    kick(_KICKS[0], t)
+    kick(_KICKS[0])
     for j in range(count):
         kicks = _KICKS[1:] if j == count - 1 else _MERGED
         for flow, w in zip((outer, inner, outer), kicks):
             _spectral_pair(u, flow)
-            kick(w, t)
+            kick(w)
         t = t + dt
         _check(u, t, max_abs)
     return _at(state, u, t)

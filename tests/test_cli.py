@@ -499,11 +499,38 @@ def test_verify_fractional_ramp_passes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["family_b_sample", "family_b_convergence", "linear_plane_wave"]
+    "name", ["family_b_sample", "family_b_convergence", "linear_plane_wave", "family_a_node"]
 )
 def test_verify_shipped_config_exits_0(tmp_path, name):
     argv = ["verify", str(CONFIGS / f"{name}.json"), "--output-dir", str(tmp_path)]
     assert main(argv) == 0
+
+
+def test_simulate_marches_the_node_config_through_its_node(tmp_path):
+    # species 1 = 0.3 (1 + e^{ix}) vanishes at x = pi; the drift-cubic split
+    # step divides by rho nowhere, so the run keeps every norm
+    argv = ["simulate", str(CONFIGS / "family_a_node.json"), "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    header, *rows = read_csv(tmp_path / "diagnostics.csv")
+    assert header[3:5] == ["drift_1", "drift_2"] and float(rows[-1][0]) == pytest.approx(1.0)
+    values = np.array(rows, dtype=float)
+    assert np.isfinite(values).all()
+    assert not (np.abs(values[:, 3:5]).max() > 1e-12)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_the_node_config_derivative_twin_still_raises(tmp_path, capsys, command):
+    # family_b_sample with the node config's species 1: its stages divide by
+    # rho, so the node stops the march in its first stage
+    payload = json.loads((CONFIGS / "family_b_sample.json").read_text())
+    node = json.loads((CONFIGS / "family_a_node.json").read_text())
+    payload.update(initial=[node["initial"][0], payload["initial"][1]],
+                   output_dir=str(tmp_path / "out"), t_end=0.001)
+    cfg = write_config(tmp_path, payload)
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: density below floor during evolution: species 1 at t=0.0\n"
+    )
 
 
 def test_verify_tolerance_flag_overrides(tmp_path):
@@ -674,6 +701,7 @@ def test_shipped_configs_parse():
         "family_b_sample.json",
         "family_a_verify.json",
         "family_b_convergence.json",
+        "family_a_node.json",
     ):
         cfg = load_config(str(CONFIGS / name))
         assert cfg.q >= 1
@@ -781,17 +809,20 @@ def test_misshapen_table_exits_1_naming_its_key(
 
 
 @pytest.mark.parametrize(
-    "command, message",
+    "command, config, message",
     [
-        ("verify", "error: species 2 is identically zero (all-vacuum)\n"),
-        ("transform", "error: species 2 is identically zero (all-vacuum)\n"),
-        ("simulate",
+        ("verify", "family_a_verify", "error: species 2 is identically zero (all-vacuum)\n"),
+        ("transform", "family_a_verify",
+         "error: species 2 is identically zero (all-vacuum)\n"),
+        # the split step of a drift-cubic system marches through vacuum: the
+        # derivative family's hydro stage, which divides by rho, raises
+        ("simulate", "family_b_sample",
          "error: species is identically zero (all-vacuum): species 2 at t=0.0\n"),
     ],
     ids=["verify", "transform", "simulate"],
 )
-def test_vacuum_error_names_the_species_from_1(tmp_path, capsys, command, message):
-    payload = json.loads((CONFIGS / "family_a_verify.json").read_text())
+def test_vacuum_error_names_the_species_from_1(tmp_path, capsys, command, config, message):
+    payload = json.loads((CONFIGS / f"{config}.json").read_text())
     payload["initial"][1] = {"modes": [{"mode": 0, "re": 0.0, "im": 0.0}]}
     payload.update(output_dir=str(tmp_path / "out"), t_end=0.001, sample_every=4)
     cfg = write_config(tmp_path, payload)

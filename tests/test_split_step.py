@@ -3,8 +3,8 @@ tables (the kernels' Wim = 0 and W reading rho alone, the drift pair in
 the linear flow): its fourth order, its agreement with an exact
 travelling wave and with an RK4 march of the original system, its norm
 conservation and its freedom from the RK4 step bound, each written so
-that a NaN fails it; and the checks the split step keeps from the RK4
-path."""
+that a NaN fails it; its march through nodes, which no vacuum guard
+stops; and the blow-up checks the split step keeps from the RK4 path."""
 
 import warnings
 
@@ -15,9 +15,9 @@ from cnls_gauge import (
     BlowUpError,
     ComplexFieldSet,
     DispersionMatrix,
+    DriftCubicSpec,
     SimState,
     TransformedSpec,
-    VacuumError,
     apply_gauge,
     compute_generator,
     drift_cubic_wave,
@@ -28,6 +28,7 @@ from cnls_gauge import (
     stability_bound,
     step,
     to_hydro,
+    transformed_spec,
 )
 
 from cnls_gauge.solver import _rk4_step
@@ -177,20 +178,48 @@ def _drift_cubic_phi(data):
     return SimState(0.3, ComplexFieldSet(data, grid), spec, DispersionMatrix([1.0, 0.5]))
 
 
-def test_split_step_keeps_the_vacuum_guard_and_the_blow_up_checks():
+def test_split_step_marches_through_vacuum_and_keeps_the_blow_up_checks():
+    # neither a kick nor a flow divides by rho: a node and an all-zero
+    # species step, the zero row stays exactly 0 and every norm is kept
     ones = np.ones((2, 32), dtype=complex)
     node = ones.copy()
     node[1, 5] = 0.0
-    with pytest.raises(VacuumError, match="below floor during evolution: species 2 at t=0.3") as err:
-        step(_drift_cubic_phi(node), 1e-3)
-    assert err.value.t == 0.3
-    with pytest.raises(VacuumError, match="all-vacuum\\): species 1 at t=0.3"):
-        step(_drift_cubic_phi(ones * [[0.0], [1.0]]), 1e-3)
+    for data in (node, ones * [[0.0], [1.0]]):
+        state = _drift_cubic_phi(data)
+        new = step(state, 1e-3, count=3)
+        assert np.isfinite(new.fields.data).all()
+        norms0 = integrate(np.abs(data) ** 2, state.fields.grid)
+        norms = integrate(np.abs(new.fields.data) ** 2, state.fields.grid)
+        assert not (np.abs(norms - norms0).max() > 1e-14 * norms0.max())
+    assert not new.fields.data[0].any()  # the all-zero species, stepped last
     with pytest.raises(BlowUpError, match="blow-up threshold") as err:
         step(_drift_cubic_phi(ones), 1e-3, max_abs=0.5)
     assert err.value.t == 0.3 + 1e-3
     with pytest.raises(ValueError, match="dt must be nonzero"):
         step(_drift_cubic_phi(ones), 0.0)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+def test_drift_cubic_psi_and_phi_march_through_an_exact_node(kappa):
+    # species 1 = 0.3 (1 + e^{ix}) vanishes at the grid node x = pi; the
+    # split steps of psi and of its gauged phi divide by rho nowhere
+    grid = make_grid(64, 0.0, 2.0 * np.pi)
+    A = DispersionMatrix([1.0, 0.5])
+    spec = DriftCubicSpec(delta=[2.0, 1.0], gamma=[0.4, 0.3])
+    wave = np.exp(1j * grid.x)
+    data = np.array([0.3 * (1.0 + wave), 0.25 + 0.05j * wave])
+    assert not (np.abs(data[0]).min() > 1e-15)
+    psi0 = ComplexFieldSet(data, grid, kappa=kappa * np.array([1.0, -1.0]))
+    phi0 = apply_gauge(psi0, compute_generator(spec, to_hydro(psi0), A))
+    for state in (SimState(0.0, psi0, spec, A),
+                  SimState(0.0, phi0, transformed_spec(spec, A), A)):
+        assert state.spec.tables.density_only
+        _, records = evolve(state, 1e-3, 0.1, sample_every=25)
+        assert records[-1].t == pytest.approx(0.1)
+        for r in records:
+            for name in ("norms", "norm_drift", "continuity_residual"):
+                assert np.isfinite(getattr(r, name)).all(), name
+            assert not (np.abs(r.norm_drift).max() > 1e-12), r.norm_drift
 
 
 # --- merged calls: count steps in one call ----------------------------------
@@ -249,7 +278,7 @@ def _node_state(node_step, dt):
 
 
 def _error_of(call):
-    with pytest.raises((VacuumError, BlowUpError)) as err:
+    with pytest.raises(BlowUpError) as err:
         call()
     return type(err.value), str(err.value), err.value.t
 
@@ -271,13 +300,6 @@ def _time(n, dt):
 
 def test_errors_inside_a_merged_call_match_single_steps():
     dt = 1e-2
-    # the node opens at t_5, in the last flow of step 4: its last kick's
-    # guard (merged in the call) raises at that step's start time, t_4
-    state = _node_state(5, dt)
-    single = _error_of(lambda: _single_steps(state, dt, count=7))
-    assert single[0] is VacuumError and "species 1 at t=" in single[1]
-    assert single[2] == _time(4, dt)
-    assert _error_of(lambda: step(state, dt, count=7)) == single
     # the peak |u| = 2 cos((t_node - t)/2) passes max_abs between t_4 and
     # t_5: the end-of-step check of step 4 raises at t_5
     state = _node_state(12, dt)
@@ -288,24 +310,43 @@ def test_errors_inside_a_merged_call_match_single_steps():
     assert _error_of(lambda: step(state, dt, max_abs=max_abs, count=7)) == single
 
 
+def test_a_node_inside_a_merged_call_matches_single_steps():
+    # the node opens at t_5, in the last flow of step 4, inside the call
+    dt = 1e-2
+    state = _node_state(5, dt)
+    single, merged = _single_steps(state, dt, count=7), step(state, dt, count=7)
+    assert merged.t == single.t == _time(7, dt)
+    gap = float(np.abs(merged.fields.data - single.fields.data).max())
+    assert not (gap > 1e-13), gap
+
+
 def test_evolve_keeps_every_sample_before_an_error_in_a_merged_call(monkeypatch):
-    # sample_every = 5: the calls take steps 0, 1-4, 5 and 6-9; the node at
-    # t_8 raises in the call of steps 6-9, at t_7, and keeps the records of
-    # t_0 and t_5, taken once steps 1 and 6 exist, as single steps do
+    # sample_every = 5: the calls take steps 0, 1-4, 5 and 6-9; an error at
+    # the end of step 7, t_8, raises in the call of steps 6-9 and keeps the
+    # records of t_0 and t_5, taken once steps 1 and 6 exist, as single
+    # steps do
     import cnls_gauge.solver as solver
 
     dt = 1e-2
     state = _node_state(8, dt)
+    check = solver._check
+
+    def failing_check(new, t, max_abs):
+        if t == _time(8, dt):
+            raise BlowUpError(f"injected failure at t={t}", t=t)
+        check(new, t, max_abs)
+
+    monkeypatch.setattr(solver, "_check", failing_check)
 
     def failure():
-        with pytest.raises(VacuumError) as err:
+        with pytest.raises(BlowUpError) as err:
             evolve(state, dt, 10 * dt, sample_every=5)
         return err.value
 
     merged = failure()
     monkeypatch.setattr(solver, "step", _single_steps)
     single = failure()
-    assert str(merged) == str(single) and merged.t == single.t == _time(7, dt)
+    assert str(merged) == str(single) and merged.t == single.t == _time(8, dt)
     assert [r.t for r in merged.diagnostics] == [0.0, _time(5, dt)]
     for got, want in zip(merged.diagnostics, single.diagnostics, strict=True):
         assert got.t == want.t

@@ -14,7 +14,6 @@ from cnls_gauge import (
     BlowUpError,
     ComplexFieldSet,
     DispersionMatrix,
-    DriftCubicSpec,
     LinearSpec,
     SimState,
     VacuumError,
@@ -34,7 +33,7 @@ from cnls_gauge.grid import (
 )
 import cnls_gauge.solver as solver
 from cnls_gauge.nonlinearity import CoefficientTables, eval_W_parts, eval_Wim_parts
-from cnls_gauge.solver import _tendency
+from cnls_gauge.solver import _tendency, _vacuum_guard
 
 from conftest import (
     band_limited_state,
@@ -268,9 +267,6 @@ def _reference_guard(rho, floor):
 
 
 def test_vacuum_guard_on_python_floats_matches_numpy():
-    grid = make_grid(8, 0.0, TWO_PI)
-    tables = DriftCubicSpec(delta=[0.5, -0.3], gamma=[0.2, 0.1]).tables
-    A = DispersionMatrix([1.0, 1.0])
     floor = 2.0**-40
     ones, at5 = np.ones(8, dtype=complex), np.arange(8) == 5
     rows = {
@@ -283,15 +279,19 @@ def test_vacuum_guard_on_python_floats_matches_numpy():
     }
     for name, data in rows.items():
         data = np.array(data)
-        want = _reference_guard(data.real**2 + data.imag**2, floor)
+        rho = data.real**2 + data.imag**2
         try:
-            _tendency(data, grid, tables, A, 0.0, floor=floor)
+            _vacuum_guard(rho, 0.3, floor)
             got = None
         except VacuumError as err:
             got = "all-vacuum" if "all-vacuum" in str(err) else "below floor"
-        except BlowUpError:
-            got = None  # past the guard, the NaN reaches the finite check
-        assert got == want, name
+            assert err.t == 0.3
+        assert got == _reference_guard(rho, floor), name
+    # a stage whose tables divide by rho runs the guard
+    grid = make_grid(8, 0.0, TWO_PI)
+    tables = random_derivative_spec(np.random.default_rng(0), 2).tables
+    with pytest.raises(VacuumError, match="all-vacuum\\): species 2 at t=0.0"):
+        _tendency(np.array(rows["zero row"]), grid, tables, DispersionMatrix([1.0, 1.0]), 0.0)
 
 
 def test_stability_bound_matches_the_numpy_expression():
@@ -538,12 +538,19 @@ def test_field_stage_makes_one_pair_that_copies_its_spectrum(monkeypatch, kappa)
             assert read.tobytes() == data.tobytes()
 
 
-def test_field_stage_keeps_the_vacuum_guard():
-    # the field form divides by rho: a phi node below the floor raises,
-    # naming the species and the time
+@pytest.mark.parametrize("stage", ["hydro", "flux", "field"])
+def test_stages_that_divide_by_rho_keep_the_vacuum_guard(stage):
+    # the stages with density or phase rows run the guard: a node below the
+    # floor raises through rhs and step, naming the species and the time.
+    # The hydro psi reads the phase and divides by rho in Wim, the flux-only
+    # psi (drift_self = drift_cross = 0) divides in Wim, and the field-form
+    # phi divides in dS/dx
     grid, A, states = _states("derivative", q=2, seed=3)
-    _, spec, data = states[1]
-    assert _field_form(spec.tables)
+    _, spec, data = states[stage == "field"]
+    if stage == "flux":
+        spec = replace(spec, beta=0.0 * spec.beta, gamma=0.0 * spec.gamma)
+    blocks = {"hydro": (True, True), "flux": (True, False), "field": (False, True)}
+    assert solver._stack_blocks(spec.tables) == blocks[stage]
     node = data.copy()
     node[1, 17] = 0.0
     state = SimState(0.3, ComplexFieldSet(node, grid), spec, A)
