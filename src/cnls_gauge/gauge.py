@@ -199,15 +199,21 @@ def invert_gauge(phi: ComplexFieldSet, gen: GaugeGenerator) -> ComplexFieldSet:
 def phase_relation_residual(
     h_psi: HydroFields, h_phi: HydroFields, gen: GaugeGenerator
 ) -> np.ndarray:
-    """sup_x distance(S_phi - S_psi - sigma, 2*pi*Z) per species.
+    """sup_x distance(S_phi - S_psi - sigma, 2*pi*Z) per species, over the
+    nodes that neither field flags ``vacuum``: the phase of a field is not
+    measured there (``to_hydro`` interpolates it), so the relation has
+    nothing to check. A species flagged at every node reads 0.
 
     Vanishes exactly when the transformed phase relation S_phi = S_psi +
     sigma holds modulo a global 2*pi branch.
     """
     if h_psi.q != h_phi.q or h_psi.q != gen.q:
         raise ValueError("species counts of the two states and generator differ")
-    mismatch = h_phi.S - h_psi.S - gen.values()
-    return np.abs(_wrap_to_pi(mismatch)).max(axis=-1)
+    mismatch = np.abs(_wrap_to_pi(h_phi.S - h_psi.S - gen.values()))
+    vacuum = h_psi.vacuum | h_phi.vacuum
+    if vacuum.any():
+        mismatch[vacuum] = 0.0
+    return mismatch.max(axis=-1)
 
 
 def cole_hopf_G(

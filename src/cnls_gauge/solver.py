@@ -26,6 +26,14 @@ merges the kicks where two steps meet: 3m + 1 kicks, against 4m for m
 calls. The march (``_march``) gives a split state the first step after
 each sample as a call of its own and the rest of the interval as one.
 
+Several density-only systems can march as one split state (``_stack``):
+``verify`` stacks psi's q rows and phi's q rows into one decoupled 2q-row
+state, so one call advances both with half the numpy calls of two. The
+systems stay independent: the stacked tables are the block-diagonal
+direct sum of theirs (``_Stacked``), whose off-diagonal blocks are zero,
+and each system keeps the linear flow of its own tables, so every row
+has the bytes of its own system's march.
+
 Every other system (derivative psi; a phi whose W reads dS/dx; the
 linear system) takes RK4, one step per call of the march, which the rest
 of this docstring describes. ``rhs``, which the diagnostics read, is the
@@ -107,6 +115,7 @@ from .fields import (
 from .gauge import TransformedSpec
 from .grid import Grid1D, _spectral_pair, derivative, integrate
 from .nonlinearity import (
+    _RANKS,
     CoefficientTables,
     FamilySpec,
     eval_F_parts,
@@ -145,7 +154,8 @@ class BlowUpError(RuntimeError):
 @dataclass(frozen=True)
 class SimState:
     """Fields at one instant together with the governing coefficients; a
-    family spec makes it a psi state, a ``TransformedSpec`` a phi state."""
+    family spec makes it a psi state, a ``TransformedSpec`` a phi state
+    (and the private ``_Stacked`` spec a state of several systems' rows)."""
 
     t: float
     fields: ComplexFieldSet
@@ -375,14 +385,90 @@ _KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
 _MERGED = (*_KICKS[1:3], _W1)
 
 
-def _flows(state: SimState, dt: float) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _Stacked:
+    """The spec of a ``_stack`` state, whose rows are the rows of several
+    systems, one block after another: ``blocks`` holds the rows, spec and
+    A of each system, in order.
+
+    ``tables`` is the block-diagonal direct sum of their tables: every
+    off-diagonal block is zero, so a row's W reads only its own system's
+    densities and, a zero term adding exactly nothing, has the bytes of
+    its own system's W. Each block keeps its own linear flow (``_flows``).
+    Only systems with ``density_only`` tables are stacked, so a stacked
+    state takes the split step, in which no other part of a row's
+    arithmetic reads another row.
+    """
+
+    blocks: tuple
+    tables: CoefficientTables
+
+    @property
+    def q(self) -> int:
+        return self.tables.q
+
+
+def _stack(*states: SimState) -> SimState:
+    """One state holding the rows of ``states`` (at one time, on one grid),
+    in order: data, kappa and A concatenated, with the ``_Stacked`` spec of
+    their specs, whose tables must all be ``density_only``. Marching it
+    marches each system as a march of its own would, row for row and byte
+    for byte, except that the blow-up threshold (``_march``) reads the
+    peak of all rows."""
+    blocks, start = [], 0
+    for s in states:
+        if not s.spec.tables.density_only:
+            raise ValueError("only systems with density_only tables are stacked")
+        blocks.append((slice(start, start + s.spec.q), s.spec, s.A))
+        start += s.spec.q
+    sums = {name: np.zeros((start,) * rank) for name, rank in _RANKS.items()}
+    for rows, spec, _ in blocks:
+        for name, table in sums.items():
+            table[(rows,) * table.ndim] = getattr(spec.tables, name)
+    first = states[0]
+    fields = ComplexFieldSet(
+        data=np.concatenate([s.fields.data for s in states]),
+        grid=first.fields.grid,
+        kappa=np.concatenate([s.fields.kappa for s in states]),
+    )
+    spec = _Stacked(tuple(blocks), CoefficientTables(**sums))
+    A = DispersionMatrix(np.concatenate([s.A.values for s in states]))
+    return SimState(first.t, fields, spec, A)
+
+
+def _unstack(state: SimState) -> list[SimState]:
+    """The states of the systems that a ``_stack`` state holds, in order;
+    their fields are views of its rows."""
+    f = state.fields
+    return [
+        SimState(
+            state.t,
+            ComplexFieldSet(data=f.data[rows], grid=f.grid, kappa=f.kappa[rows]),
+            spec,
+            A,
+        )
+        for rows, spec, A in state.spec.blocks
+    ]
+
+
+def _flows(state: SimState, dt: float) -> np.ndarray:
     """The propagators exp(i tau A_k s_k) of the split step's outer and
     inner linear flows, tau = w1 dt and w0 dt, s the data rows' symbol
     (``_symbol``): -(k + kappa_k)^2, or, when the drift pair c is nonzero,
-    a symbol that holds A and the drift, which then enters with A = 1."""
-    f, A, tables = state.fields, state.A, state.spec.tables
-    symbol, Ak = _symbol(f.grid, tables, A, _shift(f)), _symbol_factor(tables, A)
-    return tuple(np.exp(1j * ((w * dt * Ak) * symbol)) for w in (_W1, _W0))
+    a symbol that holds A and the drift, which then enters with A = 1.
+    Each system of a stacked state takes the symbol of its own tables and
+    kappa, so its rows get the bytes of its own march's."""
+    f, blocks = state.fields, ((slice(None), state.spec, state.A),)
+    if isinstance(state.spec, _Stacked):
+        blocks = state.spec.blocks
+    flows = np.empty((2, *f.data.shape), dtype=complex)
+    for rows, spec, A in blocks:
+        kappa = f.kappa[rows]
+        symbol = _symbol(f.grid, spec.tables, A, kappa if kappa.any() else None)
+        factor = _symbol_factor(spec.tables, A)
+        for flow, w in zip(flows, (_W1, _W0)):
+            np.exp(1j * ((w * dt * factor) * symbol), out=flow[rows])
+    return flows
 
 
 def _split_step(

@@ -184,7 +184,7 @@ def test_command_steps_before_writing_any_output(tmp_path, monkeypatch, command,
     [
         ("simulate", "family_b_sample.json"),
         ("verify", "family_b_sample.json"),
-        ("verify", "family_a_verify.json"),  # RK4 psi beside a split phi
+        ("verify", "family_a_verify.json"),  # split psi and phi, one stacked march
     ],
     ids=["simulate", "verify", "verify-split"],
 )

@@ -18,8 +18,10 @@ from cnls_gauge import (
     phase_relation_residual,
     to_hydro,
 )
+import cnls_gauge.solver as solver
 from cnls_gauge.cli import main, run_convergence, run_equivalence
 from cnls_gauge.report import sweep, write_sweep_csv
+from cnls_gauge.solver import BlowUpError, _march, _norms_of
 
 TWO_PI = 2.0 * np.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -207,6 +209,137 @@ def test_equivalence_t0_row_is_a_fresh_sample(tmp_path, name, delta):
         rows = list(csv.reader(fh))
     assert len(rows) == 4
     assert rows[1] == [repr(float(v)) for v in fresh]
+
+
+def _short_config(tmp_path, name, **nonlinearity):
+    # a shipped config cut to 40 steps, sampled every 15, so the march takes
+    # merged split calls and a short last interval
+    payload = json.loads((CONFIGS / f"{name}.json").read_text())
+    payload.update(t_end=40 * payload["dt"], sample_every=15)
+    payload["nonlinearity"].update(nonlinearity)
+    return _write(tmp_path, payload)
+
+
+def _drift_cubic_q3(tmp_path):
+    # A_2 = -0.75 is not a power of two, so a flow built with another
+    # block's symbol form would round differently; delta_2 = 0 leaves a
+    # zero drift row in psi's tables
+    payload = json.loads((CONFIGS / "family_a_verify.json").read_text())
+    payload.update(q=3, A=[1.0, -0.75, 0.5], t_end=40 * payload["dt"], sample_every=15)
+    payload["nonlinearity"].update(delta=[2.0, 0.0, -1.0], gamma=[0.4, -0.3, 0.2])
+    payload["initial"].append({"modes": [{"mode": 0, "re": 0.2, "im": 0.05},
+                                         {"mode": 2, "re": 0.01, "im": 0.0}]})
+    return _write(tmp_path, payload)
+
+
+def _write(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return load_config(path)
+
+
+def _separate_marches(cfg):
+    """The equivalence metrics from two marches of their own, psi's and
+    phi's, each sampled afresh (the t = 0 generator is the set-up's), and
+    the two final fields."""
+    A, spec = cfg.build_dispersion(), cfg.build_family_spec()
+    tspec = cfg.build_transformed_spec(spec)
+    psi0 = cfg.build_initial(cfg.build_grid())
+    gen0 = compute_generator(spec, to_hydro(psi0), A)
+    runs = [
+        [s for s, sampled in _march(SimState(0.0, f, sp, A), cfg.dt, cfg.n_steps,
+                                    cfg.sample_every) if sampled]
+        for f, sp in ((psi0, spec), (apply_gauge(psi0, gen0), tspec))
+    ]
+    times, dens, phase = [], [], []
+    for ps, fs in zip(*runs, strict=True):
+        assert ps.t == fs.t
+        h_psi, h_phi = to_hydro(ps.fields), to_hydro(fs.fields)
+        gen = compute_generator(spec, h_psi, A, anchor=gen0.anchor)
+        times.append(ps.t)
+        dens.append(np.abs(h_phi.rho - h_psi.rho).max(axis=-1))
+        phase.append(phase_relation_residual(h_psi, h_phi, gen))
+    norms0 = _norms_of(psi0)
+    drift = (_norms_of(runs[0][-1].fields) - norms0) / norms0
+    finals = [run[-1].fields.data for run in runs]
+    return times, np.array(dens), np.array(phase), drift, finals
+
+
+def _stepped(monkeypatch):
+    # every (state, result) pair of a solver.step call
+    calls = []
+    real = solver.step
+
+    def step(state, *args, **kwargs):
+        calls.append((state, real(state, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "step", step)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case", ["family_a_verify", "family_a_node", "fractional_ramp", "q3"]
+)
+def test_stacked_equivalence_matches_two_separate_marches(tmp_path, monkeypatch, case):
+    # a density-only pair marches as one 2q-row state, whose every row has
+    # the bytes of its own system's march: the off-diagonal blocks of the
+    # stacked tables are zero and each block keeps its own linear flow
+    if case == "q3":
+        cfg = _drift_cubic_q3(tmp_path)
+    elif case == "fractional_ramp":
+        cfg = _short_config(tmp_path, "family_a_verify", delta=[1.0, 1.0])
+    else:
+        cfg = _short_config(tmp_path, case)
+    calls = _stepped(monkeypatch)
+    got = run_equivalence(cfg)
+    assert calls and {state.fields.q for state, _ in calls} == {2 * cfg.q}
+    final = calls[-1][1].fields.data
+    times, dens, phase, drift, finals = _separate_marches(cfg)
+    assert final.tobytes() == np.concatenate(finals).tobytes()
+    assert got.times == times
+    assert got.density_diff.tobytes() == dens.tobytes()
+    assert got.phase_residual.tobytes() == phase.tobytes()
+    assert got.final_norm_drift.tobytes() == drift.tobytes()
+    if case == "fractional_ramp":
+        gen = compute_generator(cfg.build_family_spec(), to_hydro(
+            cfg.build_initial(cfg.build_grid())), cfg.build_dispersion())
+        assert not gen.ramp_is_periodic()
+
+
+def test_derivative_pair_steps_psi_and_phi_as_separate_states(monkeypatch):
+    cfg = load_config(CONFIGS / "family_b_sample.json")
+    cfg = dataclasses.replace(cfg, t_end=4 * cfg.dt, sample_every=2)
+    calls = _stepped(monkeypatch)
+    run_equivalence(cfg)
+    assert [state.fields.q for state, _ in calls] == [cfg.q] * 8
+
+
+def test_blow_up_inside_a_stacked_call_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = _short_config(tmp_path, "family_a_verify")
+    message = "field magnitude exceeded blow-up threshold at t=0.000125"
+
+    def check(new, t, max_abs):
+        assert new.shape[0] == 2 * cfg.q
+        raise BlowUpError(message, t=t)
+
+    monkeypatch.setattr(solver, "_check", check)
+    out = tmp_path / "out"
+    assert main(["verify", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_phase_residual_skips_vacuum_nodes(tmp_path):
+    # family_a_node's species 1 vanishes at x = pi, a grid node, where the
+    # phase of psi jumps by pi; the t = 0 row reads the measured nodes only
+    _short_config(tmp_path, "family_a_node")
+    out = tmp_path / "out"
+    assert main(["verify", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 0
+    with open(out / "equivalence.csv", newline="") as fh:
+        header, first, *_ = csv.reader(fh)
+    assert float(first[header.index("t")]) == 0.0
+    assert float(first[header.index("phase_res_1")]) <= 1e-12
 
 
 def _imported_modules(path: Path):

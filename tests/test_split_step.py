@@ -4,7 +4,9 @@ the linear flow): its fourth order, its agreement with an exact
 travelling wave and with an RK4 march of the original system, its norm
 conservation and its freedom from the RK4 step bound, each written so
 that a NaN fails it; its march through nodes, which no vacuum guard
-stops; and the blow-up checks the split step keeps from the RK4 path."""
+stops; the blow-up checks the split step keeps from the RK4 path; and
+the stacked state of several density-only systems, whose rows march
+byte for byte as each system's own."""
 
 import warnings
 
@@ -14,6 +16,7 @@ import pytest
 from cnls_gauge import (
     BlowUpError,
     ComplexFieldSet,
+    DerivativeSpec,
     DispersionMatrix,
     DriftCubicSpec,
     SimState,
@@ -31,9 +34,14 @@ from cnls_gauge import (
     transformed_spec,
 )
 
-from cnls_gauge.solver import _rk4_step
+from cnls_gauge.solver import _rk4_step, _stack, _unstack
 
-from conftest import band_limited_state, random_dispersion
+from conftest import (
+    band_limited_state,
+    random_derivative_spec,
+    random_dispersion,
+    random_drift_cubic_spec,
+)
 
 EPS = np.finfo(float).eps
 T_END = 0.25
@@ -352,3 +360,54 @@ def test_evolve_keeps_every_sample_before_an_error_in_a_merged_call(monkeypatch)
         assert got.t == want.t
         for name in ("norms", "norm_drift", "continuity_residual"):
             assert np.allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-12)
+
+
+# --- stacked systems: one state of several density-only systems' rows -------
+
+
+def _pair(rng, grid, q, family):
+    """A psi state and the phi state of its transformed tables, from
+    broadband data (every mode carries content, so a propagator entry
+    rounded otherwise shows in the fields); one drift-cubic delta is
+    zero, and phi is shifted by a fractional kappa."""
+    A = random_dispersion(rng, q)
+    if family == "drift_cubic":
+        spec = random_drift_cubic_spec(rng, q)
+        spec = DriftCubicSpec(delta=spec.delta * (np.arange(q) != q - 1), gamma=spec.gamma)
+    else:  # lambda alone keeps a derivative pair density-only
+        lam = random_derivative_spec(rng, q).lam
+        zeros = np.zeros((q, q))
+        spec = DerivativeSpec(beta=zeros, gamma=zeros, delta=zeros, lam=lam)
+    tspec = transformed_spec(spec, A)
+    fields = [band_limited_state(rng, grid, q, max_mode=grid.n_points // 3, phase_amp=2.5)
+              for _ in range(2)]
+    kappa = 0.37 * np.linspace(1.0, -1.0, q)
+    return (SimState(0.0, fields[0], spec, A),
+            SimState(0.0, ComplexFieldSet(fields[1].data, grid, kappa=kappa), tspec, A))
+
+
+@pytest.mark.parametrize("family", ["drift_cubic", "quartic"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_stacked_step_matches_each_systems_own_step(q, family):
+    rng = np.random.default_rng(60 + q)
+    grid = make_grid(64, 0.0, 2.0 * np.pi)
+    psi, phi = _pair(rng, grid, q, family)
+    stacked = _stack(psi, phi)
+    assert stacked.fields.q == 2 * q and stacked.spec.tables.density_only
+    for count in (1, 3):
+        rows = step(stacked, 1e-2, count=count)
+        for part, own in zip(_unstack(rows), (psi, phi)):
+            alone = step(own, 1e-2, count=count)
+            assert part.t == alone.t
+            assert part.spec is own.spec
+            assert part.A.values.tobytes() == own.A.values.tobytes()
+            assert part.fields.kappa.tobytes() == own.fields.kappa.tobytes()
+            assert part.fields.data.tobytes() == alone.fields.data.tobytes(), (count, q)
+
+
+def test_only_density_only_systems_stack():
+    cfg = load_config("configs/family_b_sample.json")
+    psi = SimState(0.0, cfg.build_initial(cfg.build_grid()), cfg.build_family_spec(),
+                   cfg.build_dispersion())
+    with pytest.raises(ValueError, match="density_only"):
+        _stack(psi, psi)

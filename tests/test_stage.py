@@ -6,6 +6,7 @@ pocketfft module fails here."""
 
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cnls_gauge import (
     SimState,
     VacuumError,
     evolve,
+    load_config,
     make_grid,
     rhs,
     stability_bound,
@@ -33,6 +35,7 @@ from cnls_gauge.grid import (
 )
 import cnls_gauge.solver as solver
 from cnls_gauge.nonlinearity import CoefficientTables, eval_W_parts, eval_Wim_parts
+from cnls_gauge.report import run_equivalence
 from cnls_gauge.solver import _tendency, _vacuum_guard
 
 from conftest import (
@@ -43,6 +46,7 @@ from conftest import (
 )
 
 TWO_PI = 2.0 * np.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # --- _unwrap_rows against np.unwrap -------------------------------------------
@@ -894,3 +898,27 @@ def test_evolve_peak_memory(system):
         lambda s: evolve(s, 1e-7, 2e-7, sample_every=1), _wide_state(system)
     )
     assert peak <= 136.0, peak
+
+
+def test_equivalence_run_peak_memory():
+    """``run_equivalence`` on family_a_verify cut to 4 steps, at the
+    benchmark's drift-cubic shape (q = 2, n = 256), holds at most 275 bytes
+    per q*n at once. Its density-only pair marches as one stacked state of
+    2q rows, whose step holds one system's split temporaries more than a
+    step of either system (the lockstep march read 171); the bound is the
+    measured 265 plus 4%. Holding psi0 and phi0 beside the stacked copy
+    reads 310 and fails here. Traced over a whole ``verify`` of this
+    config, the peak inside this call then stays below the one inside
+    ``write_csv`` (324 and 334 bytes per q*n: the 128 KiB record buffer of
+    ``csv.writer`` on top of what the command holds), so the command's
+    peak is still the writer's."""
+    cfg = replace(load_config(CONFIGS / "family_a_verify.json"),
+                  dt=1e-7, t_end=4e-7, sample_every=2)
+    tracemalloc.start()
+    try:
+        run_equivalence(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    peak /= cfg.q * cfg.build_grid().n_points
+    assert peak <= 275.0, peak
