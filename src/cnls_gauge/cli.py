@@ -25,7 +25,7 @@ import numpy as np
 from .classify import SpecialCase, classify_q1
 from .config import _CONFIG_KEY, ConfigError, RunConfig, dumps_config, load_config
 from .fields import ComplexFieldSet, VacuumError, to_hydro
-from .gauge import TransformedSpec, apply_gauge, compute_generator
+from .gauge import TransformedSpec, _Readback, apply_gauge, compute_generator
 from .nonlinearity import DerivativeSpec
 from .report import (
     EXIT_CODES,
@@ -81,26 +81,41 @@ def read_snapshot(path_base: Path) -> tuple[np.ndarray, float]:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
+    """March psi and write its samples. A psi whose D is nonzero marches as
+    its gauge image phi, and each snapshot is psi read back from phi
+    (``gauge._Readback``); its diagnostics are phi's, whose densities and
+    currents are psi's. phi stands in only where its RK4 march is stable
+    as psi's is, dt within the step bound with a gauge shift's half mode:
+    above it both marches diverge, and psi's own failure is reported."""
     grid = cfg.build_grid()
     A = cfg.build_dispersion()
     spec = cfg.build_family_spec()
     # Built before the output directory, so a config error leaves none, and
     # held only in this list until evolve takes it: the march then frees
     # the initial fields after its first step.
-    initial = [SimState(t=0.0, fields=cfg.build_initial(grid), spec=spec, A=A)]
+    fields = cfg.build_initial(grid)
+    readback = on_step = None
+    if cfg.dt <= stability_bound(grid, A, shift=np.pi / grid.length):
+        readback = _Readback.of(spec, A, fields, cfg.dt)
+    if readback is not None:
+        fields, spec, on_step = readback.gauge(fields), readback.spec, readback.add
+    initial = [SimState(t=0.0, fields=fields, spec=spec, A=A)]
+    del fields
     make_output_dir(out_dir)
 
     snap_index = 0
 
     def snapshot(sampled: SimState) -> None:
         nonlocal snap_index
-        write_snapshot(out_dir / f"snapshot_{snap_index:06d}", sampled.fields, sampled.t)
+        fields = sampled.fields if readback is None else readback.psi(sampled.fields)
+        write_snapshot(out_dir / f"snapshot_{snap_index:06d}", fields, sampled.t)
         snap_index += 1
 
     status = 0
     try:
         _, records = evolve(
-            initial.pop(), cfg.dt, cfg.t_end, cfg.sample_every, on_sample=snapshot
+            initial.pop(), cfg.dt, cfg.t_end, cfg.sample_every,
+            on_sample=snapshot, on_step=on_step,
         )
     except (BlowUpError, VacuumError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -260,20 +275,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options every config command takes, added once and shared
+    config_options = argparse.ArgumentParser(add_help=False)
+    config_options.add_argument("config", help="path to a JSON run configuration")
+    config_options.add_argument(
+        "--output-dir", default=None, help="override the config output_dir"
+    )
+    config_options.add_argument(
+        "--tolerance", type=float, default=None, help="override the config tolerance"
+    )
+    config_options.add_argument(
+        "--dump-config",
+        action="store_true",
+        help="echo the parsed config as canonical JSON and exit",
+    )
 
     def add_config_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", help="path to a JSON run configuration")
-        p.add_argument("--output-dir", default=None, help="override the config output_dir")
-        p.add_argument(
-            "--tolerance", type=float, default=None, help="override the config tolerance"
-        )
-        p.add_argument(
-            "--dump-config",
-            action="store_true",
-            help="echo the parsed config as canonical JSON and exit",
-        )
-        return p
+        return sub.add_parser(name, help=help_text, parents=[config_options])
 
     add_config_command("simulate", "evolve the original system and write diagnostics")
     add_config_command(

@@ -301,15 +301,27 @@ class RunConfig:
         if self.initial is None:
             raise ConfigError("initial", "missing (required by this command)")
         x = grid.x
-        L = grid.length
         data = np.zeros((self.q, grid.n_points), dtype=complex)
+        # amp * exp(2j pi m (x - x_min) / L), term by term with the bytes of
+        # that expression in fewer passes: the argument's real part is a zero
+        # and its imaginary part the real product (2 pi m (x - x_min)) (1/L),
+        # which is what numpy's complex division by L computes; exp of it is
+        # cos + i sin; a mode-0 term is amp itself. amp stays the left operand:
+        # numpy's complex product is not commutative to the last bit.
+        offset, inv_L = x - grid.x_min, 1.0 / grid.length
+        wave = np.empty(grid.n_points, dtype=complex)
         for k, entry in enumerate(self.initial):
             if "modes" in entry:
                 for term in entry["modes"]:
                     amp = term["re"] + 1j * term["im"]
-                    data[k] += amp * np.exp(
-                        2j * np.pi * term["mode"] * (x - grid.x_min) / L
-                    )
+                    if term["mode"] == 0:
+                        data[k] += amp
+                        continue
+                    arg = (2j * np.pi * term["mode"]).imag * offset
+                    arg *= inv_L
+                    np.cos(arg, out=wave.real)
+                    np.sin(arg, out=wave.imag)
+                    data[k] += np.multiply(amp, wave, out=wave)
             else:
                 g = entry["gaussian"]
                 data[k] = g.get("offset", 0.0) + g["amplitude"] * np.exp(

@@ -101,7 +101,11 @@ class GaugeGenerator:
 
     def values(self) -> np.ndarray:
         """Full sigma samples, periodic part plus ramp."""
-        return self.sigma + self.ramp[:, None] * (self.grid.x - self.x_anchor)
+        # the ramp term first, then sigma added in place: the sum has the
+        # bytes of sigma + ramp term and no second (q, n) temporary
+        values = self.ramp[:, None] * (self.grid.x - self.x_anchor)
+        values += self.sigma
+        return values
 
     def gradient(self) -> np.ndarray:
         """dsigma/dx samples; equals (c + D rho)/A of the generating state."""
@@ -157,11 +161,45 @@ def compute_generator(
         raise ValueError(f"dispersion size {A.q} does not match fields q={h.q}")
     if spec.q != h.q:
         raise ValueError(f"spec species count {spec.q} does not match fields q={h.q}")
-    integrand = np.broadcast_to(
-        eval_flux_rate(spec.tables, h.rho) / A.values[:, None], h.rho.shape
-    )
-    sigma, ramp = antiderivative_parts(integrand, h.grid, anchor)
-    return GaugeGenerator(sigma=sigma, ramp=ramp, anchor=anchor, grid=h.grid)
+    return _generator(spec.tables, h.rho, A, h.grid, anchor)
+
+
+def _generator(
+    tables: CoefficientTables,
+    rho: np.ndarray,
+    A: DispersionMatrix,
+    grid: Grid1D,
+    anchor: int = 0,
+) -> GaugeGenerator:
+    # compute_generator from the densities alone, unchecked: a march reads
+    # them from its fields with no to_hydro (no phase, no vacuum flags); a
+    # caller that keeps no reference of its own frees rho before the FFT
+    rate, shape = eval_flux_rate(tables, rho), rho.shape
+    del rho
+    if rate.shape == shape:  # a fresh array (D nonzero): divided in place
+        rate /= A.values[:, None]
+    else:
+        rate = np.broadcast_to(rate / A.values[:, None], shape)
+    sigma, ramp = antiderivative_parts(rate, grid, anchor)
+    return GaugeGenerator(sigma=sigma, ramp=ramp, anchor=anchor, grid=grid)
+
+
+def _density(data: np.ndarray) -> np.ndarray:
+    # |data|^2 as Re^2 + Im^2, the sum formed in the first square
+    rho = data.real**2
+    rho += data.imag**2
+    return rho
+
+
+def _rotated(phase: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """exp(i phase) * data, with exp(i phase) formed as cos + i sin in one
+    complex buffer that then takes the product: the bytes of
+    ``np.exp(1j * phase) * data`` with no complex cast of the phase."""
+    out = np.empty(data.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    np.multiply(out, data, out=out)
+    return out
 
 
 def _multiply_phase(
@@ -179,11 +217,11 @@ def _multiply_phase(
     shift = gen.ramp - 2.0 * np.pi * np.rint(w) / gen.grid.length
     shift[np.abs(w - np.rint(w)) <= RAMP_PERIOD_TOL] = 0.0
     if shift.any():
-        phase = phase - shift[:, None] * (gen.grid.x - gen.grid.x_min)
+        phase -= shift[:, None] * (gen.grid.x - gen.grid.x_min)
         kappa = kappa + sign * shift
-    return ComplexFieldSet(
-        data=np.exp(sign * 1j * phase) * fields.data, grid=fields.grid, kappa=kappa
-    )
+    if sign < 0:
+        np.negative(phase, out=phase)
+    return ComplexFieldSet(data=_rotated(phase, fields.data), grid=fields.grid, kappa=kappa)
 
 
 def apply_gauge(psi: ComplexFieldSet, gen: GaugeGenerator) -> ComplexFieldSet:
@@ -194,6 +232,120 @@ def apply_gauge(psi: ComplexFieldSet, gen: GaugeGenerator) -> ComplexFieldSet:
 def invert_gauge(phi: ComplexFieldSet, gen: GaugeGenerator) -> ComplexFieldSet:
     """Inverse map psi_k = exp(-i sigma_k) phi_k (unitary inverse)."""
     return _multiply_phase(phi, gen, -1.0)
+
+
+def _anchor_row(grid: Grid1D) -> np.ndarray:
+    """The w with w . u = u'(x_0) for samples u: the first row of the
+    spectral derivative (Nyquist mode zeroed, as ``derivative`` has it), in
+    closed form w_j = (pi/L) (-1)^(j+1) cot(pi j/n), odd in j mod n, so
+    w_0 = w_(n/2) = 0. cot is taken below pi/2 only, where the rounding of
+    its argument stays small."""
+    n, half = grid.n_points, grid.n_points // 2
+    w = np.zeros(n)
+    np.divide(np.pi / grid.length, np.tan(np.arange(1, half) * (np.pi / n)), out=w[1:half])
+    w[2:half:2] *= -1.0
+    w[half + 1:] = -w[half - 1:0:-1]
+    return w
+
+
+class _Readback:
+    """psi from a march of its gauge image phi, which ``simulate`` takes
+    for a psi whose D is nonzero (``of``): the transformed system's stage
+    has no flux rows, no phase extraction and no Wim.
+
+    phi = exp(i sigma) psi (``gauge``) marches with the transformed
+    tables, whose R omits the spatially constant part of dsigma/dt (see
+    ``eval_R_numeric``): the anchor term f_k = (1/A_k) sum_j D_kj
+    J_j(x_anchor), J the current of phi (equal to psi's). So a sampled
+    phi gives psi = exp(i theta) invert_gauge(phi, sigma[rho(phi)])
+    (``psi``), theta_k(t) the integral of f_k from 0 to t, with the kappa
+    of the initial psi. ``add``, evolve's per-step hook, reads f at the
+    anchor node 0 of each stepped state with one dot product for phi'
+    there, with no FFT; ``theta`` is Gregory's end-corrected trapezoid
+    rule over those values, fourth order in dt.
+    """
+
+    def __init__(
+        self, spec: FamilySpec, A: DispersionMatrix, dt: float, kappa: np.ndarray
+    ):
+        # ``spec`` is the system phi marches with; a ValueError where the
+        # transformed tables are not finite
+        self.spec = transformed_spec(spec, A)
+        self._tables, self._A, self._dt, self._kappa = spec.tables, A, dt, kappa
+        Ak = A.values
+        # f = rate @ (Im(conj(phi) phi') + kappa rho) at the anchor
+        self._rate = spec.tables.D * (2.0 * Ak[None, :]) / Ak[:, None]
+        self._row: np.ndarray | None = None  # _anchor_row, at the first add
+        self._head: list[np.ndarray] = []  # f_0, f_1, f_2
+        self._tail: list[np.ndarray] = []  # the last three f, oldest first
+        self._sum = np.zeros(A.q)
+
+    @classmethod
+    def of(
+        cls, spec: FamilySpec, A: DispersionMatrix, psi: ComplexFieldSet, dt: float
+    ) -> "_Readback | None":
+        """The readback of a phi march that stands in for psi's, or None
+        where psi marches itself: where D is zero (drift-cubic and linear
+        psi), where the transformed tables are not finite (they divide by
+        A), and where they are ``density_only``, since the split step
+        merges the steps between samples and leaves no per-step f."""
+        if "D" not in spec.tables.nonzero:
+            return None
+        with np.errstate(all="ignore"):
+            try:
+                readback = cls(spec, A, dt, psi.kappa)
+            except ValueError:
+                return None
+        return None if readback.spec.tables.density_only else readback
+
+    def gauge(self, psi: ComplexFieldSet) -> ComplexFieldSet:
+        """phi = apply_gauge(psi, compute_generator(psi)), the generator
+        read from the densities alone."""
+        gen = _generator(self._tables, _density(psi.data), self._A, psi.grid)
+        return apply_gauge(psi, gen)
+
+    def add(self, state) -> None:
+        """Take f of a phi state, the march's initial state first and then
+        the state after each step."""
+        if self._row is None:
+            self._row = _anchor_row(state.fields.grid)
+        u = np.ascontiguousarray(state.fields.data)
+        # w . Re u and w . Im u in one product over the (re, im) pairs
+        du0 = self._row @ u.view(float).reshape(*u.shape, 2)
+        u0 = u[:, 0]
+        momentum = u0.real * du0[:, 1] - u0.imag * du0[:, 0]
+        momentum += state.fields.kappa * (u0.real**2 + u0.imag**2)
+        f = self._rate @ momentum
+        if len(self._head) < 3:
+            self._head.append(f)
+        self._tail = [*self._tail[-2:], f]
+        self._sum += f
+
+    def theta(self) -> np.ndarray:
+        """theta at the last added state: h (sum f - (f_0 + f_s)/2) less
+        (h^2/12) (f'(t_s) - f'(0)), f' one-sided three-point differences;
+        the trapezoid rule alone after one step, 0 before any."""
+        head, tail = self._head, self._tail
+        if len(head) < 2:
+            return np.zeros_like(self._sum)
+        total = self._sum - 0.5 * (head[0] + tail[-1])
+        if len(head) == 3:
+            end = 3.0 * tail[2] - 4.0 * tail[1] + tail[0]
+            start = -3.0 * head[0] + 4.0 * head[1] - head[2]
+            total -= (end - start) / 24.0
+        return self._dt * total
+
+    def psi(self, phi: ComplexFieldSet) -> ComplexFieldSet:
+        """psi = exp(i theta) invert_gauge(phi, sigma[rho(phi)]) at the last
+        added state, with the initial psi's kappa: phi's kappa less that
+        one is the ramp shift the gauge of the initial psi took."""
+        phase = _generator(self._tables, _density(phi.data), self._A, phi.grid).values()
+        shift = phi.kappa - self._kappa
+        if shift.any():
+            phase -= shift[:, None] * (phi.grid.x - phi.grid.x_min)
+        phase -= self.theta()[:, None]
+        np.negative(phase, out=phase)
+        return ComplexFieldSet(_rotated(phase, phi.data), phi.grid, self._kappa)
 
 
 def phase_relation_residual(

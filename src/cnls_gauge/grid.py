@@ -79,12 +79,13 @@ class Grid1D:
         ik[self.n_points // 2] = 0.0
         return ik
 
-    @cached_property
+    @property
     def _inv_ik(self) -> np.ndarray:
         # Antiderivative symbol; mean and Nyquist modes handled separately.
+        # Built at each use, not cached: a march that gauges only at its
+        # samples would otherwise hold it through every step.
         inv = np.zeros(self.n_points, dtype=complex)
-        nonzero = self._ik != 0
-        inv[nonzero] = 1.0 / self._ik[nonzero]
+        np.divide(1.0, self._ik, out=inv, where=self._ik != 0)
         return inv
 
     @cached_property
@@ -185,7 +186,9 @@ def antiderivative_parts(
         raise ValueError("antiderivative takes a real field")
     anchor = _check_anchor(anchor, grid)
     ramp = f.mean(axis=-1)
-    fluct = (f - ramp[..., None]).astype(complex)
+    # f - ramp taken straight into the complex buffer: the real parts of
+    # the complex difference, imaginary parts +0, as a cast would give
+    fluct = np.subtract(f, ramp[..., None], out=np.empty(f.shape, dtype=complex))
     periodic = _spectral_pair(fluct, grid._inv_ik).real
     periodic = periodic - periodic[..., anchor, None]
     return periodic, ramp

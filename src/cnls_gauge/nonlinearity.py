@@ -230,10 +230,13 @@ def eval_W_parts(
 
 
 def eval_flux_rate(tables: CoefficientTables, rho: np.ndarray) -> np.ndarray:
-    """c_k + sum_j D_kj rho_j, broadcastable against rho; F_k = rho_k times it."""
+    """c_k + sum_j D_kj rho_j, broadcastable against rho; F_k = rho_k times it.
+    With D nonzero it is a fresh array, the sum formed in the product."""
     if "D" not in tables.nonzero:
         return tables.c[:, None]
-    return tables.c[:, None] + tables.D @ rho
+    rate = tables.D @ rho
+    rate += tables.c[:, None]
+    return rate
 
 
 def eval_Wim_parts(

@@ -181,14 +181,14 @@ class DiagnosticsRecord:
     continuity_residual: np.ndarray
 
 
-def stability_bound(grid: Grid1D, A: DispersionMatrix) -> float:
-    """RK4 step bound 2 sqrt(2) / (max|A_k| k_max^2), k_max = pi/dx, of the
-    linear part (warning threshold); above it the top mode grows.
+def stability_bound(grid: Grid1D, A: DispersionMatrix, shift: float = 0.0) -> float:
+    """RK4 step bound 2 sqrt(2) / (max|A_k| k_max^2), k_max = pi/dx + shift,
+    of the linear part (warning threshold); above it the top mode grows.
 
     A gauge shift |kappa| <= pi/L raises the top wavenumber by at most half
-    a mode, which the bound does not include.
+    a mode, which the bound includes only through ``shift``.
     """
-    k_max = np.pi / grid.dx
+    k_max = np.pi / grid.dx + shift
     return 2.0 * math.sqrt(2.0) / (float(np.abs(A.values).max()) * k_max**2)
 
 
@@ -718,6 +718,7 @@ def evolve(
     t_end: float,
     sample_every: int = 1,
     on_sample=None,
+    on_step=None,
 ) -> tuple[SimState, list[DiagnosticsRecord]]:
     """March to t_end in exactly n_steps = (t_end - t0)/dt fixed steps,
     sampling diagnostics periodically.
@@ -731,8 +732,12 @@ def evolve(
     error raised before the next sample, inside a split state's merged
     call too, finds every earlier sample recorded.
     ``on_sample``, when given, is called with each recorded state
-    (snapshot hooks). A BlowUpError or VacuumError raised on the way
-    carries the diagnostics collected so far as ``diagnostics``.
+    (snapshot hooks). ``on_step``, when given, is called with the initial
+    state and then with the state after each ``step`` call, each after
+    the sample of the state before it, so a sample's hook has seen every
+    state up to its own; an RK4 march calls it once per step, a split
+    march once per merged call. A BlowUpError or VacuumError raised on the
+    way carries the diagnostics collected so far as ``diagnostics``.
     """
     if not t_end > initial.t:
         raise ValueError("t_end must exceed the initial time")
@@ -763,6 +768,8 @@ def evolve(
         for state, sampled in march:
             if pending is not None:
                 sample(pending)
+            if on_step is not None:
+                on_step(state)
             pending = state if sampled else None
         sample(state)
     except (BlowUpError, VacuumError) as err:

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,3 +104,13 @@ def fractional_winding_setup(grid):
     )
     gen = compute_generator(spec, to_hydro(psi), A)
     return apply_gauge(psi, gen), spec, gen, A
+
+
+def perfbench_workloads():
+    """The benchmark's workload generators, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module

@@ -194,7 +194,9 @@ def test_march_frees_the_initial_fields_after_its_first_step(
     # No command holds its initial fields (or, for verify, the gauged ones)
     # through a march: before either march takes its second step, their data
     # is freed. A split phi march steps once after psi's first step, as an
-    # RK4 phi march does; psi's first step is the command's first step.
+    # RK4 phi march does; psi's first step is verify's first step. simulate
+    # marches the gauge image phi of this flux-coupled psi, and drops psi at
+    # set-up.
     import cnls_gauge.report as report
     import cnls_gauge.solver as solver
     from cnls_gauge.config import RunConfig
@@ -227,7 +229,7 @@ def test_march_frees_the_initial_fields_after_its_first_step(
     with pytest.raises(Sentinel):
         main([command, str(CONFIGS / config), "--output-dir", str(tmp_path / "out")])
     assert len(refs) == {"simulate": 1, "verify": 2}[command]
-    assert not isinstance(specs[0], TransformedSpec)
+    assert isinstance(specs[0], TransformedSpec) == (command == "simulate")
 
 
 def test_simulate_mismatched_dispersion_exits_1(tmp_path):
@@ -1034,12 +1036,40 @@ def test_non_finite_transformed_tables_exit_1_naming_the_cause(
 
 
 def test_simulate_runs_where_only_the_transformed_tables_overflow(tmp_path):
-    # simulate never builds the transformed tables
+    # a drift-cubic psi has D = 0: simulate marches it, never its gauge image
     payload = small_family_a_config(tmp_path, A=[1.0, 1e-320], t_end=0.002)
     payload["grid"]["n_points"] = 32
     cfg = write_config(tmp_path, payload)
     assert main(["simulate", str(cfg)]) == 0
     rows = read_csv(tmp_path / "out" / "diagnostics.csv")
+    assert all(np.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
+def test_simulate_runs_a_flux_coupled_psi_whose_transformed_tables_overflow(
+    tmp_path, monkeypatch
+):
+    # psi with D != 0 marches as its gauge image phi where phi's tables are
+    # finite; here they divide by A = 1e-320 and overflow, so psi marches
+    # itself, with no warning
+    import cnls_gauge.solver as solver
+
+    payload = json.loads((CONFIGS / "family_b_sample.json").read_text())
+    payload.update(A=[1.0, 1e-320], t_end=0.002, sample_every=10,
+                   output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, payload)
+    real_step, specs = solver.step, []
+
+    def step(state, *args, **kwargs):
+        specs.append(state.spec)
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(cfg)]) == 0
+    assert specs and not any(isinstance(spec, TransformedSpec) for spec in specs)
+    rows = read_csv(tmp_path / "out" / "diagnostics.csv")
+    assert len(rows) == 4
     assert all(np.isfinite(float(v)) for row in rows[1:] for v in row)
 
 

@@ -1,14 +1,18 @@
-"""Config parsing: the gaussian initial descriptor and the package exports."""
+"""Config parsing: the initial descriptors and the package exports."""
 
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cnls_gauge
-from cnls_gauge import ConfigError, RunConfig, dumps_config
+from cnls_gauge import ConfigError, RunConfig, dumps_config, load_config
+from conftest import perfbench_workloads
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def gaussian_config(**gaussian):
@@ -60,6 +64,35 @@ def test_gaussian_missing_amplitude_names_its_key():
 def test_gaussian_config_dump_reparses_equal():
     cfg = RunConfig.from_dict(gaussian_config(**BUMP))
     assert RunConfig.from_dict(json.loads(dumps_config(cfg))) == cfg
+
+
+def _mode_sum_configs():
+    # the shipped configs and seeds 1-20 of every benchmark workload
+    workloads = perfbench_workloads()
+    for config in sorted((REPO / "configs").glob("*.json")):
+        yield config.stem, load_config(str(config))
+    for name, make in workloads.WORKLOADS.items():
+        for seed in range(1, 21):
+            yield f"{name}-{seed}", RunConfig.from_dict(make(seed).config)
+
+
+def _plain_modes(cfg, grid):
+    # the mode sum as written: amp * exp(2j pi m (x - x_min) / L), term by term
+    x, L = grid.x, grid.length
+    data = np.zeros((cfg.q, grid.n_points), dtype=complex)
+    for k, entry in enumerate(cfg.initial):
+        for term in entry["modes"]:
+            amp = term["re"] + 1j * term["im"]
+            data[k] += amp * np.exp(2j * np.pi * term["mode"] * (x - grid.x_min) / L)
+    data *= cfg.amplitude
+    return data
+
+
+def test_mode_sums_have_the_bytes_of_the_plain_expression():
+    for name, cfg in _mode_sum_configs():
+        grid = cfg.build_grid()
+        got = cfg.build_initial(grid).data
+        assert got.tobytes() == _plain_modes(cfg, grid).tobytes(), name
 
 
 def _modules():

@@ -509,6 +509,26 @@ def test_evolve_takes_exactly_n_steps(grid128, monkeypatch):
     assert len(records) == 200 // 20 + 1
 
 
+def test_evolve_hands_every_state_to_on_step_before_later_samples(grid128):
+    # an RK4 march: the initial state and the state after each step, each
+    # after the sample of the state before it and before its own sample
+    events = []
+    state = plane_wave_state(grid128, 1, LinearSpec(q=1), DispersionMatrix([1.0]))
+    final, records = evolve(
+        state, 5e-4, 0.005, sample_every=4,
+        on_sample=lambda s: events.append(("sample", s.t)),
+        on_step=lambda s: events.append(("step", s.t)),
+    )
+    steps = [t for kind, t in events if kind == "step"]
+    assert steps == [pytest.approx(i * 5e-4, abs=1e-15) for i in range(11)]
+    assert steps[0] == 0.0 and steps[-1] == final.t
+    for i, (kind, t) in enumerate(events):
+        if kind == "sample":
+            assert ("step", t) in events[:i]
+            assert all(u <= t for k, u in events[:i] if k == "step")
+    assert len(records) == sum(kind == "sample" for kind, _ in events) == 4
+
+
 def test_evolve_continuity_residual_is_instantaneous_on_fractional_windings(grid256):
     # a centred time difference would read about 4e-7 here at dt = 1e-4
     phi, spec, _, A = fractional_winding_setup(grid256)
