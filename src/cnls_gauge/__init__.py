@@ -44,6 +44,7 @@ from .gauge import (
     compute_generator,
     apply_gauge,
     invert_gauge,
+    phase_residuals,
     phase_relation_residual,
     cole_hopf_G,
     curl_residual_2d,
@@ -87,8 +88,8 @@ __all__ = [
     "eval_W", "eval_Wim", "eval_F",
     # gauge
     "GaugeGenerator", "TransformedSpec", "Grid2D", "compute_generator",
-    "apply_gauge", "invert_gauge", "phase_relation_residual", "cole_hopf_G",
-    "curl_residual_2d", "transformed_spec", "eval_R_numeric",
+    "apply_gauge", "invert_gauge", "phase_residuals", "phase_relation_residual",
+    "cole_hopf_G", "curl_residual_2d", "transformed_spec", "eval_R_numeric",
     # classify
     "SpecialCase", "classify_q1", "case1_coeffs", "case2_coeffs", "case3_coeffs",
     "drift_cubic_wave", "case2_wave",

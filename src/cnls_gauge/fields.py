@@ -1,8 +1,8 @@
 """q-component complex fields and their density/phase (hydrodynamic) form.
 
-A field set psi_k is decomposed as psi_k = rho_k^(1/2) exp(i S_k) with
-rho_k = |psi_k|^2 and S_k the phase unwrapped along the grid from node 0.
-The same containers hold the transformed fields phi_k and their phases.
+The commands read a ``ComplexFieldSet`` and its densities ``rho`` alone;
+the identity checks read psi_k = rho_k^(1/2) exp(i S_k) (phi_k alike),
+S_k the phase unwrapped along the grid from node 0 (``to_hydro``).
 The integer winding of each unwrapped phase row, and the slope of the
 ramp it adds, are read on Python floats (``_winding_from_samples``,
 ``_split_winding``) with the bytes of the numpy expression; the RK4 stage
@@ -108,6 +108,13 @@ class ComplexFieldSet:
         if not self.kappa.any():
             return self.data
         return np.exp(1j * self.kappa[:, None] * (self.grid.x - self.grid.x_min)) * self.data
+
+    @property
+    def rho(self) -> np.ndarray:
+        """|data_k|^2 = |phi_k|^2 as Re^2 + Im^2, a fresh array."""
+        rho = self.data.real**2
+        rho += self.data.imag**2
+        return rho
 
 
 @dataclass(frozen=True)

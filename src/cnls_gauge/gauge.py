@@ -15,7 +15,8 @@ which, for every spec type, is again of the table form with c = D = 0
 (``TransformedSpec``); ``transformed_spec`` is the one formula for its
 tables. This module builds generators, applies and inverts the map,
 evaluates R both ways, and checks the 2-D curl feasibility condition for
-vector fluxes.
+vector fluxes. Generators and the phase relation's residuals read the
+complex fields, with no phase extraction.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from typing import ClassVar
 import numpy as np
 
 from .fields import (
+    DEFAULT_FLOOR,
     ComplexFieldSet,
     DispersionMatrix,
     HydroFields,
     VacuumError,
     phase_gradient,
     to_hydro,
-    _wrap_to_pi,
 )
 from .grid import Grid1D, antiderivative_parts, derivative
 from .nonlinearity import (
@@ -52,6 +53,7 @@ __all__ = [
     "compute_generator",
     "apply_gauge",
     "invert_gauge",
+    "phase_residuals",
     "phase_relation_residual",
     "cole_hopf_G",
     "curl_residual_2d",
@@ -147,21 +149,25 @@ class TransformedSpec(_TableSpec):
 
 def compute_generator(
     spec: FamilySpec,
-    h: HydroFields,
+    fields: ComplexFieldSet | HydroFields,
     A: DispersionMatrix,
     anchor: int = 0,
 ) -> GaugeGenerator:
-    """Integrate dsigma/dx = (c + D rho)/A from the anchor node.
-
-    Drift-cubic specs yield a pure ramp -delta_k/(2 A_k); derivative specs
-    yield sigma_k = (1/A_k) sum_j delta_kj * antiderivative(rho_j). The
-    integrand has no 1/rho, so density zeros need no special treatment.
+    """Integrate dsigma/dx = (c + D rho)/A from the anchor node, rho =
+    ``fields.rho``: drift-cubic specs yield a pure ramp -delta_k/(2 A_k),
+    derivative specs sigma_k = (1/A_k) sum_j delta_kj antiderivative(rho_j).
+    The integrand has no 1/rho, so density zeros need no special
+    treatment; an identically zero species has no phase (a VacuumError).
     """
-    if A.q != h.q:
-        raise ValueError(f"dispersion size {A.q} does not match fields q={h.q}")
-    if spec.q != h.q:
-        raise ValueError(f"spec species count {spec.q} does not match fields q={h.q}")
-    return _generator(spec.tables, h.rho, A, h.grid, anchor)
+    rho, q = fields.rho, fields.q
+    if A.q != q:
+        raise ValueError(f"dispersion size {A.q} does not match fields q={q}")
+    if spec.q != q:
+        raise ValueError(f"spec species count {spec.q} does not match fields q={q}")
+    for k, occupied in enumerate(rho.any(axis=-1).tolist()):
+        if not occupied:
+            raise VacuumError(f"species {k + 1} is identically zero (all-vacuum)")
+    return _generator(spec.tables, rho, A, fields.grid, anchor)
 
 
 def _generator(
@@ -171,8 +177,7 @@ def _generator(
     grid: Grid1D,
     anchor: int = 0,
 ) -> GaugeGenerator:
-    # compute_generator from the densities alone, unchecked: a march reads
-    # them from its fields with no to_hydro (no phase, no vacuum flags); a
+    # compute_generator without its checks, for a march's own fields; a
     # caller that keeps no reference of its own frees rho before the FFT
     rate, shape = eval_flux_rate(tables, rho), rho.shape
     del rho
@@ -182,13 +187,6 @@ def _generator(
         rate = np.broadcast_to(rate / A.values[:, None], shape)
     sigma, ramp = antiderivative_parts(rate, grid, anchor)
     return GaugeGenerator(sigma=sigma, ramp=ramp, anchor=anchor, grid=grid)
-
-
-def _density(data: np.ndarray) -> np.ndarray:
-    # |data|^2 as Re^2 + Im^2, the sum formed in the first square
-    rho = data.real**2
-    rho += data.imag**2
-    return rho
 
 
 def _rotated(phase: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -299,9 +297,8 @@ class _Readback:
         return None if readback.spec.tables.density_only else readback
 
     def gauge(self, psi: ComplexFieldSet) -> ComplexFieldSet:
-        """phi = apply_gauge(psi, compute_generator(psi)), the generator
-        read from the densities alone."""
-        gen = _generator(self._tables, _density(psi.data), self._A, psi.grid)
+        """phi = apply_gauge(psi, compute_generator(psi)), unchecked."""
+        gen = _generator(self._tables, psi.rho, self._A, psi.grid)
         return apply_gauge(psi, gen)
 
     def add(self, state) -> None:
@@ -339,7 +336,7 @@ class _Readback:
         """psi = exp(i theta) invert_gauge(phi, sigma[rho(phi)]) at the last
         added state, with the initial psi's kappa: phi's kappa less that
         one is the ramp shift the gauge of the initial psi took."""
-        phase = _generator(self._tables, _density(phi.data), self._A, phi.grid).values()
+        phase = _generator(self._tables, phi.rho, self._A, phi.grid).values()
         shift = phi.kappa - self._kappa
         if shift.any():
             phase -= shift[:, None] * (phi.grid.x - phi.grid.x_min)
@@ -348,24 +345,42 @@ class _Readback:
         return ComplexFieldSet(_rotated(phase, phi.data), phi.grid, self._kappa)
 
 
-def phase_relation_residual(
-    h_psi: HydroFields, h_phi: HydroFields, gen: GaugeGenerator
-) -> np.ndarray:
-    """sup_x distance(S_phi - S_psi - sigma, 2*pi*Z) per species, over the
-    nodes that neither field flags ``vacuum``: the phase of a field is not
-    measured there (``to_hydro`` interpolates it), so the relation has
-    nothing to check. A species flagged at every node reads 0.
+def phase_residuals(
+    psi: ComplexFieldSet, phi: ComplexFieldSet, gen: GaugeGenerator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The phase relation's residual per species, without and with its
+    global phase, from one product z_k = exp(-i sigma_k) phi_k conj(psi_k),
+    whose argument is S_phi - S_psi - sigma modulo 2 pi:
 
-    Vanishes exactly when the transformed phase relation S_phi = S_psi +
-    sigma holds modulo a global 2*pi branch.
+        sup_x |arg z_k|  and  sup_x |arg(z_k conj(z_k(x_ref)))|,
+
+    x_ref the node where |z_k| = (rho_psi rho_phi)^(1/2) peaks. Nodes where
+    either density is below DEFAULT_FLOOR times its peak are skipped (their
+    phase is not measured), so an all-zero species reads 0. The
+    global phase theta_k(t) that a march of phi leaves out (the anchor term
+    of dsigma/dt, see ``eval_R_numeric``) cancels from the second.
     """
-    if h_psi.q != h_phi.q or h_psi.q != gen.q:
+    if psi.q != phi.q or psi.q != gen.q:
         raise ValueError("species counts of the two states and generator differ")
-    mismatch = np.abs(_wrap_to_pi(h_phi.S - h_psi.S - gen.values()))
-    vacuum = h_psi.vacuum | h_phi.vacuum
-    if vacuum.any():
-        mismatch[vacuum] = 0.0
-    return mismatch.max(axis=-1)
+    w, u = _rotated(-gen.values(), phi.samples()), psi.samples()
+    # real products: a fused complex product can leave Im z != 0 where w = u
+    z = np.empty_like(w)
+    z.real = u.real * w.real + u.imag * w.imag
+    z.imag = u.real * w.imag - u.imag * w.real
+    for rho in (psi.rho, phi.rho):
+        z[rho < DEFAULT_FLOOR * rho.max(axis=-1, keepdims=True)] = 0.0
+    residual = np.abs(np.angle(z)).max(axis=-1)
+    z *= np.conj(z[np.arange(psi.q), np.abs(z).argmax(axis=-1)])[:, None]
+    return residual, np.abs(np.angle(z)).max(axis=-1)
+
+
+def phase_relation_residual(
+    psi: ComplexFieldSet, phi: ComplexFieldSet, gen: GaugeGenerator
+) -> np.ndarray:
+    """sup_x |arg(exp(-i sigma_k) phi_k conj(psi_k))| per species, the first
+    of ``phase_residuals``: 0 exactly when S_phi = S_psi + sigma modulo 2 pi
+    at every node where both phases are measured."""
+    return phase_residuals(psi, phi, gen)[0]
 
 
 def cole_hopf_G(

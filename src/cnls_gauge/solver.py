@@ -624,13 +624,13 @@ def current(spec: SystemSpec, fields: ComplexFieldSet, A: DispersionMatrix) -> n
         raise ValueError(
             f"species counts differ: spec {spec.q}, A {A.q}, fields {fields.q}"
         )
-    data = fields.data
+    data, kappa, has_flux = fields.data, fields.kappa, spec.tables.has_flux
     momentum = np.imag(np.conj(data) * derivative(data, fields.grid))
-    if fields.kappa.any():
-        momentum += fields.kappa[:, None] * (data.real**2 + data.imag**2)
+    rho = fields.rho if kappa.any() or has_flux else None
+    if kappa.any():
+        momentum += kappa[:, None] * rho
     j = 2.0 * A.values[:, None] * momentum
-    if spec.tables.has_flux:
-        rho = data.real**2 + data.imag**2
+    if has_flux:
         j += 2.0 * eval_F_parts(spec.tables, rho)
     return j
 

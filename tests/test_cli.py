@@ -461,7 +461,8 @@ def test_verify_family_a(tmp_path):
     res = run_cli("verify", str(cfg))
     assert res.returncode == 0, res.stderr
     rows = read_csv(tmp_path / "out" / "equivalence.csv")
-    assert rows[0] == ["t", "dens_diff_1", "dens_diff_2", "phase_res_1", "phase_res_2"]
+    assert rows[0] == ["t", "dens_diff_1", "dens_diff_2", "phase_res_1", "phase_res_2",
+                       "phase_anch_1", "phase_anch_2"]
     final = [float(v) for v in rows[-1][1:]]
     assert max(final) < 1e-6
 
@@ -953,12 +954,48 @@ def test_verify_nan_gap_exits_2(tmp_path, capsys, monkeypatch):
 
     def nan_run(cfg):
         nan = np.full((1, cfg.q), np.nan)
-        return EquivalenceRun([0.0], nan, nan, np.zeros(cfg.q))
+        return EquivalenceRun([0.0], nan, nan, nan, np.zeros(cfg.q))
 
     monkeypatch.setattr(cli, "run_equivalence", nan_run)
     cfg = write_config(tmp_path, small_linear_config(tmp_path))
     assert main(["verify", str(cfg)]) == 2
     assert "equivalence gap nan exceeds tolerance" in capsys.readouterr().err
+
+
+def test_verify_nan_anchored_phase_residual_exits_2(tmp_path, capsys, monkeypatch):
+    from cnls_gauge import cli
+    from cnls_gauge.report import EquivalenceRun
+
+    def nan_run(cfg):
+        zero, nan = np.zeros((1, cfg.q)), np.full((1, cfg.q), np.nan)
+        return EquivalenceRun([0.0], zero, zero, nan, np.zeros(cfg.q))
+
+    monkeypatch.setattr(cli, "run_equivalence", nan_run)
+    cfg = write_config(tmp_path, small_linear_config(tmp_path))
+    assert main(["verify", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "equivalence phase residual nan exceeds tolerance 1.000e-06\n"
+    )
+
+
+def test_verify_fails_on_a_phase_error_the_density_gap_misses(tmp_path, capsys):
+    # a cubic table of phi off by 1e-3 moves the densities by 8e-9 and the
+    # phases by 2e-6 at t = 0.05: the anchored phase column catches it
+    from cnls_gauge import RunConfig, transformed_spec
+
+    payload = json.loads((CONFIGS / "family_b_sample.json").read_text())
+    payload["output_dir"] = str(tmp_path / "out")
+    cfg = RunConfig.from_dict(payload)
+    cubic = transformed_spec(cfg.build_family_spec(), cfg.build_dispersion()).cubic
+    payload["phi_coefficients"] = {"cubic": (cubic + 1e-3).tolist()}
+    assert main(["verify", str(write_config(tmp_path, payload))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("equivalence phase residual ") and err.count("\n") == 1
+    assert err.endswith(" exceeds tolerance 1.000e-06\n")
+    header, *rows = read_csv(tmp_path / "out" / "equivalence.csv")
+    final = dict(zip(header, map(float, rows[-1])))
+    assert max(final["dens_diff_1"], final["dens_diff_2"]) < 1e-7
+    assert 1e-6 < max(final["phase_anch_1"], final["phase_anch_2"]) < 1e-5
 
 
 def _plane_wave_n32(tmp_path, initial):

@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cnls_gauge import (
     Grid2D,
     HydroFields,
     LinearSpec,
+    RunConfig,
     TransformedSpec,
     antiderivative,
     apply_gauge,
@@ -26,6 +29,7 @@ from cnls_gauge import (
     from_hydro,
     invert_gauge,
     phase_relation_residual,
+    phase_residuals,
     to_hydro,
     transformed_spec,
 )
@@ -38,6 +42,8 @@ from conftest import (
 )
 
 TWO_PI = 2.0 * np.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = sorted(path.stem for path in CONFIGS.glob("*.json"))
 
 
 def quantized_derivative_setup(rng, grid, q=2):
@@ -177,23 +183,73 @@ def test_apply_gauge_moves_fractional_ramp_to_kappa(grid256):
 def test_phase_relation_residual(grid256):
     rng = np.random.default_rng(6)
     psi, spec, A = quantized_derivative_setup(rng, grid256)
-    h_psi = to_hydro(psi)
-    gen = compute_generator(spec, h_psi, A)
+    gen = compute_generator(spec, psi, A)
     phi = apply_gauge(psi, gen)
-    h_phi = to_hydro(phi)
-    res = phase_relation_residual(h_psi, h_phi, gen)
+    res = phase_relation_residual(psi, phi, gen)
     assert res.max() < 1e-10
 
     # identical states with zero generator
     zero = _constant_generator(grid256, 2, 0.0)
-    assert phase_relation_residual(h_psi, h_psi, zero).max() == 0.0
+    assert phase_relation_residual(psi, psi, zero).max() == 0.0
 
     # a 0.1 bump at one node in the transformed phase appears as 0.1
-    S_perturbed = h_phi.S.copy()
-    S_perturbed[0, 100] += 0.1
-    h_bad = HydroFields(h_phi.rho, S_perturbed, grid256)
-    res2 = phase_relation_residual(h_psi, h_bad, gen)
+    bumped = phi.data.copy()
+    bumped[0, 100] *= np.exp(0.1j)
+    res2 = phase_relation_residual(psi, ComplexFieldSet(bumped, grid256, phi.kappa), gen)
     assert abs(res2[0] - 0.1) < 1e-9
+
+
+def _hydro_phase_residual(psi, phi, gen):
+    # the relation on unwrapped phases, |wrap(S_phi - S_psi - sigma)| over
+    # the nodes that neither to_hydro flags vacuum
+    h_psi, h_phi = to_hydro(psi), to_hydro(phi)
+    mismatch = np.abs((h_phi.S - h_psi.S - gen.values() + np.pi) % TWO_PI - np.pi)
+    mismatch[h_psi.vacuum | h_phi.vacuum] = 0.0
+    return mismatch.max(axis=-1)
+
+
+def _shipped_pair(name, **nonlinearity):
+    # the initial psi of a shipped config, its generator, and a phi that
+    # misses the gauge image by a smooth phase of up to 2 per species
+    payload = json.loads((CONFIGS / f"{name}.json").read_text())
+    payload["nonlinearity"].update(nonlinearity)
+    cfg = RunConfig.from_dict(payload)
+    psi = cfg.build_initial(cfg.build_grid())
+    gen = compute_generator(cfg.build_family_spec(), psi, cfg.build_dispersion())
+    phi = apply_gauge(psi, gen)
+    x = psi.grid.x
+    error = np.array([(0.5 + k) * np.sin((k + 1) * x + k) for k in range(psi.q)])
+    return psi, ComplexFieldSet(np.exp(1j * error) * phi.data, phi.grid, phi.kappa), gen
+
+
+@pytest.mark.parametrize(
+    "name, nonlinearity",
+    [(name, {}) for name in SHIPPED] + [("family_a_verify", {"delta": [1.0, 1.0]})],
+    ids=[*SHIPPED, "fractional_ramp"],
+)
+def test_phase_relation_residual_matches_the_hydro_formula(name, nonlinearity):
+    psi, phi, gen = _shipped_pair(name, **nonlinearity)
+    if nonlinearity:
+        assert not gen.ramp_is_periodic() and phi.kappa.any()
+    got = phase_relation_residual(psi, phi, gen)
+    assert got.min() > 0.4
+    assert np.abs(got - _hydro_phase_residual(psi, phi, gen)).max() <= 1e-12
+
+
+def test_anchored_phase_residual_removes_a_global_phase_only(grid256):
+    rng = np.random.default_rng(6)
+    psi, spec, A = quantized_derivative_setup(rng, grid256)
+    gen = compute_generator(spec, psi, A)
+    phi = apply_gauge(psi, gen)
+    rotated = ComplexFieldSet(np.exp([[0.3j], [-2.0j]]) * phi.data, grid256)
+    residual, anchored = phase_residuals(psi, rotated, gen)
+    assert np.abs(residual - [0.3, 2.0]).max() < 1e-10
+    assert anchored.max() < 1e-10
+    # a bump away from the reference node is still seen in full
+    bumped = rotated.data.copy()
+    bumped[1, np.abs(phi.data[1]).argmin()] *= np.exp(0.1j)
+    _, anchored = phase_residuals(psi, ComplexFieldSet(bumped, grid256), gen)
+    assert abs(anchored[1] - 0.1) < 1e-9 and anchored[0] < 1e-10
 
 
 def test_cole_hopf_zero_flux(grid256):

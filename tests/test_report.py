@@ -15,8 +15,7 @@ from cnls_gauge import (
     dumps_config,
     evolve,
     load_config,
-    phase_relation_residual,
-    to_hydro,
+    phase_residuals,
 )
 import cnls_gauge.solver as solver
 from cnls_gauge.cli import main, run_convergence, run_equivalence
@@ -187,8 +186,8 @@ def test_equivalence_samples_at_evolve_record_times():
     ids=["derivative", "drift_cubic", "fractional_ramp"],
 )
 def test_equivalence_t0_row_is_a_fresh_sample(tmp_path, name, delta):
-    # the t = 0 row reuses the set-up's to_hydro and generator; it has the
-    # bytes of a sample computed afresh from the initial fields
+    # the t = 0 row has the bytes of a sample computed afresh from the
+    # initial fields and their gauge image
     payload = json.loads((CONFIGS / f"{name}.json").read_text())
     payload.update(t_end=2 * payload["dt"], sample_every=1)
     if delta is not None:
@@ -200,11 +199,10 @@ def test_equivalence_t0_row_is_a_fresh_sample(tmp_path, name, delta):
     cfg = load_config(path)
     A, spec = cfg.build_dispersion(), cfg.build_family_spec()
     psi0 = cfg.build_initial(cfg.build_grid())
-    gen = compute_generator(spec, to_hydro(psi0), A)
-    h_psi, h_phi = to_hydro(psi0), to_hydro(apply_gauge(psi0, gen))
-    gen_t = compute_generator(spec, h_psi, A, anchor=gen.anchor)
-    fresh = [0.0, *np.abs(h_phi.rho - h_psi.rho).max(axis=-1),
-             *phase_relation_residual(h_psi, h_phi, gen_t)]
+    gen = compute_generator(spec, psi0, A)
+    phi0 = apply_gauge(psi0, gen)
+    phase, anchored = phase_residuals(psi0, phi0, gen)
+    fresh = [0.0, *np.abs(phi0.rho - psi0.rho).max(axis=-1), *phase, *anchored]
     with open(tmp_path / "out" / "equivalence.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 4
@@ -240,29 +238,29 @@ def _write(tmp_path, payload):
 
 def _separate_marches(cfg):
     """The equivalence metrics from two marches of their own, psi's and
-    phi's, each sampled afresh (the t = 0 generator is the set-up's), and
-    the two final fields."""
+    phi's, each sampled afresh, and the two final fields."""
     A, spec = cfg.build_dispersion(), cfg.build_family_spec()
     tspec = cfg.build_transformed_spec(spec)
     psi0 = cfg.build_initial(cfg.build_grid())
-    gen0 = compute_generator(spec, to_hydro(psi0), A)
+    gen0 = compute_generator(spec, psi0, A)
     runs = [
         [s for s, sampled in _march(SimState(0.0, f, sp, A), cfg.dt, cfg.n_steps,
                                     cfg.sample_every) if sampled]
         for f, sp in ((psi0, spec), (apply_gauge(psi0, gen0), tspec))
     ]
-    times, dens, phase = [], [], []
+    times, dens, phase, anchored = [], [], [], []
     for ps, fs in zip(*runs, strict=True):
         assert ps.t == fs.t
-        h_psi, h_phi = to_hydro(ps.fields), to_hydro(fs.fields)
-        gen = compute_generator(spec, h_psi, A, anchor=gen0.anchor)
+        gen = compute_generator(spec, ps.fields, A)
         times.append(ps.t)
-        dens.append(np.abs(h_phi.rho - h_psi.rho).max(axis=-1))
-        phase.append(phase_relation_residual(h_psi, h_phi, gen))
+        dens.append(np.abs(fs.fields.rho - ps.fields.rho).max(axis=-1))
+        residuals = phase_residuals(ps.fields, fs.fields, gen)
+        phase.append(residuals[0])
+        anchored.append(residuals[1])
     norms0 = _norms_of(psi0)
     drift = (_norms_of(runs[0][-1].fields) - norms0) / norms0
     finals = [run[-1].fields.data for run in runs]
-    return times, np.array(dens), np.array(phase), drift, finals
+    return times, np.array(dens), np.array(phase), np.array(anchored), drift, finals
 
 
 def _stepped(monkeypatch):
@@ -295,15 +293,16 @@ def test_stacked_equivalence_matches_two_separate_marches(tmp_path, monkeypatch,
     got = run_equivalence(cfg)
     assert calls and {state.fields.q for state, _ in calls} == {2 * cfg.q}
     final = calls[-1][1].fields.data
-    times, dens, phase, drift, finals = _separate_marches(cfg)
+    times, dens, phase, anchored, drift, finals = _separate_marches(cfg)
     assert final.tobytes() == np.concatenate(finals).tobytes()
     assert got.times == times
     assert got.density_diff.tobytes() == dens.tobytes()
     assert got.phase_residual.tobytes() == phase.tobytes()
+    assert got.phase_anchored.tobytes() == anchored.tobytes()
     assert got.final_norm_drift.tobytes() == drift.tobytes()
     if case == "fractional_ramp":
-        gen = compute_generator(cfg.build_family_spec(), to_hydro(
-            cfg.build_initial(cfg.build_grid())), cfg.build_dispersion())
+        gen = compute_generator(cfg.build_family_spec(),
+                                cfg.build_initial(cfg.build_grid()), cfg.build_dispersion())
         assert not gen.ramp_is_periodic()
 
 

@@ -40,10 +40,11 @@ def _snapshots(path, out):
 
 
 def _config_path(tmp_path, name):
-    if name.startswith("simulate_wide"):
-        seed = int(name.rsplit("-", 1)[1])
-        payload = perfbench_workloads().simulate_wide(seed).config
-        path = tmp_path / "wide.json"
+    # a shipped config, or "<workload>-<seed>" of the benchmark
+    if "-" in name:
+        workload, seed = name.rsplit("-", 1)
+        payload = getattr(perfbench_workloads(), workload)(int(seed)).config
+        path = tmp_path / f"{workload}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         return path
     return CONFIGS / f"{name}.json"
@@ -136,6 +137,39 @@ def test_readback_inverts_the_set_up_gauge():
     back = readback.psi(phi)
     assert back.kappa.tobytes() == psi.kappa.tobytes()
     assert np.abs(back.data - psi.data).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["family_b_sample", "family_b_convergence", "simulate_wide-1", "simulate_wide-2",
+     "equiv_deriv-1", "equiv_deriv-2"],
+)
+def test_every_command_gauges_psi0_to_the_same_bytes(tmp_path, monkeypatch, name):
+    # transform's phi_initial, the phi0 that simulate marches and the phi0
+    # that verify marches next to psi come from one generator of the
+    # densities Re^2 + Im^2
+    from cnls_gauge import report
+
+    path = _config_path(tmp_path, name)
+    assert main(["transform", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    transformed = (tmp_path / "out" / "phi_initial.raw").read_bytes()
+
+    cfg = load_config(str(path))
+    psi0 = cfg.build_initial(cfg.build_grid())
+    readback = _Readback.of(cfg.build_family_spec(), cfg.build_dispersion(), psi0, cfg.dt)
+    simulated = readback.gauge(psi0).samples().astype("<c16").tobytes()
+
+    real, gauged = report.apply_gauge, []
+
+    def apply_gauge(psi, gen):
+        gauged.append(real(psi, gen))
+        return gauged[-1]
+
+    monkeypatch.setattr(report, "apply_gauge", apply_gauge)
+    report.run_equivalence(dataclasses.replace(cfg, t_end=cfg.dt, sample_every=1))
+    verified = gauged[0].samples().astype("<c16").tobytes()
+
+    assert transformed == simulated == verified
 
 
 def test_no_readback_where_psi_has_no_flux_or_phi_tables_are_unusable():
