@@ -272,55 +272,75 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path) -> int:
 # --- argument parsing -----------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The config commands' help lines, in the order the help lists them;
+# classify, which reads no config, comes last.
+_CONFIG_COMMANDS = {
+    "simulate": "evolve the original system and write diagnostics",
+    "transform": "write transformed coefficients (and the gauged initial state)",
+    "verify": "run the gauge-equivalence experiment end to end",
+    "convergence": "self-convergence study in dt",
+}
+_COMMANDS = (*_CONFIG_COMMANDS, "classify")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone. Either one
+    gives the same texts and namespace on an argv whose first word is
+    ``command``: the subcommand metavar still lists every command, so a
+    usage line reads as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="cnls-gauge",
         description="Coupled NLS systems with complex nonlinearities: "
         "simulation, gauge transformation, classification and verification.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    # the options every config command takes, added once and shared
-    config_options = argparse.ArgumentParser(add_help=False)
-    config_options.add_argument("config", help="path to a JSON run configuration")
-    config_options.add_argument(
-        "--output-dir", default=None, help="override the config output_dir"
-    )
-    config_options.add_argument(
-        "--tolerance", type=float, default=None, help="override the config tolerance"
-    )
-    config_options.add_argument(
-        "--dump-config",
-        action="store_true",
-        help="echo the parsed config as canonical JSON and exit",
-    )
-
-    def add_config_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[config_options])
-
-    add_config_command("simulate", "evolve the original system and write diagnostics")
-    add_config_command(
-        "transform", "write transformed coefficients (and the gauged initial state)"
-    )
-    verify = add_config_command(
-        "verify", "run the gauge-equivalence experiment end to end"
-    )
-    verify.add_argument(
-        "--sweep",
-        default=None,
-        metavar="KEY=V1,V2,...",
-        help="repeat the verification over a numeric config key",
-    )
-    add_config_command("convergence", "self-convergence study in dt")
-
-    cls = sub.add_parser("classify", help="label scalar derivative-family coefficients")
-    for name in DerivativeSpec.TABLES:
-        cls.add_argument(f"--{_CONFIG_KEY.get(name, name)}", dest=name, required=True)
+    if command is None:
+        names, metavar = _COMMANDS, None
+    else:
+        # the metavar keeps every command in a usage line. The full parser
+        # takes none: a missing-command error would name it in place of
+        # "command", an error that cannot arise once argv names the command
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    config_commands = [name for name in names if name in _CONFIG_COMMANDS]
+    if config_commands:
+        # the options every config command takes, added once and shared
+        config_options = argparse.ArgumentParser(add_help=False)
+        config_options.add_argument("config", help="path to a JSON run configuration")
+        config_options.add_argument(
+            "--output-dir", default=None, help="override the config output_dir"
+        )
+        config_options.add_argument(
+            "--tolerance", type=float, default=None, help="override the config tolerance"
+        )
+        config_options.add_argument(
+            "--dump-config",
+            action="store_true",
+            help="echo the parsed config as canonical JSON and exit",
+        )
+    for name in config_commands:
+        cmd = sub.add_parser(name, help=_CONFIG_COMMANDS[name], parents=[config_options])
+        if name == "verify":
+            cmd.add_argument(
+                "--sweep",
+                default=None,
+                metavar="KEY=V1,V2,...",
+                help="repeat the verification over a numeric config key",
+            )
+    if "classify" in names:
+        cls = sub.add_parser("classify", help="label scalar derivative-family coefficients")
+        for name in DerivativeSpec.TABLES:
+            cls.add_argument(f"--{_CONFIG_KEY.get(name, name)}", dest=name, required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a known command's parser alone: building the others is most of the
+    # parse's cost, and this argv cannot reach them
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         if args.command == "classify":
             return cmd_classify(vars(args))

@@ -157,7 +157,7 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
     )
     # the sample generator alone holds the initial states (the stacked
     # path only its stacked copy), and frees them at the first step
-    del psi0, gen0
+    del psi0
 
     times: list[float] = []
     dens_rows: list[np.ndarray] = []
@@ -166,7 +166,10 @@ def run_equivalence(cfg: RunConfig) -> EquivalenceRun:
     # each sample's temporaries, and its states, are freed before the next
     # step; the last sample is the final state
     for psi, phi in pairs:
-        gen = compute_generator(spec, psi.fields, A)
+        # the t = 0 sample is psi0 itself, whose generator is gen0; it is
+        # dropped there, before the first step
+        gen = compute_generator(spec, psi.fields, A) if gen0 is None else gen0
+        gen0 = None
         times.append(psi.t)
         dens_rows.append(np.abs(phi.fields.rho - psi.fields.rho).max(axis=-1))
         phase, anchored = phase_residuals(psi.fields, phi.fields, gen)

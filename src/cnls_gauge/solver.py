@@ -661,7 +661,7 @@ def continuity_residual(states: tuple[SimState, SimState, SimState]) -> np.ndarr
 
 
 def _norms_of(fields: ComplexFieldSet) -> np.ndarray:
-    return np.atleast_1d(integrate(np.abs(fields.data) ** 2, fields.grid))
+    return np.atleast_1d(integrate(fields.rho, fields.grid))
 
 
 def _record(state: SimState, norms0: np.ndarray) -> DiagnosticsRecord:

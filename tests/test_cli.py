@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cnls_gauge import ComplexFieldSet, TransformedSpec, make_grid
-from cnls_gauge.cli import main, read_snapshot, write_snapshot
+from cnls_gauge.cli import _build_parser, main, read_snapshot, write_snapshot
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -1117,3 +1117,60 @@ def test_step_bound_underflow_exits_1_naming_A(tmp_path, capsys):
     cfg = write_config(tmp_path, payload)
     assert main(["simulate", str(cfg)]) == 1
     assert "error: config key 'A': the RK4 step bound" in capsys.readouterr().err
+
+
+# --- argument parsing --------------------------------------------------------
+
+_VERIFY_CONFIG = str(CONFIGS / "family_a_verify.json")
+# "CFG" stands for the config path, which would make a test id depend on
+# where the checkout lies
+_TEXT_ARGVS = [
+    [], ["-h"], ["--version"], ["bogus"],
+    *([command, "-h"] for command in
+      ("simulate", "transform", "verify", "convergence", "classify")),
+    ["verify"], ["verify", "CFG", "--bogus"], ["verify", "CFG", "extra"],
+    ["classify", "--beta", "1"],
+]
+
+
+def _outcome(call, argv, capsys):
+    try:
+        code = call(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", _TEXT_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_cli_texts_match_the_parser_of_every_command(capsys, monkeypatch, argv):
+    # main builds only the named command's subparser; its help, usage and
+    # error texts must read as the full parser's, usage lines included
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [_VERIFY_CONFIG if word == "CFG" else word for word in argv]
+    full = _outcome(_build_parser().parse_args, argv, capsys)
+    assert _outcome(main, argv, capsys) == full
+
+
+def test_a_valid_verify_line_parses_as_with_the_full_parser():
+    argv = ["verify", _VERIFY_CONFIG, "--sweep", "dt=1e-4,2e-4", "--tolerance", "1e-7",
+            "--output-dir", "out", "--dump-config"]
+    assert _build_parser("verify").parse_args(argv) == _build_parser().parse_args(argv)
+
+
+def test_main_builds_the_named_command_alone(monkeypatch):
+    import argparse
+
+    import cnls_gauge.cli as cli
+
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(cli, "cmd_verify", lambda cfg, out_dir, tolerance: 0)
+    assert main(["verify", _VERIFY_CONFIG]) == 0
+    assert added == ["verify"]

@@ -98,3 +98,17 @@ def test_workload_configs_cover_every_benchmark_workload(tmp_path):
     for path in configs.values():
         assert path.parent == tmp_path
         load_config(str(path))
+
+
+def test_cli_block_lists_every_argument_list():
+    tool = _load_tool()
+    lines = tool.digest_cli()
+    headers = [l for l in lines if l.startswith("== ")]
+    assert headers == ["== " + " ".join(["cli", *args]) for args in tool.CLI_ARGS]
+    assert len(headers) == 13
+    bogus = lines.index("== cli verify configs/family_a_verify.json --bogus")
+    assert lines[bogus + 1] == "exit 2"
+    assert "stderr| cnls-gauge: error: unrecognized arguments: --bogus" in lines
+    assert lines[lines.index("== cli verify -h") + 1] == "exit 0"
+    assert "stdout| usage: cnls-gauge verify [-h] [--output-dir OUTPUT_DIR]" in lines
+    assert not any(str(tool.ROOT) in l for l in lines)

@@ -209,6 +209,24 @@ def test_equivalence_t0_row_is_a_fresh_sample(tmp_path, name, delta):
     assert rows[1] == [repr(float(v)) for v in fresh]
 
 
+@pytest.mark.parametrize("name", ["family_b_sample", "family_a_verify"],
+                         ids=["lockstep", "stacked"])
+def test_equivalence_computes_one_generator_per_row(tmp_path, monkeypatch, name):
+    # the t = 0 row reuses the generator that gauged the initial state
+    import cnls_gauge.report as report
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute_generator(*args, **kwargs)
+
+    monkeypatch.setattr(report, "compute_generator", counted)
+    result = run_equivalence(_short_config(tmp_path, name))
+    assert len(result.times) == 4
+    assert len(calls) == len(result.times)
+
+
 def _short_config(tmp_path, name, **nonlinearity):
     # a shipped config cut to 40 steps, sampled every 15, so the march takes
     # merged split calls and a short last interval

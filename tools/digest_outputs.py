@@ -12,16 +12,18 @@ shipped config in ``configs/``, on the seed-1 config of each benchmark
 workload in ``perfbench/workloads.py`` (written to a temporary file as the
 benchmark writes it), and then on each extra path, each command in its own
 temporary output directory. For each command it prints the exit
-code, the stdout and stderr lines, and one SHA-256 per written file. Two
+code, the stdout and stderr lines, and one SHA-256 per written file. A
+last ``cli`` block prints the exit code, stdout and stderr of each argument
+list in ``CLI_ARGS``: help, version and parse errors, at 80 columns. Two
 checkouts whose outputs agree give equal digests, so one ``diff`` of two
 digests replaces a ``diff -r`` of the output trees.
 
 A warning is printed as ``Category: message``, without the file and line
 that Python's default format adds, and the warning registry is reset for
 every command as in a fresh process; so a digest does not change when
-source lines move. Shipped configs are named relative to the checkout and
-workload configs by workload and seed, so two checkouts can be compared;
-extra paths are named by their absolute path.
+source lines move. Shipped configs, also in the ``cli`` block, are named
+relative to the checkout and workload configs by workload and seed, so two
+checkouts can be compared; extra paths are named by their absolute path.
 """
 
 from __future__ import annotations
@@ -32,14 +34,27 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("simulate", "transform", "verify", "convergence")
 WORKLOAD_SEED = 1
+# The argument lists of the cli block, the config named relative to the
+# checkout: what the parser of every command reads (no command, help,
+# version, an unknown word) and what one command's parser reads (its help
+# and its parse errors).
+CLI_CONFIG = "configs/family_a_verify.json"
+CLI_ARGS = (
+    [], ["-h"], ["--version"], ["bogus"],
+    *([command, "-h"] for command in (*COMMANDS, "classify")),
+    ["verify"], ["verify", CLI_CONFIG, "--bogus"], ["verify", CLI_CONFIG, "extra"],
+    ["classify", "--beta", "1"],
+)
 
 
 def _import_cli():
@@ -81,27 +96,47 @@ def runs(cli, path: Path) -> list[list[str]]:
     return [[command] for command in COMMANDS] + [["verify", "--sweep", f"dt={own_dt}"]]
 
 
+def _run(cli, argv: list[str]) -> list[str]:
+    """The exit code and the stdout and stderr lines of ``cli.main(argv)``;
+    help, version and parse errors exit through SystemExit."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("default")
+        warnings.showwarning = _show_warning
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    lines = [f"exit {code}"]
+    lines += [f"stdout| {line}" for line in stdout.getvalue().splitlines()]
+    lines += [f"stderr| {line}" for line in stderr.getvalue().splitlines()]
+    return lines
+
+
 def digest_command(cli, args: list[str], name: str, path: Path) -> list[str]:
     """Lines describing one run, ``args`` as in ``runs``, on the config at
     ``path``."""
-    stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
         argv = [args[0], str(path), *args[1:], "--output-dir", str(out_dir)]
-        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("default")
-            warnings.showwarning = _show_warning
-            code = cli.main(argv)
+        lines = [f"== {' '.join(args)} {name}", *_run(cli, argv)]
         files = sorted(p for p in out_dir.rglob("*") if p.is_file()) \
             if out_dir.is_dir() else []
-        lines = [f"== {' '.join(args)} {name}", f"exit {code}"]
-        lines += [f"stdout| {line}" for line in stdout.getvalue().splitlines()]
-        lines += [f"stderr| {line}" for line in stderr.getvalue().splitlines()]
         lines += [
             f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out_dir)}"
             for p in files
         ]
+    return lines
+
+
+def digest_cli() -> list[str]:
+    """Lines of the cli block: each of CLI_ARGS and what it printed."""
+    cli = _import_cli()
+    lines: list[str] = []
+    for args in CLI_ARGS:
+        argv = [str(ROOT / word) if word == CLI_CONFIG else word for word in args]
+        lines += [f"== {' '.join(['cli', *args])}", *_run(cli, argv)]
     return lines
 
 
@@ -124,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         configs.update(workload_configs(Path(tmp)))
         configs.update((str(Path(c).resolve()), Path(c).resolve()) for c in args.configs)
-        print("\n".join(digest(configs)))
+        print("\n".join(digest(configs) + digest_cli()))
     return 0
 
 
